@@ -1,9 +1,11 @@
 """Fixed-step co-simulation master and component contract.
 
 Components expose scalar variables (real, integer, boolean) through a
-get/set interface and advance in fixed macro steps; the master owns the
-wiring and moves values between components.  Two coupling schemes are
-supported:
+get/set interface and advance in fixed macro steps.  ``initialize``
+compiles the wiring into a plan of input edges per component: a refresh
+copies along them into the sink's values, and every hook's real outputs
+are checked finite.  No re-wiring follows, and a master that has stepped
+does not run again.  Two coupling schemes are supported:
 
 ``serial``
     Components step once per macro step in ascending priority order.
@@ -189,10 +191,10 @@ class MasterConfig:
     def __post_init__(self):
         if isinstance(self.scheme, str):
             self.scheme = Scheme(self.scheme)
-        if self.macro_step <= 0.0:
-            raise ValueError(f"macro_step must be positive, got {self.macro_step}")
-        if self.t_end < 0.0:
-            raise ValueError(f"t_end must be non-negative, got {self.t_end}")
+        if not (math.isfinite(self.macro_step) and self.macro_step > 0.0):
+            raise ValueError(f"macro_step must be finite and positive, got {self.macro_step}")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
+            raise ValueError(f"t_end must be finite and non-negative, got {self.t_end}")
 
 
 @dataclass
@@ -208,6 +210,19 @@ class RunMetadata:
     warnings: list[str] = field(default_factory=list)
 
 
+def _refresh(values: dict, edges: list[tuple]) -> None:
+    """Set each input from its source's current output, as ``Connection.apply``."""
+    for src, src_name, name, real, gain, offset, cast in edges:
+        values[name] = cast(gain * src[src_name] + offset) if real else cast(src[src_name])
+
+
+def _check_finite(comp: SimComponent, values: dict, outputs: list[str], t: float) -> None:
+    for name in outputs:
+        if not math.isfinite(values[name]):
+            raise err.ComponentStepError(comp.component_id, t,
+                                         f"output '{name}' is not finite ({values[name]!r})")
+
+
 class Master:
     """Registers components, wires them, and drives the macro-step loop."""
 
@@ -215,17 +230,18 @@ class Master:
         self.config = config
         self._components: dict[str, SimComponent] = {}
         self._priorities: dict[str, int] = {}
-        self._connections: list[Connection] = []
         self._by_sink: dict[str, list[Connection]] = {}
         self._driven: set[VariableRef] = set()
-        self._latest: dict[VariableRef, object] = {}
         self._order: list[SimComponent] = []
+        self._plan: list[tuple] = []
         self._initialized = False
         self.current_step = 0
 
     # -- construction ------------------------------------------------------
 
     def register(self, component: SimComponent, priority: int) -> SimComponent:
+        if self._initialized:
+            raise err.WiringError("register after initialize: the exchange plan is fixed")
         cid = component.component_id
         if cid in self._components:
             raise err.DuplicateComponentError(f"component id '{cid}' already registered")
@@ -244,6 +260,8 @@ class Master:
         return self._components[comp_id].ref(var)
 
     def connect(self, source, sink, gain: float = 1.0, offset: float = 0.0) -> Connection:
+        if self._initialized:
+            raise err.WiringError("connect after initialize: the exchange plan is fixed")
         if isinstance(source, str):
             source = self.resolve(source)
         if isinstance(sink, str):
@@ -265,7 +283,6 @@ class Master:
                 f"{source.kind.value} connection {source} -> {sink} must use the identity transform"
             )
         conn = Connection(source, sink, gain, offset)
-        self._connections.append(conn)
         self._by_sink.setdefault(sink.component_id, []).append(conn)
         self._driven.add(sink)
         return conn
@@ -278,44 +295,35 @@ class Master:
 
     # -- value movement ----------------------------------------------------
 
-    def _publish(self, comp: SimComponent, t: float) -> None:
-        """Pull a component's outputs into the exchange cache, checking finiteness."""
-        for ref in comp.variables():
-            if ref.direction is Direction.OUTPUT:
-                value = comp._values[ref.name]
-                if ref.kind is VarKind.REAL and not math.isfinite(value):
-                    raise err.ComponentStepError(
-                        comp.component_id, t, f"output '{ref.name}' is not finite ({value!r})"
-                    )
-                self._latest[ref] = value
-
-    def _refresh_inputs(self, comp: SimComponent) -> None:
-        for conn in self._by_sink.get(comp.component_id, ()):
-            if conn.source in self._latest:
-                comp.set(conn.sink.name, conn.apply(self._latest[conn.source]))
-
-    def _exchange_all(self) -> None:
-        for comp in self._order:
-            self._refresh_inputs(comp)
+    def _compile(self) -> None:
+        """Per component in priority order: (component, values, input edges, real outputs)."""
+        casts = {VarKind.REAL: float, VarKind.INT: int, VarKind.BOOL: bool}
+        self._plan = [
+            (comp, comp._values,
+             [(self._components[c.source.component_id]._values, c.source.name, c.sink.name,
+               c.source.kind is VarKind.REAL, c.gain, c.offset, casts[c.sink.kind])
+              for c in self._by_sink.get(comp.component_id, ())],
+             [r.name for r in comp.variables()
+              if r.direction is Direction.OUTPUT and r.kind is VarKind.REAL])
+            for comp in self._order
+        ]
 
     # -- lifecycle ---------------------------------------------------------
 
     def initialize(self) -> None:
         if not self._components:
             raise err.InitializationError("no components registered")
-        t0 = 0.0
-        for comp in self._order:
+        self._compile()
+        for comp, values, _, outputs in self._plan:
             comp.publish_setpoints()
-            self._publish(comp, t0)
-        for comp in self._order:
-            self._refresh_inputs(comp)
-            comp.equilibrate()
-            self._publish(comp, t0)
-        for comp in self._order:
-            self._refresh_inputs(comp)
-            comp.finish_init()
-            self._publish(comp, t0)
-        self._exchange_all()
+            _check_finite(comp, values, outputs, 0.0)
+        for stage in ("equilibrate", "finish_init"):
+            for comp, values, edges, outputs in self._plan:
+                _refresh(values, edges)
+                getattr(comp, stage)()
+                _check_finite(comp, values, outputs, 0.0)
+        for _, values, edges, _ in self._plan:
+            _refresh(values, edges)
         self._initialized = True
         self.current_step = 0
 
@@ -325,35 +333,27 @@ class Master:
         dt = self.config.macro_step
         t = self.current_step * dt
         if self.config.scheme is Scheme.SERIAL:
-            for comp in self._order:
-                self._refresh_inputs(comp)
+            for comp, values, edges, outputs in self._plan:
+                _refresh(values, edges)
                 comp.step(t, dt)
-                self._publish(comp, t + dt)
+                _check_finite(comp, values, outputs, t + dt)
         else:
-            for comp in self._order:
-                self._refresh_inputs(comp)
-            for comp in self._order:
+            for _, values, edges, _ in self._plan:
+                _refresh(values, edges)
+            for comp, _, _, _ in self._plan:
                 comp.step(t, dt)
-            for comp in self._order:
-                self._publish(comp, t + dt)
+            for comp, values, _, outputs in self._plan:
+                _check_finite(comp, values, outputs, t + dt)
         self.current_step += 1
 
     # -- recording ---------------------------------------------------------
 
-    def _record_refs(self) -> list[VariableRef]:
-        return [self.resolve(name) for name in self.config.record]
-
     def _sample(self, refs: list[VariableRef]) -> list[float]:
-        row = []
-        for ref in refs:
-            comp = self._components[ref.component_id]
-            if ref.direction is Direction.OUTPUT and ref in self._latest:
-                row.append(float(self._latest[ref]))
-            else:
-                row.append(float(comp.get(ref.name)))
-        return row
+        return [float(self._components[ref.component_id]._values[ref.name]) for ref in refs]
 
     def run(self, scenario_name: str = "") -> tuple[TraceSet, RunMetadata]:
+        if self.current_step:
+            raise err.InitializationError("master has already run; build a new Master")
         meta = RunMetadata(
             scenario=scenario_name,
             scheme=self.config.scheme.value,
@@ -374,7 +374,7 @@ class Master:
         started = _time.perf_counter()
         if not self._initialized:
             self.initialize()
-        refs = self._record_refs()
+        refs = [self.resolve(name) for name in self.config.record]
         times = [0.0]
         rows = [self._sample(refs)]
         for _ in range(n_steps):

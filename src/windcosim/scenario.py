@@ -24,6 +24,7 @@ turbine ``<id>`` gets ``conv_<id>`` and ``frt_<id>``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .collector import WppLayout
@@ -105,9 +106,17 @@ class Scenario:
         ids = {b.id for b in self.network.buses}
         if self.pcc_bus not in ids:
             raise ScenarioValidationError(f"pcc bus {self.pcc_bus} not in network")
+        if not (math.isfinite(self.micro_step) and self.micro_step > 0.0):
+            raise ScenarioValidationError(
+                f"micro_step must be finite and positive, got {self.micro_step}")
         for ev in self.events:
             if ev.bus not in ids:
                 raise UnresolvedReferenceError(f"bus {ev.bus}", "fault at unknown bus")
+            if not (math.isfinite(ev.start) and ev.start >= 0.0
+                    and math.isfinite(ev.duration) and ev.duration > 0.0):
+                raise ScenarioValidationError(
+                    f"fault at bus {ev.bus} needs a finite start >= 0 and a finite "
+                    f"duration > 0, got start={ev.start} duration={ev.duration}")
         comp_ids = set(self.component_ids())
         if self.mode == "monolithic":
             if self.connections:

@@ -20,7 +20,7 @@ from dataclasses import fields
 
 from .converter import ConverterParams
 from .cosim import MasterConfig
-from .errors import ScenarioParseError
+from .errors import ScenarioParseError, ScenarioValidationError
 from .frt import FrtParams
 from .network import Branch, Bus, FaultEvent, NetworkData, StaticGenerator, SynchronousMachine
 from .scenario import ConnectionSpec, Scenario, WtgSpec
@@ -286,13 +286,16 @@ def parse_scenario_text(text: str) -> Scenario:
             frt = (FrtParams(**{**col.frt_default, **col.frt_over[wid]})
                    if wid in col.frt_over else frt_default)
             wtgs.append(WtgSpec(id=wid, p_ref=p_ref, q_ref=q_ref, converter=conv, frt=frt))
+    except ValueError as exc:
+        raise ScenarioParseError(0, str(exc)) from exc
+    try:
         master = MasterConfig(
             macro_step=col.master.get("macro_step", 1e-3),
             t_end=col.master.get("t_end", 2.0),
             scheme=col.master.get("scheme", "serial"),
             record=col.master.get("record", []))
     except ValueError as exc:
-        raise ScenarioParseError(0, str(exc)) from exc
+        raise ScenarioValidationError(str(exc)) from exc
 
     for wid in list(col.conv_over) + list(col.frt_over):
         if wid not in {w.id for w in wtgs}:

@@ -23,6 +23,8 @@ from windcosim.errors import (
     UnknownVariableError,
     WiringError,
 )
+from windcosim.network import FaultEvent
+from windcosim.scenario import build_large_scale, run_scenario
 
 
 class Counter(SimComponent):
@@ -323,3 +325,125 @@ def test_recording_inputs_reads_component_state():
     # the serial refresh before b's first step replaced it with the fresh 0.0
     assert trace["b.inp"][0] == 1.0
     assert trace["b.inp"][1] == 0.0
+
+
+# -- lifecycle and settings ---------------------------------------------------------
+
+
+def test_register_after_initialize_rejected():
+    master = Master(MasterConfig())
+    master.register(Counter("a"), priority=0)
+    master.initialize()
+    with pytest.raises(WiringError, match="after initialize"):
+        master.register(Counter("b"), priority=1)
+    assert master.execution_order() == ["a"]
+
+
+def test_connect_after_initialize_rejected():
+    master = Master(MasterConfig())
+    master.register(Counter("a"), priority=0)
+    master.register(Counter("b"), priority=1)
+    master.initialize()
+    with pytest.raises(WiringError, match="after initialize"):
+        master.connect("a.idx", "b.inp")
+
+
+def test_second_run_rejected():
+    master = _counter_pair(Scheme.SERIAL, 3)
+    trace, _ = master.run()
+    assert list(trace.time) == pytest.approx([0.0, 0.001, 0.002, 0.003])
+    with pytest.raises(InitializationError, match="already run"):
+        master.run()
+
+
+def test_run_after_explicit_initialize_is_allowed():
+    master = _counter_pair(Scheme.SERIAL, 3)
+    master.initialize()
+    trace, _ = master.run()
+    assert list(trace["a.idx"]) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("settings", [
+    dict(macro_step=math.nan),
+    dict(t_end=math.nan),
+    dict(t_end=math.inf),
+])
+def test_non_finite_master_settings_rejected(settings):
+    with pytest.raises(ValueError, match="finite"):
+        MasterConfig(**settings)
+
+
+# -- exchange -----------------------------------------------------------------------
+
+
+class Typed(SimComponent):
+    """One input and one output of each kind; outputs start with foreign numeric types."""
+
+    def __init__(self, cid):
+        super().__init__(cid)
+        self.declare_output("x", VarKind.REAL, start=3)
+        self.declare_output("n", VarKind.INT, start=2.0)
+        self.declare_output("flag", VarKind.BOOL, start=1)
+        self.declare_input("x_in", VarKind.REAL, start=0)
+        self.declare_input("n_in", VarKind.INT, start=0.0)
+        self.declare_input("flag_in", VarKind.BOOL, start=0)
+
+    def _do_step(self, t, dt):
+        pass
+
+
+@pytest.mark.parametrize("scheme", [Scheme.SERIAL, Scheme.PARALLEL])
+def test_exchange_casts_to_sink_kind(scheme):
+    cfg = MasterConfig(macro_step=1e-3, t_end=2e-3, scheme=scheme)
+    master = Master(cfg)
+    a, b = Typed("a"), Typed("b")
+    master.register(a, priority=0)
+    master.register(b, priority=1)
+    affine = master.connect("a.x", "b.x_in", gain=2.0, offset=0.5)
+    master.connect("a.n", "b.n_in")
+    master.connect("a.flag", "b.flag_in")
+    identity = master.connect("b.x", "a.x_in")
+    master.initialize()
+    for _ in range(2):
+        for comp, conn in ((b, affine), (a, identity)):
+            assert type(comp.get("x_in")) is float and comp.get("x_in") == conn.apply(3)
+        assert type(b.get("n_in")) is int and b.get("n_in") == 2
+        assert b.get("flag_in") is True
+        master.step_macro()
+
+
+class EquilibriumExploder(RealRelay):
+    def equilibrate(self):
+        self.set("out", math.nan)
+
+
+def test_non_finite_output_detected_during_initialization():
+    master = Master(MasterConfig())
+    master.register(RealRelay("a"), priority=0)
+    master.register(EquilibriumExploder("b"), priority=1)
+    master.connect("a.out", "b.inp")
+    with pytest.raises(ComponentStepError, match="'out' is not finite") as exc:
+        master.initialize()
+    assert exc.value.component_id == "b"
+
+
+def test_non_finite_output_detected_in_parallel_scheme():
+    cfg = MasterConfig(macro_step=1e-3, t_end=10e-3, scheme=Scheme.PARALLEL)
+    master = Master(cfg)
+    master.register(Exploder("e", blow_at=4), priority=0)
+    master.register(RealRelay("r"), priority=1)
+    master.connect("e.out", "r.inp")
+    with pytest.raises(ComponentStepError, match="not finite"):
+        master.run()
+    assert master.current_step == 3
+
+
+@pytest.mark.parametrize("scheme", [Scheme.SERIAL, Scheme.PARALLEL])
+def test_large_scale_repeats_bit_identically(scheme):
+    sc = build_large_scale(t_end=0.02, scheme=scheme,
+                           fault=FaultEvent(bus=6, start=0.005, duration=0.005))
+    trace_a, _ = run_scenario(sc)
+    trace_b, _ = run_scenario(sc)
+    assert trace_a.names() == trace_b.names()
+    for name in trace_a.names():
+        assert np.array_equal(trace_a[name], trace_b[name]), name

@@ -10,9 +10,11 @@ from oracles import ringdown
 from windcosim.bench import bench_scaling, format_bench_table
 from windcosim.cli import main
 from windcosim.compare import compare_traces, exclusion_mask, oscillation_metrics
+from windcosim.cosim import Scheme
 from windcosim.errors import TraceError
+from windcosim.network import FaultEvent
 from windcosim.scenario import build_monolithic, build_small_scale, run_scenario
-from windcosim.scenario_io import write_scenario
+from windcosim.scenario_io import serialize_scenario, write_scenario
 from windcosim.trace import TraceSet, read_csv, write_csv
 
 
@@ -148,18 +150,22 @@ def test_bench_requires_three_repetitions():
 
 
 def test_bench_rows_and_timing_purity():
-    sc = build_small_scale(t_end=0.05, fault=None)
-    rows = bench_scaling([sc], repetitions=3, keep_traces=True)
-    assert len(rows) == 1
-    row = rows[0]
-    assert row.scenario == "small_scale"
-    assert row.components == 3
-    assert row.steps == 50
-    assert row.min_wall_s <= row.median_wall_s <= row.max_wall_s
-    # timing a run must not perturb it
-    direct, _ = run_scenario(sc)
-    for name in direct.names():
-        assert np.array_equal(row.trace[name], direct[name])
+    # a short fault makes every exchanged signal move, under both schemes
+    fault = FaultEvent(bus=6, start=0.02, duration=0.01)
+    for scheme in (Scheme.SERIAL, Scheme.PARALLEL):
+        sc = build_small_scale(t_end=0.05, fault=fault, scheme=scheme)
+        rows = bench_scaling([sc], repetitions=3, keep_traces=True)
+        assert len(rows) == 1
+        row = rows[0]
+        assert row.scenario == "small_scale"
+        assert row.components == 3
+        assert row.steps == 50
+        assert row.min_wall_s <= row.median_wall_s <= row.max_wall_s
+        # timing a run must not perturb it
+        direct, _ = run_scenario(sc)
+        assert np.ptp(direct["grid.v_pcc"]) > 0.1, "the fault must show in the trace"
+        for name in direct.names():
+            assert np.array_equal(row.trace[name], direct[name]), (scheme, name)
 
 
 def test_bench_table_format():
@@ -275,6 +281,13 @@ def test_cli_usage_and_input_errors(tmp_path, capsys):
     assert main(["run", "--scenario", "missing.scn", "--out", str(tmp_path)]) == 1
     assert main(["compare", "--a", "nope.csv", "--b", "nope.csv"]) == 1
     capsys.readouterr()
+    text = serialize_scenario(build_small_scale(t_end=0.02, fault=None))
+    bad = tmp_path / "bad.scn"
+    for old, new in (("macro_step = 0.001", "macro_step = nan"), ("t_end = 0.02", "t_end = inf")):
+        bad.write_text(text.replace(old, new))
+        assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_run_failure_exit_code(tmp_path, capsys):

@@ -222,3 +222,25 @@ def test_semantic_errors_surface_as_validation_errors():
     bad = BASE.replace("rating_mva = 50.0", "rating_mva = 60.0")
     with pytest.raises(ScenarioValidationError):
         parse_scenario_text(bad)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("macro_step = 0.001", "macro_step = nan"),
+    ("micro_step = 0.0005", "micro_step = nan"),
+    ("t_end = 0.01", "t_end = inf"),
+])
+def test_rejects_non_finite_step_settings(old, new):
+    with pytest.raises(ScenarioValidationError, match="finite"):
+        parse_scenario_text(BASE.replace(old, new))
+
+
+@pytest.mark.parametrize("fault", [
+    "fault bus=2 start=0.005 duration=-0.18",
+    "fault bus=2 start=0.005 duration=nan",
+    "fault bus=2 start=nan duration=0.002",
+])
+def test_rejects_fault_without_finite_window(fault):
+    ok = BASE.replace("[master]", "[events]\nfault bus=2 start=0.005 duration=0.002\n\n[master]")
+    assert len(parse_scenario_text(ok).events) == 1
+    with pytest.raises(ScenarioValidationError, match="fault at bus 2"):
+        parse_scenario_text(BASE.replace("[master]", f"[events]\n{fault}\n\n[master]"))
