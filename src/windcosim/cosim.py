@@ -5,7 +5,7 @@ get/set interface and advance in fixed macro steps.  ``initialize``
 compiles the wiring into a plan of input edges per component: a refresh
 copies along them into the sink's values, and every hook's real outputs
 are checked finite.  No re-wiring follows, and a master that has stepped
-does not run again.  Two coupling schemes are supported:
+is not initialized or run again.  Two coupling schemes are supported:
 
 ``serial``
     Components step once per macro step in ascending priority order.
@@ -53,6 +53,9 @@ class VarKind(enum.Enum):
     REAL = "real"
     INT = "int"
     BOOL = "bool"
+
+
+_CASTS = {VarKind.REAL: float, VarKind.INT: int, VarKind.BOOL: bool}
 
 
 class Direction(enum.Enum):
@@ -140,14 +143,7 @@ class SimComponent:
         return self._values[name]
 
     def set(self, name: str, value) -> None:
-        ref = self.ref(name)
-        if ref.kind is VarKind.REAL:
-            value = float(value)
-        elif ref.kind is VarKind.INT:
-            value = int(value)
-        else:
-            value = bool(value)
-        self._values[name] = value
+        self._values[name] = _CASTS[self.ref(name).kind](value)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -297,11 +293,10 @@ class Master:
 
     def _compile(self) -> None:
         """Per component in priority order: (component, values, input edges, real outputs)."""
-        casts = {VarKind.REAL: float, VarKind.INT: int, VarKind.BOOL: bool}
         self._plan = [
             (comp, comp._values,
              [(self._components[c.source.component_id]._values, c.source.name, c.sink.name,
-               c.source.kind is VarKind.REAL, c.gain, c.offset, casts[c.sink.kind])
+               c.source.kind is VarKind.REAL, c.gain, c.offset, _CASTS[c.sink.kind])
               for c in self._by_sink.get(comp.component_id, ())],
              [r.name for r in comp.variables()
               if r.direction is Direction.OUTPUT and r.kind is VarKind.REAL])
@@ -313,6 +308,8 @@ class Master:
     def initialize(self) -> None:
         if not self._components:
             raise err.InitializationError("no components registered")
+        if self.current_step:
+            raise err.InitializationError("master has already stepped; build a new Master")
         self._compile()
         for comp, values, _, outputs in self._plan:
             comp.publish_setpoints()
@@ -325,7 +322,6 @@ class Master:
         for _, values, edges, _ in self._plan:
             _refresh(values, edges)
         self._initialized = True
-        self.current_step = 0
 
     def step_macro(self) -> None:
         if not self._initialized:

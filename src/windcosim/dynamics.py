@@ -217,7 +217,7 @@ class RmsModel:
         self._lu_cache.clear()
         self._initialized = True
 
-        v_dyn = self._solve(self.delta, self._lu_at(0.0, check=False))
+        v_dyn = self._solve(self.delta, self._lu_at(0.0))
         if np.max(np.abs(v_dyn - v)) > 1e-6:
             raise InitializationError(
                 "dynamic network solution does not reproduce the power flow "
@@ -227,7 +227,7 @@ class RmsModel:
 
     # -- network solution --------------------------------------------------
 
-    def _lu_at(self, t: float, check: bool = True):
+    def _lu_at(self, t: float):
         shunts = fault_shunts(self.network, self.events, t)
         key = tuple(sorted((i, y.real, y.imag) for i, y in shunts.items()))
         lu = self._lu_cache.get(key)
@@ -280,17 +280,17 @@ class RmsModel:
 
         ``on_micro(t, measurements, h)`` runs before each micro step with
         the measurements committed at its start; it may update static
-        generator commands (used by embedded plant controllers).
-        Returns the measurements committed at ``t0 + duration``.
+        generator commands (used by embedded plant controllers).  Returns
+        the measurements committed at ``t0 + duration``, the only ones
+        committed when ``on_micro`` is None.
         """
         self._require_init()
         n = max(1, int(np.ceil(duration / self.micro_step - 1e-9)))
         h = duration / n
+        lu_shunts = self._lu_at(t0)
         for m in range(n):
-            tau = t0 + m * h
             if on_micro is not None:
-                on_micro(tau, self.last_measurements, h)
-            lu_shunts = self._lu_at(tau)
+                on_micro(t0 + m * h, self.last_measurements, h)
             d0, w0 = self.delta, self.domega
             k1d, k1w = self._derivs(d0, w0, lu_shunts)
             k2d, k2w = self._derivs(d0 + 0.5 * h * k1d, w0 + 0.5 * h * k1w, lu_shunts)
@@ -304,8 +304,8 @@ class RmsModel:
             # measure with the currents that actually entered the solve, then
             # advance the angle lag for the next step; anything else breaks
             # the energy bookkeeping when the bus angle jumps at an event
-            cur = self._sgen_currents()
-            self._measure(tau_next, v, lu_shunts[1], cur)
+            if on_micro is not None or m == n - 1:
+                self._measure(tau_next, v, lu_shunts[1], self._sgen_currents())
             self._s_angle = np.angle(v[self.s_bus]) if len(self.s_bus) else self._s_angle
         return self.last_measurements
 

@@ -9,10 +9,11 @@ balance residual of the last network solution.  Additional bus voltage
 magnitudes can be exported by id (``v_bus<k>``).
 
 Initialization follows the staged protocol: ``equilibrate`` runs the
-power flow with the plant setpoints fixed and publishes terminal
-voltages; ``finish_init`` (co-simulation mode) takes the controllers'
-corrected current commands from the inputs and back-solves the dynamic
-equilibrium, so a disturbance-free run stays flat.
+power flow with the plant setpoints fixed, publishes terminal voltages
+and seeds the embedded controllers at their equilibrium; ``finish_init``
+takes the other turbines' current commands from the inputs and
+back-solves the dynamic equilibrium in both configurations, so a
+disturbance-free run stays flat.
 
 For the single-component (monolithic) configuration, controller pairs
 can be embedded per turbine.  They are then stepped at every micro
@@ -67,12 +68,13 @@ class GridComponent(SimComponent):
         for sid in list(self.setpoints) + list(self.embedded):
             if sid not in known:
                 raise UnknownVariableError(f"no static generator '{sid}' in network")
+        self._commanded = [sg.id for sg in network.sgens if sg.id not in self.embedded]
 
-        bus_ids = {b.id for b in network.buses}
-        self._extra_buses = tuple(extra_bus_voltages)
-        for bid in self._extra_buses:
-            if bid not in bus_ids:
+        index = network.bus_index()
+        for bid in extra_bus_voltages:
+            if bid not in index:
                 raise UnknownVariableError(f"cannot export v_bus{bid}: no bus {bid}")
+        self._bus_exports = [(f"v_bus{bid}", index[bid]) for bid in extra_bus_voltages]
 
         for sg in network.sgens:
             p0, q0 = self.setpoints.get(sg.id, (0.0, 0.0))
@@ -93,8 +95,8 @@ class GridComponent(SimComponent):
         self.declare_output("p_wpp_mw", start=0.0)
         self.declare_output("q_wpp_mvar", start=0.0)
         self.declare_output("p_balance_residual", start=0.0)
-        for bid in self._extra_buses:
-            self.declare_output(f"v_bus{bid}", start=1.0)
+        for name, _ in self._bus_exports:
+            self.declare_output(name, start=1.0)
 
     # -- initialization ------------------------------------------------------
 
@@ -108,34 +110,24 @@ class GridComponent(SimComponent):
             self.set(f"theta_{sg.id}", float(np.angle(v)))
             self.set(f"p_{sg.id}", p0)
             self.set(f"q_{sg.id}", q0)
-        if self.embedded:
-            for sid, wtg in self.embedded.items():
-                v_mag = self.get(f"v_{sid}")
-                i_d, i_q = wtg.converter.equilibrium(v_mag)
-                wtg.supervisor.seed(i_d)
-                self.model.set_sgen_command(sid, i_d=i_d, i_q=i_q)
-        for sg in self.network.sgens:
-            if sg.id not in self.embedded:
-                self.model.set_sgen_command(
-                    sg.id, i_d=self.get(f"i_d_{sg.id}"), i_q=self.get(f"i_q_{sg.id}"),
-                    status=self.get(f"status_{sg.id}"))
-        if self.embedded and all(sg.id in self.embedded for sg in self.network.sgens):
-            # fully self-contained: commit the dynamic equilibrium now
-            self.model.init_equilibrium(self._pf, sgen_pq=self.setpoints)
-            self._publish_measurements(self.model.last_measurements)
+        for sid, wtg in self.embedded.items():
+            i_d, i_q = wtg.converter.equilibrium(self.get(f"v_{sid}"))
+            wtg.supervisor.seed(i_d)
+            self.model.set_sgen_command(sid, i_d=i_d, i_q=i_q)
 
     def finish_init(self) -> None:
-        if self.model._initialized:
-            return
-        for sg in self.network.sgens:
-            if sg.id not in self.embedded:
-                self.model.set_sgen_command(
-                    sg.id, i_d=self.get(f"i_d_{sg.id}"), i_q=self.get(f"i_q_{sg.id}"),
-                    status=self.get(f"status_{sg.id}"))
+        self._take_commands()
         self.model.init_equilibrium(self._pf, sgen_pq=self.setpoints)
         self._publish_measurements(self.model.last_measurements)
 
     # -- stepping --------------------------------------------------------------
+
+    def _take_commands(self) -> None:
+        """Set the commanded turbines' currents and status from the inputs."""
+        for sid in self._commanded:
+            self.model.set_sgen_command(sid, i_d=self.get(f"i_d_{sid}"),
+                                        i_q=self.get(f"i_q_{sid}"),
+                                        status=self.get(f"status_{sid}"))
 
     def _on_micro(self, tau: float, meas: GridMeasurements, h: float) -> None:
         if not self._ran_micro:
@@ -151,11 +143,7 @@ class GridComponent(SimComponent):
             self.model.set_sgen_command(sid, i_d=i_d, i_q=i_q)
 
     def _do_step(self, t: float, dt: float) -> None:
-        for sg in self.network.sgens:
-            if sg.id not in self.embedded:
-                self.model.set_sgen_command(
-                    sg.id, i_d=self.get(f"i_d_{sg.id}"), i_q=self.get(f"i_q_{sg.id}"),
-                    status=self.get(f"status_{sg.id}"))
+        self._take_commands()
         meas = self.model.advance(t, dt, on_micro=self._on_micro if self.embedded else None)
         self._publish_measurements(meas)
 
@@ -176,6 +164,5 @@ class GridComponent(SimComponent):
         self.set("p_wpp_mw", meas.p_wpp_mw)
         self.set("q_wpp_mvar", meas.q_wpp_mvar)
         self.set("p_balance_residual", meas.balance.residual if meas.balance else 0.0)
-        index = self.network.bus_index()
-        for bid in self._extra_buses:
-            self.set(f"v_bus{bid}", float(np.abs(meas.v[index[bid]])))
+        for name, i in self._bus_exports:
+            self.set(name, float(np.abs(meas.v[i])))

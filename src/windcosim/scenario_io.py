@@ -20,7 +20,7 @@ from dataclasses import fields
 
 from .converter import ConverterParams
 from .cosim import MasterConfig
-from .errors import ScenarioParseError, ScenarioValidationError
+from .errors import ScenarioParseError, ScenarioValidationError, TopologyError
 from .frt import FrtParams
 from .network import Branch, Bus, FaultEvent, NetworkData, StaticGenerator, SynchronousMachine
 from .scenario import ConnectionSpec, Scenario, WtgSpec
@@ -314,7 +314,10 @@ def parse_scenario_text(text: str) -> Scenario:
         events=col.events,
         connections=col.connections,
         export_bus_v=col.wtg_meta.get("export_bus_v", ()))
-    scenario.validate()
+    try:
+        scenario.validate()
+    except TopologyError as exc:
+        raise ScenarioValidationError(f"network: {exc}") from exc
     return scenario
 
 

@@ -356,6 +356,18 @@ def test_second_run_rejected():
         master.run()
 
 
+def test_initialize_after_run_rejected():
+    # re-initializing would reset the step counter and let run() start
+    # again at t=0 on components that have already advanced
+    master = _counter_pair(Scheme.SERIAL, 3)
+    master.run()
+    with pytest.raises(InitializationError, match="already stepped"):
+        master.initialize()
+    assert master.current_step == 3
+    with pytest.raises(InitializationError, match="already run"):
+        master.run()
+
+
 def test_run_after_explicit_initialize_is_allowed():
     master = _counter_pair(Scheme.SERIAL, 3)
     master.initialize()

@@ -199,6 +199,28 @@ def test_on_micro_callback_drives_commands():
     assert model.last_measurements.sgen["wpp"].p == 0.0
 
 
+def test_measurement_without_callback_matches_per_micro_step_commit():
+    # without on_micro only the last micro step of each interval is
+    # measured; the fault starts inside an interval and clears on an
+    # interval boundary, so the factorization carried between micro steps
+    # and across intervals changes topology both ways
+    events = [FaultEvent(bus=6, start=0.005, duration=0.005)]
+    kw = dict(events=events, pcc_bus=3, pcc_branch=(3, 9))
+    lazy, _ = equilibrated(nine_bus_with_plant(), {"wpp": (0.85, 0.0)}, **kw)
+    eager, _ = equilibrated(nine_bus_with_plant(), {"wpp": (0.85, 0.0)}, **kw)
+    for k in range(8):
+        a = lazy.advance(k * 2e-3, 2e-3)
+        b = eager.advance(k * 2e-3, 2e-3, on_micro=lambda t, meas, h: None)
+        assert a is lazy.last_measurements and b is eager.last_measurements
+        assert a.t == b.t
+        assert np.array_equal(a.v, b.v)
+        assert a.sgen == b.sgen
+        assert (a.pcc_v, a.pcc_theta, a.p_wpp_mw, a.q_wpp_mvar) == \
+            (b.pcc_v, b.pcc_theta, b.p_wpp_mw, b.q_wpp_mvar)
+        assert a.balance == b.balance
+    assert a.p_wpp_mw != 0.0 and a.balance.loss != 0.0
+
+
 def test_micro_step_commits_measurement_time():
     model, _ = equilibrated(nine_bus_with_plant(), {"wpp": (0.85, 0.0)})
     model.advance(0.0, 1e-3)

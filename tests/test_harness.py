@@ -287,6 +287,9 @@ def test_cli_usage_and_input_errors(tmp_path, capsys):
         bad.write_text(text.replace(old, new))
         assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert "finite" in capsys.readouterr().err
+    bad.write_text(text.replace("sgen wpp 3 ", "sgen wpp 77 "))
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert "unknown bus 77" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

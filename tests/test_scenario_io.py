@@ -4,8 +4,10 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from windcosim.errors import ScenarioParseError, ScenarioValidationError
+from windcosim.errors import (ScenarioError, ScenarioParseError,
+                              ScenarioValidationError, TopologyError)
 from windcosim.scenario import (build_large_scale, build_monolithic,
                                 build_small_scale)
 from windcosim.scenario_io import (parse_scenario, parse_scenario_text,
@@ -244,3 +246,63 @@ def test_rejects_fault_without_finite_window(fault):
     assert len(parse_scenario_text(ok).events) == 1
     with pytest.raises(ScenarioValidationError, match="fault at bus 2"):
         parse_scenario_text(BASE.replace("[master]", f"[events]\n{fault}\n\n[master]"))
+
+
+# -- invalid networks ------------------------------------------------------------
+
+SMALL_SCALE = (SCENARIO_DIR / "small_scale.scn").read_text()
+
+
+@pytest.mark.parametrize("old, new, fragment", [
+    ("branch 4 5 r=", "branch 4 99 r=", "references unknown bus"),
+    ("sgen wpp 3 ", "sgen wpp 77 ", "at unknown bus 77"),
+    ("bus 9 230.0 pq", "bus 8 230.0 pq", "duplicate bus ids"),
+    ("bus 4 230.0 pq", "bus 4 230.0 inf", "unknown type 'inf'"),
+], ids=["branch-to-unknown-bus", "sgen-at-unknown-bus", "duplicate-bus", "bus-type-inf"])
+def test_invalid_network_surfaces_as_validation_error(old, new, fragment):
+    assert old in SMALL_SCALE
+    with pytest.raises(ScenarioValidationError, match=fragment) as exc:
+        parse_scenario_text(SMALL_SCALE.replace(old, new, 1))
+    assert isinstance(exc.value.__cause__, TopologyError)
+
+
+_LINES = SMALL_SCALE.splitlines()
+_TOKENS = sorted({tok for line in _LINES for tok in line.split()} | {"99", "-1", "0", "nan", "inf"})
+
+
+def _mutate(lines: list[str], op: str, i: int, j: int, new: str) -> list[str]:
+    """Drop or copy line ``i``, or replace, drop or re-value its token ``j``
+    (``key=value`` gets a new value, a bare token gets ``new`` appended)."""
+    lines = list(lines)
+    i %= len(lines)
+    toks = lines[i].split()
+    if op == "drop_line":
+        del lines[i]
+    elif op == "copy_line":
+        lines.insert(j % (len(lines) + 1), lines[i])
+    elif toks:
+        j %= len(toks)
+        key, eq, _ = toks[j].partition("=")
+        if op == "token":
+            toks[j] = new
+        elif op == "value":
+            toks[j] = key + eq + new
+        else:
+            del toks[j]
+        lines[i] = " ".join(toks)
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["drop_line", "copy_line", "token", "value", "drop_token"]),
+                          st.integers(0, 10_000), st.integers(0, 10_000),
+                          st.sampled_from(_TOKENS)),
+                min_size=1, max_size=3))
+def test_mutated_scenario_parses_or_raises_scenario_error(mutations):
+    lines = _LINES
+    for mutation in mutations:
+        lines = _mutate(lines, *mutation)
+    try:
+        parse_scenario_text("\n".join(lines) + "\n")
+    except ScenarioError:
+        pass
