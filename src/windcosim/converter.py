@@ -179,13 +179,6 @@ class ConverterComponent(SimComponent):
         self.declare_output("i_d_cmd", start=0.0)
         self.declare_output("i_q_cmd", start=0.0)
 
-    def _override(self) -> "_frt.FrtOverride":
-        return _frt.FrtOverride(
-            mode=_frt.Mode(self.get("frt_mode")),
-            block_active=self.get("block_active"),
-            i_q_boost=self.get("i_q_boost"),
-            i_d_ref=self.get("i_d_ref_frt"))
-
     def publish_setpoints(self) -> None:
         i_d, i_q = self.control.nominal_commands()
         self.set("i_d_cmd", i_d)
@@ -197,8 +190,9 @@ class ConverterComponent(SimComponent):
         self.set("i_q_cmd", i_q)
 
     def _do_step(self, t: float, dt: float) -> None:
-        i_d, i_q = self.control.step(
-            dt, self.get("v_meas"), self.get("p_meas"), self.get("q_meas"),
-            self._override())
-        self.set("i_d_cmd", i_d)
-        self.set("i_q_cmd", i_q)
+        values = self._values
+        override = _frt.FrtOverride(
+            _frt.Mode(values["frt_mode"]), values["block_active"],
+            values["i_q_boost"], values["i_d_ref_frt"])
+        values["i_d_cmd"], values["i_q_cmd"] = self.control.step(
+            dt, values["v_meas"], values["p_meas"], values["q_meas"], override)

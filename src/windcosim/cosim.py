@@ -101,6 +101,12 @@ class SimComponent:
     Subclasses declare variables in ``__init__`` and implement
     ``_do_step(t, dt)``; the three initialization hooks default to
     no-ops so trivial components only need the step body.
+
+    ``get``/``set`` are the checked public contract: an undeclared name
+    raises ``UnknownVariableError`` and ``set`` casts to the declared
+    kind.  A step body may instead read and write ``self._values``
+    directly, as the master's exchange does; every value it writes there
+    must already be of the declared kind (``float``, ``int`` or ``bool``).
     """
 
     def __init__(self, component_id: str):
@@ -108,6 +114,7 @@ class SimComponent:
         self.current_time = 0.0
         self._vars: dict[str, VariableRef] = {}
         self._values: dict[str, object] = {}
+        self._casts: dict[str, type] = {}
 
     # -- declaration -------------------------------------------------------
 
@@ -123,27 +130,34 @@ class SimComponent:
         ref = VariableRef(self.component_id, name, direction, kind)
         self._vars[name] = ref
         self._values[name] = start
+        self._casts[name] = _CASTS[kind]
         return ref
 
     # -- access ------------------------------------------------------------
+
+    def _unknown(self, name: str) -> err.UnknownVariableError:
+        return err.UnknownVariableError(f"{self.component_id} has no variable '{name}'")
 
     def ref(self, name: str) -> VariableRef:
         try:
             return self._vars[name]
         except KeyError:
-            raise err.UnknownVariableError(
-                f"{self.component_id} has no variable '{name}'"
-            ) from None
+            raise self._unknown(name) from None
 
     def variables(self) -> list[VariableRef]:
         return list(self._vars.values())
 
     def get(self, name: str):
-        self.ref(name)
-        return self._values[name]
+        try:
+            return self._values[name]
+        except KeyError:
+            raise self._unknown(name) from None
 
     def set(self, name: str, value) -> None:
-        self._values[name] = _CASTS[self.ref(name).kind](value)
+        try:
+            self._values[name] = self._casts[name](value)
+        except KeyError:
+            raise self._unknown(name) from None
 
     # -- lifecycle ---------------------------------------------------------
 

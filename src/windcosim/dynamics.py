@@ -26,6 +26,8 @@ apply/remove cycles are bit-exact.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +35,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InitializationError, SingularNetworkError
-from .network import (FaultEvent, NetworkData, assemble_ybus, fault_shunts,
-                      ybus_with_shunts)
+from .network import (FaultEvent, NetworkData, assemble_ybus, fault_breakpoints,
+                      fault_shunts, ybus_with_shunts)
 from .powerflow import PowerFlowResult
 
 _STIFF_SLACK_X = 1e-6
@@ -73,6 +75,13 @@ class GridMeasurements:
     balance: PowerBalance | None = None
 
 
+def micro_grid(duration: float, micro_step: float) -> tuple[int, float]:
+    """Split ``duration`` evenly into the fewest steps no longer than
+    ``micro_step``: returns their number and their length."""
+    n = max(1, math.ceil(duration / micro_step - 1e-9))
+    return n, duration / n
+
+
 class RmsModel:
     """Time-domain network model stepping machines and injections together."""
 
@@ -107,6 +116,7 @@ class RmsModel:
         self.pm = np.zeros(len(machines))
 
         self.sgen_ids = [sg.id for sg in network.sgens]
+        self._sgen_k = {sid: k for k, sid in enumerate(self.sgen_ids)}
         self.s_bus = np.array([self._index[sg.bus] for sg in network.sgens], dtype=int)
         self.s_scale = np.array([sg.mva / network.base_mva for sg in network.sgens])
         self._s_id = np.zeros(len(network.sgens))
@@ -130,6 +140,16 @@ class RmsModel:
         self._load_y = np.zeros(self._n, dtype=complex)
         self._y_dyn: sp.csc_matrix | None = None
         self._lu_cache: dict[tuple, spla.SuperLU] = {}
+        # fault schedule: the shunts, and their factorization cache key, on
+        # each interval [b_{j-1}, b_j) between consecutive breakpoints
+        self._fault_bounds = fault_breakpoints(self.events)
+        firsts = [math.nextafter(self._fault_bounds[0], -math.inf)
+                  if self._fault_bounds else 0.0] + self._fault_bounds
+        self._fault_schedule = []
+        for t in firsts:
+            shunts = fault_shunts(network, self.events, t)
+            key = tuple(sorted((i, y.real, y.imag) for i, y in shunts.items()))
+            self._fault_schedule.append((shunts, key))
         self._initialized = False
         self.last_measurements: GridMeasurements | None = None
 
@@ -151,7 +171,10 @@ class RmsModel:
 
     def set_sgen_command(self, sgen_id: str, i_d: float | None = None,
                          i_q: float | None = None, status: bool | None = None) -> None:
-        k = self.sgen_ids.index(sgen_id)
+        try:
+            k = self._sgen_k[sgen_id]
+        except KeyError:
+            raise ValueError(f"no static generator '{sgen_id}'") from None
         if i_d is not None:
             self._s_id[k] = i_d
         if i_q is not None:
@@ -217,19 +240,19 @@ class RmsModel:
         self._lu_cache.clear()
         self._initialized = True
 
-        v_dyn = self._solve(self.delta, self._lu_at(0.0))
+        cur = self._sgen_currents()
+        v_dyn = self._solve(self.delta, self._lu_at(0.0), cur)
         if np.max(np.abs(v_dyn - v)) > 1e-6:
             raise InitializationError(
                 "dynamic network solution does not reproduce the power flow "
                 f"(max deviation {np.max(np.abs(v_dyn - v)):.3e} pu)")
         self.pm = self._electrical_power(self.delta, v_dyn)
-        self._measure(0.0, v_dyn, {})
+        self._measure(0.0, v_dyn, {}, cur)
 
     # -- network solution --------------------------------------------------
 
     def _lu_at(self, t: float):
-        shunts = fault_shunts(self.network, self.events, t)
-        key = tuple(sorted((i, y.real, y.imag) for i, y in shunts.items()))
+        shunts, key = self._fault_schedule[bisect.bisect_right(self._fault_bounds, t)]
         lu = self._lu_cache.get(key)
         if lu is None:
             y = ybus_with_shunts(self._y_dyn, shunts)
@@ -240,19 +263,19 @@ class RmsModel:
             self._lu_cache[key] = lu
         return lu, shunts
 
-    def _injections(self, delta: np.ndarray) -> np.ndarray:
+    def _injections(self, delta: np.ndarray, cur: np.ndarray) -> np.ndarray:
         i_inj = np.zeros(self._n, dtype=complex)
         if len(self.m_bus):
             np.add.at(i_inj, self.m_bus, self.e_mag * np.exp(1j * delta) * self.y_m)
         if self._stiff_slack:
             i_inj[self._slack_idx] += self._slack_e * self._y_stiff
         if len(self.s_bus):
-            np.add.at(i_inj, self.s_bus, self._sgen_currents())
+            np.add.at(i_inj, self.s_bus, cur)
         return i_inj
 
-    def _solve(self, delta: np.ndarray, lu_shunts) -> np.ndarray:
+    def _solve(self, delta: np.ndarray, lu_shunts, cur: np.ndarray) -> np.ndarray:
         lu, _ = lu_shunts
-        return lu.solve(self._injections(delta))
+        return lu.solve(self._injections(delta, cur))
 
     def _electrical_power(self, delta: np.ndarray, v: np.ndarray) -> np.ndarray:
         if not len(self.m_bus):
@@ -264,12 +287,12 @@ class RmsModel:
     def solve_network(self, t: float = 0.0) -> np.ndarray:
         """One algebraic solve at the current states (public, for inspection)."""
         self._require_init()
-        return self._solve(self.delta, self._lu_at(t))
+        return self._solve(self.delta, self._lu_at(t), self._sgen_currents())
 
     # -- integration ---------------------------------------------------------
 
-    def _derivs(self, delta, domega, lu_shunts):
-        v = self._solve(delta, lu_shunts)
+    def _derivs(self, delta, domega, lu_shunts, cur):
+        v = self._solve(delta, lu_shunts, cur)
         pe = self._electrical_power(delta, v)
         ddelta = self.omega_s * domega
         ddomega = (self.pm - pe - self.d * domega) / (2.0 * self.h)
@@ -285,27 +308,28 @@ class RmsModel:
         committed when ``on_micro`` is None.
         """
         self._require_init()
-        n = max(1, int(np.ceil(duration / self.micro_step - 1e-9)))
-        h = duration / n
+        n, h = micro_grid(duration, self.micro_step)
         lu_shunts = self._lu_at(t0)
         for m in range(n):
             if on_micro is not None:
                 on_micro(t0 + m * h, self.last_measurements, h)
+            # commands and the angle lag are fixed over the micro step
+            cur = self._sgen_currents()
             d0, w0 = self.delta, self.domega
-            k1d, k1w = self._derivs(d0, w0, lu_shunts)
-            k2d, k2w = self._derivs(d0 + 0.5 * h * k1d, w0 + 0.5 * h * k1w, lu_shunts)
-            k3d, k3w = self._derivs(d0 + 0.5 * h * k2d, w0 + 0.5 * h * k2w, lu_shunts)
-            k4d, k4w = self._derivs(d0 + h * k3d, w0 + h * k3w, lu_shunts)
+            k1d, k1w = self._derivs(d0, w0, lu_shunts, cur)
+            k2d, k2w = self._derivs(d0 + 0.5 * h * k1d, w0 + 0.5 * h * k1w, lu_shunts, cur)
+            k3d, k3w = self._derivs(d0 + 0.5 * h * k2d, w0 + 0.5 * h * k2w, lu_shunts, cur)
+            k4d, k4w = self._derivs(d0 + h * k3d, w0 + h * k3w, lu_shunts, cur)
             self.delta = d0 + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d)
             self.domega = w0 + (h / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
             tau_next = t0 + (m + 1) * h
             lu_shunts = self._lu_at(tau_next)
-            v = self._solve(self.delta, lu_shunts)
+            v = self._solve(self.delta, lu_shunts, cur)
             # measure with the currents that actually entered the solve, then
             # advance the angle lag for the next step; anything else breaks
             # the energy bookkeeping when the bus angle jumps at an event
             if on_micro is not None or m == n - 1:
-                self._measure(tau_next, v, lu_shunts[1], self._sgen_currents())
+                self._measure(tau_next, v, lu_shunts[1], cur)
             self._s_angle = np.angle(v[self.s_bus]) if len(self.s_bus) else self._s_angle
         return self.last_measurements
 
@@ -336,19 +360,17 @@ class RmsModel:
         return (sf + st).real
 
     def _measure(self, t: float, v: np.ndarray, shunts: dict[int, complex],
-                 cur: np.ndarray | None = None) -> GridMeasurements:
+                 cur: np.ndarray) -> GridMeasurements:
         sgen_meas: dict[str, SgenMeasurement] = {}
         s_sys_total = 0.0 + 0.0j
         if len(self.s_bus):
-            if cur is None:
-                cur = self._sgen_currents()
             vb = v[self.s_bus]
             s_sys = vb * np.conj(cur)
-            for k, sid in enumerate(self.sgen_ids):
-                s_mach = s_sys[k] / self.s_scale[k]
-                sgen_meas[sid] = SgenMeasurement(
-                    v_mag=float(np.abs(vb[k])), theta=float(np.angle(vb[k])),
-                    p=float(s_mach.real), q=float(s_mach.imag))
+            s_mach = s_sys / self.s_scale
+            sgen_meas = {sid: SgenMeasurement(v_mag, theta, p, q)
+                         for sid, v_mag, theta, p, q in zip(
+                             self.sgen_ids, np.abs(vb).tolist(), np.angle(vb).tolist(),
+                             s_mach.real.tolist(), s_mach.imag.tolist())}
             s_sys_total = complex(np.sum(s_sys))
 
         sf, st = self._branch_flows(v)
@@ -364,8 +386,8 @@ class RmsModel:
                 mask = self.s_bus == self._index[self.pcc_bus]
                 s_into_pcc = complex(np.sum((v[self.s_bus] * np.conj(cur))[mask])) \
                     if len(self.s_bus) else 0.0
-            p_wpp = s_into_pcc.real * self.network.base_mva
-            q_wpp = s_into_pcc.imag * self.network.base_mva
+            p_wpp = float(s_into_pcc.real) * self.network.base_mva
+            q_wpp = float(s_into_pcc.imag) * self.network.base_mva
 
         # independent balance bookkeeping
         gen = float(s_sys_total.real)

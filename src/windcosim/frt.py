@@ -155,11 +155,12 @@ class FrtComponent(SimComponent):
         self.set("i_d_ref_limited", self.get("i_d_cmd_meas"))
 
     def _do_step(self, t: float, dt: float) -> None:
-        ov = self.control.step(dt, self.get("v_meas"), self.get("i_d_cmd_meas"))
-        self.set("mode", int(ov.mode))
-        self.set("block_active", ov.block_active)
-        self.set("i_q_boost", ov.i_q_boost)
-        self.set("i_d_ref_limited", ov.i_d_ref)
+        values = self._values
+        ov = self.control.step(dt, values["v_meas"], values["i_d_cmd_meas"])
+        values["mode"] = int(ov.mode)
+        values["block_active"] = ov.block_active
+        values["i_q_boost"] = ov.i_q_boost
+        values["i_d_ref_limited"] = ov.i_d_ref
 
 
 # -- voltage envelope ---------------------------------------------------------

@@ -68,7 +68,13 @@ class GridComponent(SimComponent):
         for sid in list(self.setpoints) + list(self.embedded):
             if sid not in known:
                 raise UnknownVariableError(f"no static generator '{sid}' in network")
-        self._commanded = [sg.id for sg in network.sgens if sg.id not in self.embedded]
+        # per-sgen variable names, resolved once for the step path
+        self._command_names = [(sg.id, f"i_d_{sg.id}", f"i_q_{sg.id}", f"status_{sg.id}")
+                               for sg in network.sgens if sg.id not in self.embedded]
+        self._sgen_outputs = [(f"v_{sg.id}", f"theta_{sg.id}", f"p_{sg.id}", f"q_{sg.id}")
+                              for sg in network.sgens]
+        self._embedded_outputs = [(wtg, f"i_d_{sid}", f"i_q_{sid}", f"mode_{sid}")
+                                  for sid, wtg in self.embedded.items()]
 
         index = network.bus_index()
         for bid in extra_bus_voltages:
@@ -124,10 +130,9 @@ class GridComponent(SimComponent):
 
     def _take_commands(self) -> None:
         """Set the commanded turbines' currents and status from the inputs."""
-        for sid in self._commanded:
-            self.model.set_sgen_command(sid, i_d=self.get(f"i_d_{sid}"),
-                                        i_q=self.get(f"i_q_{sid}"),
-                                        status=self.get(f"status_{sid}"))
+        values, command = self._values, self.model.set_sgen_command
+        for sid, i_d, i_q, status in self._command_names:
+            command(sid, i_d=values[i_d], i_q=values[i_q], status=values[status])
 
     def _on_micro(self, tau: float, meas: GridMeasurements, h: float) -> None:
         if not self._ran_micro:
@@ -150,19 +155,20 @@ class GridComponent(SimComponent):
     # -- publishing ----------------------------------------------------------
 
     def _publish_measurements(self, meas: GridMeasurements) -> None:
-        for sid, m in meas.sgen.items():
-            self.set(f"v_{sid}", m.v_mag)
-            self.set(f"theta_{sid}", m.theta)
-            self.set(f"p_{sid}", m.p)
-            self.set(f"q_{sid}", m.q)
-        for sid, wtg in self.embedded.items():
-            self.set(f"i_d_{sid}", wtg.converter.i_d_cmd)
-            self.set(f"i_q_{sid}", wtg.converter.i_q_cmd)
-            self.set(f"mode_{sid}", int(wtg.override.mode))
-        self.set("v_pcc", meas.pcc_v)
-        self.set("theta_pcc", meas.pcc_theta)
-        self.set("p_wpp_mw", meas.p_wpp_mw)
-        self.set("q_wpp_mvar", meas.q_wpp_mvar)
-        self.set("p_balance_residual", meas.balance.residual if meas.balance else 0.0)
+        values = self._values
+        for (v, theta, p, q), m in zip(self._sgen_outputs, meas.sgen.values()):
+            values[v] = m.v_mag
+            values[theta] = m.theta
+            values[p] = m.p
+            values[q] = m.q
+        for wtg, i_d, i_q, mode in self._embedded_outputs:
+            values[i_d] = wtg.converter.i_d_cmd
+            values[i_q] = wtg.converter.i_q_cmd
+            values[mode] = int(wtg.override.mode)
+        values["v_pcc"] = meas.pcc_v
+        values["theta_pcc"] = meas.pcc_theta
+        values["p_wpp_mw"] = meas.p_wpp_mw
+        values["q_wpp_mvar"] = meas.q_wpp_mvar
+        values["p_balance_residual"] = meas.balance.residual
         for name, i in self._bus_exports:
-            self.set(name, float(np.abs(meas.v[i])))
+            values[name] = float(np.abs(meas.v[i]))

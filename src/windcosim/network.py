@@ -8,6 +8,7 @@ standard pi model with an off-nominal tap on the ``from`` side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -211,6 +212,9 @@ def assemble_ybus(network: NetworkData) -> sp.csc_matrix:
     )
 
 
+_FAULT_TOL = 1e-9
+
+
 def fault_shunts(network: NetworkData, events: list[FaultEvent], t: float) -> dict[int, complex]:
     """Active fault admittances (by bus index) at time ``t``.
 
@@ -219,15 +223,32 @@ def fault_shunts(network: NetworkData, events: list[FaultEvent], t: float) -> di
     deterministically.  The admittance is stamped as a pure conductance.
     """
     index = network.bus_index()
-    eps = 1e-9
     active: dict[int, complex] = {}
     for ev in events:
-        if ev.start - eps <= t < ev.clearance - eps:
+        if ev.start - _FAULT_TOL <= t < ev.clearance - _FAULT_TOL:
             if ev.bus not in index:
                 raise TopologyError(f"fault at unknown bus {ev.bus}")
             i = index[ev.bus]
             active[i] = active.get(i, 0.0) + complex(ev.admittance, 0.0)
     return active
+
+
+def fault_breakpoints(events: list[FaultEvent]) -> list[float]:
+    """Sorted finite times at which ``fault_shunts`` can change its result.
+
+    The active set is constant on each half-open interval between
+    consecutive breakpoints.
+    """
+    return sorted({b for ev in events
+                   for b in (ev.start - _FAULT_TOL, ev.clearance - _FAULT_TOL)
+                   if math.isfinite(b)})
+
+
+def fault_switch_time(t: float, h: float) -> float:
+    """Time at which a fault edge requested at ``t`` takes effect on a grid
+    of micro-step boundaries spaced ``h``: the first boundary ``fault_shunts``
+    resolves at or after ``t``."""
+    return math.ceil((t - _FAULT_TOL) / h) * h
 
 
 def ybus_with_shunts(ybus: sp.csc_matrix, shunts: dict[int, complex]) -> sp.csc_matrix:

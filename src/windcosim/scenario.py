@@ -30,10 +30,12 @@ from dataclasses import dataclass, field, replace
 from .collector import WppLayout
 from .converter import ConverterComponent, ConverterParams, QMode
 from .cosim import Master, MasterConfig, Scheme
+from .dynamics import micro_grid
 from .errors import ScenarioValidationError, UnresolvedReferenceError
 from .frt import FrtComponent, FrtParams
 from .gridcomp import GridComponent
-from .network import Bus, Branch, FaultEvent, NetworkData, StaticGenerator
+from .network import (Bus, Branch, FaultEvent, NetworkData, StaticGenerator,
+                      fault_switch_time)
 from .wscc9 import wscc9_without_g3
 
 PCC_BUS = 3                          # plant couples at the former generator-3 bus
@@ -315,4 +317,20 @@ def run_scenario(scenario: Scenario, scheme: Scheme | str | None = None,
     trace, meta = master.run(scenario_name=sc.name)
     meta.events = [dict(bus=ev.bus, start=ev.start, duration=ev.duration,
                         admittance=ev.admittance) for ev in sc.events]
+    meta.warnings += _fault_time_warnings(sc)
     return trace, meta
+
+
+def _fault_time_warnings(sc: Scenario) -> list[str]:
+    """Name each fault start or clearance that the grid moves to the next
+    micro-step boundary."""
+    _, h = micro_grid(sc.master.macro_step, sc.micro_step)
+    warnings = []
+    for ev in sc.events:
+        for what, t in (("start", ev.start), ("clearance", ev.clearance)):
+            applied = fault_switch_time(t, h)
+            if abs(applied - t) > 1e-9:
+                warnings.append(
+                    f"fault at bus {ev.bus}: {what} {t:.12g} s is off the {h:.12g} s "
+                    f"micro-step grid; applied at {applied:.12g} s")
+    return warnings

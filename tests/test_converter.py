@@ -234,3 +234,27 @@ def test_component_step_applies_override_inputs():
     comp.step(0.0, 1e-3)
     assert comp.get("i_d_cmd") == 0.0
     assert comp.get("i_q_cmd") > 0.0
+
+
+def test_component_step_writes_floats_across_a_fault():
+    # the step body writes its commands directly; they must be Python
+    # floats in every mode, clipped or not
+    comp = ConverterComponent("conv", ConverterParams(), p_ref=0.85)
+    comp.set("v_meas", 1.0)
+    comp.set("p_meas", 0.85)
+    comp.equilibrate()
+    phases = [(Mode.NORMAL, False, 0.0, 0.0, 1.0),
+              (Mode.FAULT, True, 1.2, 0.0, 0.3),      # reactive axis clipped
+              (Mode.RECOVERY, False, 0.2, 0.4, 0.95),
+              (Mode.NORMAL, False, 0.0, 0.0, 1.0)]
+    for k, (mode, block, boost, i_d_ref, v) in enumerate(phases):
+        comp.set("frt_mode", int(mode))
+        comp.set("block_active", block)
+        comp.set("i_q_boost", boost)
+        comp.set("i_d_ref_frt", i_d_ref)
+        comp.set("v_meas", v)
+        comp.step(k * 1e-3, 1e-3)
+        assert type(comp.get("i_d_cmd")) is float
+        assert type(comp.get("i_q_cmd")) is float
+        if mode is Mode.FAULT:
+            assert comp.get("i_q_cmd") == 1.1

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from windcosim import dynamics
 from windcosim.dynamics import RmsModel
 from windcosim.errors import InitializationError
 from windcosim.network import (
@@ -14,6 +15,7 @@ from windcosim.network import (
     NetworkData,
     StaticGenerator,
     SynchronousMachine,
+    fault_shunts,
 )
 from windcosim.powerflow import solve_power_flow
 from windcosim.wscc9 import wscc9_without_g3
@@ -286,3 +288,39 @@ def test_sgen_dq_frame_round_trip(p, q):
     # and the d/q projections recover the commands
     vm = abs(pf.voltage(2))
     assert meas.p / max(vm, 1e-9) == pytest.approx(p / vm, abs=2e-6)
+
+
+def test_fault_schedule_matches_fault_shunts(monkeypatch):
+    # overlapping faults (buses 6 and 5), back-to-back ones (5, then 8) and
+    # two accumulating on bus 6, one of them starting off the micro-step grid
+    events = [FaultEvent(bus=6, start=0.002, duration=0.004),
+              FaultEvent(bus=5, start=0.004, duration=0.004),
+              FaultEvent(bus=8, start=0.008, duration=0.002),
+              FaultEvent(bus=6, start=0.00325, duration=0.0015, admittance=5e5)]
+    net = nine_bus_with_plant()
+    model, _ = equilibrated(net, {"wpp": (0.85, 0.0)}, events=events)
+    boundaries = []
+    lu_at = model._lu_at
+
+    def recording(t):
+        boundaries.append(t)
+        return lu_at(t)
+
+    def recomputed(*args):
+        raise AssertionError("fault_shunts called while stepping")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "_lu_at", recording)
+        patch.setattr(dynamics, "fault_shunts", recomputed)
+        for k in range(12):
+            model.advance(k * 1e-3, 1e-3)
+    assert len(boundaries) == 12 * 3          # start plus two micro-step ends per call
+    edges = [t for ev in events for t in (ev.start, ev.clearance)]
+    probes = list(boundaries)
+    for t in edges + [t - 1e-9 for t in edges]:
+        probes += [t - 1e-12, t, t + 1e-12,
+                   math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]
+    for t in probes:
+        assert model._lu_at(t)[1] == fault_shunts(net, events, t), t
+    idx = net.bus_index()
+    assert model._lu_at(0.0045)[1] == {idx[6]: complex(1.5e6), idx[5]: complex(1e6)}

@@ -193,6 +193,26 @@ def test_component_publishes_override_fields():
     assert comp.get("i_q_boost") == pytest.approx(2.0 * 0.6, abs=1e-15)
 
 
+def test_component_step_writes_declared_kinds_across_a_fault():
+    # the step body writes its values directly: the mode must be a plain
+    # int (not a Mode), the flag a bool and the references floats
+    comp = FrtComponent("frt", FrtParams(deglitch=2 * DT, ramp_rate=100.0))
+    comp.set("i_d_cmd_meas", 0.85)
+    comp.equilibrate()
+    modes = set()
+    for k, v in enumerate([1.0, 0.3, 0.3] + [1.0] * 15):
+        comp.set("v_meas", v)
+        comp.set("i_d_cmd_meas", 0.85 if k == 0 else 0.0)
+        comp.step(k * DT, DT)
+        modes.add(comp.get("mode"))
+        assert type(comp.get("mode")) is int
+        assert type(comp.get("block_active")) is bool
+        assert type(comp.get("i_q_boost")) is float
+        assert type(comp.get("i_d_ref_limited")) is float
+    assert modes == {int(Mode.NORMAL), int(Mode.FAULT), int(Mode.RECOVERY)}
+    assert comp.get("mode") == int(Mode.NORMAL)
+
+
 # -- envelope ---------------------------------------------------------------------
 
 

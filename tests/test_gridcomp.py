@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from windcosim.converter import ConverterControl, ConverterParams
+from windcosim.cosim import Direction, VarKind
 from windcosim.errors import UnknownVariableError
 from windcosim.frt import FrtControl, FrtParams
 from windcosim.gridcomp import GridComponent
-from windcosim.network import StaticGenerator
+from windcosim.network import FaultEvent, StaticGenerator
 from windcosim.powerflow import solve_power_flow
 from windcosim.scenario import build_monolithic, build_small_scale, run_scenario
 from windcosim.wscc9 import wscc9_without_g3
@@ -132,3 +133,25 @@ def test_monolithic_equals_cosim_bitwise_when_steps_align():
     # was applied during the step ending at k
     assert np.array_equal(mono["grid.i_d_wpp"][1:], cosim["conv_wpp.i_d_cmd"][:-1])
     assert np.array_equal(mono["grid.mode_wpp"][1:], cosim["frt_wpp.mode"][:-1])
+
+
+def test_step_outputs_have_declared_kinds_across_a_fault():
+    # the step path writes straight into the values; a numpy scalar or an
+    # IntEnum there would leak into the exchange and the trace
+    kinds = {VarKind.REAL: float, VarKind.INT: int, VarKind.BOOL: bool}
+    fault = [FaultEvent(bus=6, start=2e-3, duration=3e-3)]
+    for embedded in (None, make_embedded()):
+        comp = GridComponent("grid", plant_network(), SETPOINT, events=fault, pcc_bus=3,
+                             pcc_branch=(3, 9), extra_bus_voltages=(6,), embedded=embedded)
+        comp.equilibrate()
+        if embedded is None:
+            comp.set("i_d_wpp", 0.85 / comp.get("v_wpp"))
+        comp.finish_init()
+        v6 = []
+        for k in range(8):
+            comp.step(k * 1e-3, 1e-3)
+            v6.append(comp.get("v_bus6"))
+            for ref in comp.variables():
+                if ref.direction is Direction.OUTPUT:
+                    assert type(comp.get(ref.name)) is kinds[ref.kind], ref.name
+        assert min(v6) < 0.05 and v6[-1] > 0.5

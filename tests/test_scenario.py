@@ -1,9 +1,11 @@
 """Scenario construction, validation and instantiation."""
 
+import numpy as np
 import pytest
 
 from windcosim.cosim import Scheme
 from windcosim.errors import ScenarioValidationError, UnresolvedReferenceError
+from windcosim.network import FaultEvent
 from windcosim.scenario import (DEFAULT_FAULT, ConnectionSpec, build_large_scale,
                                 build_monolithic, build_small_scale, instantiate,
                                 run_scenario, standard_wiring)
@@ -146,3 +148,18 @@ def test_run_scenario_applies_overrides_and_reports_events():
     sc2 = build_monolithic(t_end=0.02)
     _, meta2 = run_scenario(sc2)
     assert meta2.events == [dict(bus=6, start=1.0, duration=0.18, admittance=1e6)]
+
+
+def test_off_grid_fault_times_are_reported_with_the_applied_times():
+    off = FaultEvent(bus=6, start=0.0203, duration=0.01)
+    trace, meta = run_scenario(build_small_scale(t_end=0.05, fault=off))
+    assert len(meta.warnings) == 2
+    assert "0.0203" in meta.warnings[0] and "0.0205" in meta.warnings[0]
+    assert "0.0303" in meta.warnings[1] and "0.0305" in meta.warnings[1]
+    on = FaultEvent(bus=6, start=0.0205, duration=0.01)
+    trace_on, meta_on = run_scenario(build_small_scale(t_end=0.05, fault=on))
+    assert meta_on.warnings == []
+    # the warning only reports: the run is the one at the applied times
+    assert trace.names() == trace_on.names()
+    for name in trace.names():
+        assert np.array_equal(trace[name], trace_on[name]), name
