@@ -31,6 +31,10 @@ from .cosim import SimComponent, VarKind
 from .errors import EquilibriumInfeasibleError
 
 
+# the exchanged ``frt_mode`` integer back to its mode, without an enum call per step
+_MODES = {int(m): m for m in _frt.Mode}
+
+
 class Priority(enum.Enum):
     ACTIVE = "active"
     REACTIVE = "reactive"
@@ -191,8 +195,11 @@ class ConverterComponent(SimComponent):
 
     def _do_step(self, t: float, dt: float) -> None:
         values = self._values
-        override = _frt.FrtOverride(
-            _frt.Mode(values["frt_mode"]), values["block_active"],
-            values["i_q_boost"], values["i_d_ref_frt"])
+        try:
+            mode = _MODES[values["frt_mode"]]
+        except KeyError:
+            raise ValueError(f"{values['frt_mode']!r} is not a valid FRT mode") from None
+        override = _frt.FrtOverride(mode, values["block_active"],
+                                    values["i_q_boost"], values["i_d_ref_frt"])
         values["i_d_cmd"], values["i_q_cmd"] = self.control.step(
             dt, values["v_meas"], values["p_meas"], values["q_meas"], override)

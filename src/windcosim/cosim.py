@@ -104,9 +104,10 @@ class SimComponent:
 
     ``get``/``set`` are the checked public contract: an undeclared name
     raises ``UnknownVariableError`` and ``set`` casts to the declared
-    kind.  A step body may instead read and write ``self._values``
-    directly, as the master's exchange does; every value it writes there
-    must already be of the declared kind (``float``, ``int`` or ``bool``).
+    kind, as the declaration does with the start value.  A step body may
+    instead read and write ``self._values`` directly, as the master's
+    exchange does; every value it writes there must already be of the
+    declared kind (``float``, ``int`` or ``bool``): the exchange never casts.
     """
 
     def __init__(self, component_id: str):
@@ -129,8 +130,8 @@ class SimComponent:
             raise err.WiringError(f"{self.component_id}: variable '{name}' declared twice")
         ref = VariableRef(self.component_id, name, direction, kind)
         self._vars[name] = ref
-        self._values[name] = start
-        self._casts[name] = _CASTS[kind]
+        self._casts[name] = cast = _CASTS[kind]
+        self._values[name] = cast(start)
         return ref
 
     # -- access ------------------------------------------------------------
@@ -218,12 +219,14 @@ class RunMetadata:
     wall_clock_s: float = 0.0
     events: list[dict] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+    init: dict = field(default_factory=dict)
 
 
 def _refresh(values: dict, edges: list[tuple]) -> None:
-    """Set each input from its source's current output, as ``Connection.apply``."""
-    for src, src_name, name, real, gain, offset, cast in edges:
-        values[name] = cast(gain * src[src_name] + offset) if real else cast(src[src_name])
+    """Set each input from its source's current output, as ``Connection.apply``
+    (without a cast: connected kinds match, and values keep their kind)."""
+    for src, src_name, name, real, gain, offset in edges:
+        values[name] = gain * src[src_name] + offset if real else src[src_name]
 
 
 def _check_finite(comp: SimComponent, values: dict, outputs: list[str], t: float) -> None:
@@ -310,7 +313,7 @@ class Master:
         self._plan = [
             (comp, comp._values,
              [(self._components[c.source.component_id]._values, c.source.name, c.sink.name,
-               c.source.kind is VarKind.REAL, c.gain, c.offset, _CASTS[c.sink.kind])
+               c.source.kind is VarKind.REAL, c.gain, c.offset)
               for c in self._by_sink.get(comp.component_id, ())],
              [r.name for r in comp.variables()
               if r.direction is Direction.OUTPUT and r.kind is VarKind.REAL])

@@ -17,11 +17,15 @@ Model structure
   stiff Norton source (constant EMF behind a very small reactance), so
   source-free test networks stay energized.
 
-Integration is fixed-step RK4.  The network is solved at every stage;
-the admittance matrix (and hence its factorization) is frozen over each
-micro step, with fault shunts applied and removed exactly at micro-step
-boundaries.  Removing a fault restores the pre-fault matrix object, so
-apply/remove cycles are bit-exact.
+Integration is fixed-step RK4.  The admittance matrix ``Y`` (and its
+factorization) is frozen over each micro step, with fault shunts applied
+and removed exactly at micro-step boundaries; removing a fault restores
+the pre-fault factorization, so apply/remove cycles are bit-exact.  The
+sgen currents and the stiff slack are fixed over a micro step too, so the
+network solution is ``v = z_m e + w`` in the machine EMFs ``e``:
+``z_m = Y^-1 P_m diag(y_m)`` is solved once per factorization, ``w`` (the
+response to the fixed injections) once per micro step and fault topology,
+and each RK4 stage is a small dense product on the machine-bus rows.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,6 +80,13 @@ class GridMeasurements:
     balance: PowerBalance | None = None
 
 
+class _Factor(NamedTuple):
+    """A factorized ``Y``: its solver and ``z_m``."""
+
+    solve: Callable[[np.ndarray], np.ndarray]
+    z_m: np.ndarray
+
+
 def micro_grid(duration: float, micro_step: float) -> tuple[int, float]:
     """Split ``duration`` evenly into the fewest steps no longer than
     ``micro_step``: returns their number and their length."""
@@ -108,7 +120,7 @@ class RmsModel:
         self.h = np.array([m.h for m in machines])
         self.d = np.array([m.d for m in machines])
         self.xd_p = np.array([m.xd_p for m in machines])
-        self.y_m = 1.0 / (1j * self.xd_p) if machines else np.zeros(0, dtype=complex)
+        self.y_m = 1.0 / (1j * self.xd_p)
         # dynamic states and setpoints, filled by init_equilibrium
         self.delta = np.zeros(len(machines))
         self.domega = np.zeros(len(machines))
@@ -125,8 +137,7 @@ class RmsModel:
         self._s_angle = np.zeros(len(network.sgens))
 
         self._slack_idx = next(i for i, b in enumerate(network.buses) if b.btype == "slack")
-        has_machine_at_slack = any(self._index[m.bus] == self._slack_idx for m in machines)
-        self._stiff_slack = not has_machine_at_slack
+        self._stiff_slack = self._slack_idx not in self.m_bus
         self._slack_e = complex(network.buses[self._slack_idx].v_set, 0.0)
         self._y_stiff = 1.0 / (1j * _STIFF_SLACK_X)
 
@@ -139,7 +150,7 @@ class RmsModel:
 
         self._load_y = np.zeros(self._n, dtype=complex)
         self._y_dyn: sp.csc_matrix | None = None
-        self._lu_cache: dict[tuple, spla.SuperLU] = {}
+        self._lu_cache: dict[tuple, _Factor] = {}
         # fault schedule: the shunts, and their factorization cache key, on
         # each interval [b_{j-1}, b_j) between consecutive breakpoints
         self._fault_bounds = fault_breakpoints(self.events)
@@ -152,6 +163,7 @@ class RmsModel:
             self._fault_schedule.append((shunts, key))
         self._initialized = False
         self.last_measurements: GridMeasurements | None = None
+        self.init_diagnostics: dict[str, float] = {}   # set by init_equilibrium
 
         self._pcc_br_idx: int | None = None
         self._pcc_br_from_side = True
@@ -217,41 +229,40 @@ class RmsModel:
                     p, q = sgen_pq[sg.id]
                     s_gen_bus[self._index[sg.bus]] -= complex(p, q) * sg.mva / self.network.base_mva
 
-        if len(self.m_bus):
-            vt = v[self.m_bus]
-            ig = np.conj(s_gen_bus[self.m_bus] / vt)
-            e = vt + 1j * self.xd_p * ig
-            self.delta = np.angle(e)
-            self.e_mag = np.abs(e)
-            self.domega = np.zeros_like(self.delta)
+        vt = v[self.m_bus]
+        e = vt + 1j * self.xd_p * np.conj(s_gen_bus[self.m_bus] / vt)
+        self.delta, self.e_mag = np.angle(e), np.abs(e)
+        self.domega = np.zeros_like(self.delta)
         if self._stiff_slack:
             vs = v[self._slack_idx]
             i_s = np.conj(s_gen_bus[self._slack_idx] / vs)
             self._slack_e = vs + 1j * _STIFF_SLACK_X * i_s
 
-        self._s_angle = np.angle(v[self.s_bus]) if len(self.s_bus) else self._s_angle
+        self._s_angle = np.angle(v[self.s_bus])
 
         diag = self._load_y.copy()
-        if len(self.m_bus):
-            np.add.at(diag, self.m_bus, self.y_m)
+        np.add.at(diag, self.m_bus, self.y_m)
         if self._stiff_slack:
             diag[self._slack_idx] += self._y_stiff
         self._y_dyn = (self._ybus + sp.diags(diag)).tocsc()
         self._lu_cache.clear()
         self._initialized = True
 
-        cur = self._sgen_currents()
-        v_dyn = self._solve(self.delta, self._lu_at(0.0), cur)
-        if np.max(np.abs(v_dyn - v)) > 1e-6:
+        v_dyn = self.solve_network(0.0)
+        deviation = float(np.max(np.abs(v_dyn - v)))
+        if deviation > 1e-6:
             raise InitializationError(
                 "dynamic network solution does not reproduce the power flow "
-                f"(max deviation {np.max(np.abs(v_dyn - v)):.3e} pu)")
-        self.pm = self._electrical_power(self.delta, v_dyn)
-        self._measure(0.0, v_dyn, {}, cur)
+                f"(max deviation {deviation:.3e} pu)")
+        self.init_diagnostics = {"iterations": pf.iterations, "max_mismatch":
+                                 float(pf.max_mismatch), "equilibrium_deviation": deviation}
+        self.pm = self._electrical_power(self.e_mag * np.exp(1j * self.delta),
+                                         v_dyn[self.m_bus])
+        self._measure(0.0, v_dyn, {}, self._sgen_currents())
 
     # -- network solution --------------------------------------------------
 
-    def _lu_at(self, t: float):
+    def _lu_at(self, t: float) -> tuple[_Factor, dict[int, complex]]:
         shunts, key = self._fault_schedule[bisect.bisect_right(self._fault_bounds, t)]
         lu = self._lu_cache.get(key)
         if lu is None:
@@ -260,77 +271,83 @@ class RmsModel:
                 lu = spla.splu(y)
             except RuntimeError as exc:
                 raise SingularNetworkError(f"dynamic admittance matrix: {exc}") from exc
-            self._lu_cache[key] = lu
+            rhs = np.zeros((self._n, len(self.m_bus)), dtype=complex)
+            rhs[self.m_bus, np.arange(len(self.m_bus))] = self.y_m
+            lu = self._lu_cache[key] = _Factor(lu.solve, lu.solve(rhs))
         return lu, shunts
 
-    def _injections(self, delta: np.ndarray, cur: np.ndarray) -> np.ndarray:
-        i_inj = np.zeros(self._n, dtype=complex)
-        if len(self.m_bus):
-            np.add.at(i_inj, self.m_bus, self.e_mag * np.exp(1j * delta) * self.y_m)
+    def _fixed_response(self, lu: _Factor, cur: np.ndarray) -> np.ndarray:
+        """``w``: the bus voltages from the stiff slack and the sgen currents."""
+        i_c = np.zeros(self._n, dtype=complex)
         if self._stiff_slack:
-            i_inj[self._slack_idx] += self._slack_e * self._y_stiff
-        if len(self.s_bus):
-            np.add.at(i_inj, self.s_bus, cur)
-        return i_inj
+            i_c[self._slack_idx] = self._slack_e * self._y_stiff
+        np.add.at(i_c, self.s_bus, cur)
+        return lu.solve(i_c)
 
-    def _solve(self, delta: np.ndarray, lu_shunts, cur: np.ndarray) -> np.ndarray:
-        lu, _ = lu_shunts
-        return lu.solve(self._injections(delta, cur))
+    def _voltages(self, lu: _Factor, delta: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return lu.z_m @ (self.e_mag * np.exp(1j * delta)) + w
 
-    def _electrical_power(self, delta: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if not len(self.m_bus):
-            return np.zeros(0)
-        e = self.e_mag * np.exp(1j * delta)
-        it = (e - v[self.m_bus]) * self.y_m
-        return (e * np.conj(it)).real
+    def _electrical_power(self, e: np.ndarray, v_m: np.ndarray) -> np.ndarray:
+        """Air-gap power of each machine from its EMF and terminal voltage."""
+        return (e * np.conj((e - v_m) * self.y_m)).real
 
     def solve_network(self, t: float = 0.0) -> np.ndarray:
         """One algebraic solve at the current states (public, for inspection)."""
         self._require_init()
-        return self._solve(self.delta, self._lu_at(t), self._sgen_currents())
+        lu, _ = self._lu_at(t)
+        return self._voltages(lu, self.delta, self._fixed_response(lu, self._sgen_currents()))
 
     # -- integration ---------------------------------------------------------
 
-    def _derivs(self, delta, domega, lu_shunts, cur):
-        v = self._solve(delta, lu_shunts, cur)
-        pe = self._electrical_power(delta, v)
-        ddelta = self.omega_s * domega
-        ddomega = (self.pm - pe - self.d * domega) / (2.0 * self.h)
-        return ddelta, ddomega
+    def _rates(self, delta, domega, z_mm, w_m):
+        """RK4 right-hand side, with the machine-bus voltages ``z_mm e + w_m``."""
+        e = self.e_mag * np.exp(1j * delta)
+        pe = self._electrical_power(e, z_mm @ e + w_m)
+        return self.omega_s * domega, (self.pm - pe - self.d * domega) / (2.0 * self.h)
 
     def advance(self, t0: float, duration: float, on_micro=None) -> GridMeasurements:
         """Integrate ``[t0, t0+duration]`` in micro steps.
 
         ``on_micro(t, measurements, h)`` runs before each micro step with
         the measurements committed at its start; it may update static
-        generator commands (used by embedded plant controllers).  Returns
-        the measurements committed at ``t0 + duration``, the only ones
-        committed when ``on_micro`` is None.
+        generator commands (used by embedded plant controllers).  Inside
+        the interval those measurements hold only ``t``, ``v`` and
+        ``sgen`` (``balance`` is None and the PCC fields keep their
+        defaults); the full set is committed only at ``t0 + duration``
+        and returned.
         """
         self._require_init()
         n, h = micro_grid(duration, self.micro_step)
-        lu_shunts = self._lu_at(t0)
+        lu, shunts = self._lu_at(t0)
         for m in range(n):
             if on_micro is not None:
                 on_micro(t0 + m * h, self.last_measurements, h)
-            # commands and the angle lag are fixed over the micro step
+            # commands, the angle lag and the topology are fixed over the micro step
             cur = self._sgen_currents()
+            w = self._fixed_response(lu, cur)
+            z_mm, w_m = lu.z_m[self.m_bus], w[self.m_bus]
             d0, w0 = self.delta, self.domega
-            k1d, k1w = self._derivs(d0, w0, lu_shunts, cur)
-            k2d, k2w = self._derivs(d0 + 0.5 * h * k1d, w0 + 0.5 * h * k1w, lu_shunts, cur)
-            k3d, k3w = self._derivs(d0 + 0.5 * h * k2d, w0 + 0.5 * h * k2w, lu_shunts, cur)
-            k4d, k4w = self._derivs(d0 + h * k3d, w0 + h * k3w, lu_shunts, cur)
+            k1d, k1w = self._rates(d0, w0, z_mm, w_m)
+            k2d, k2w = self._rates(d0 + 0.5 * h * k1d, w0 + 0.5 * h * k1w, z_mm, w_m)
+            k3d, k3w = self._rates(d0 + 0.5 * h * k2d, w0 + 0.5 * h * k2w, z_mm, w_m)
+            k4d, k4w = self._rates(d0 + h * k3d, w0 + h * k3w, z_mm, w_m)
             self.delta = d0 + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d)
             self.domega = w0 + (h / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
             tau_next = t0 + (m + 1) * h
-            lu_shunts = self._lu_at(tau_next)
-            v = self._solve(self.delta, lu_shunts, cur)
+            lu_next, shunts = self._lu_at(tau_next)
+            if lu_next is not lu:
+                lu = lu_next
+                w = self._fixed_response(lu, cur)
+            v = self._voltages(lu, self.delta, w)
             # measure with the currents that actually entered the solve, then
             # advance the angle lag for the next step; anything else breaks
             # the energy bookkeeping when the bus angle jumps at an event
-            if on_micro is not None or m == n - 1:
-                self._measure(tau_next, v, lu_shunts[1], cur)
-            self._s_angle = np.angle(v[self.s_bus]) if len(self.s_bus) else self._s_angle
+            if m == n - 1:
+                self._measure(tau_next, v, shunts, cur)
+            elif on_micro is not None:
+                self.last_measurements = GridMeasurements(
+                    t=tau_next, v=v, sgen=self._sgen_measurements(v, cur)[0])
+            self._s_angle = np.angle(v[self.s_bus])
         return self.last_measurements
 
     def _require_init(self):
@@ -341,9 +358,6 @@ class RmsModel:
 
     def _branch_flows(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Complex power entering each branch at its from and to side."""
-        if not len(self._bf):
-            z = np.zeros(0, dtype=complex)
-            return z, z
         vf, vt = v[self._bf], v[self._bt]
         a = self._btap
         i_f = vf * (self._by + self._bsh) / (a * a) - vt * self._by / a
@@ -359,19 +373,20 @@ class RmsModel:
         sf, st = self._branch_flows(v)
         return (sf + st).real
 
+    def _sgen_measurements(self, v: np.ndarray, cur: np.ndarray):
+        """Each sgen's terminal quantities by id, and its complex power (system base)."""
+        vb = v[self.s_bus]
+        s_sys = vb * np.conj(cur)
+        s_mach = s_sys / self.s_scale
+        return {sid: SgenMeasurement(v_mag, theta, p, q)
+                for sid, v_mag, theta, p, q in zip(
+                    self.sgen_ids, np.abs(vb).tolist(), np.angle(vb).tolist(),
+                    s_mach.real.tolist(), s_mach.imag.tolist())}, s_sys
+
     def _measure(self, t: float, v: np.ndarray, shunts: dict[int, complex],
                  cur: np.ndarray) -> GridMeasurements:
-        sgen_meas: dict[str, SgenMeasurement] = {}
-        s_sys_total = 0.0 + 0.0j
-        if len(self.s_bus):
-            vb = v[self.s_bus]
-            s_sys = vb * np.conj(cur)
-            s_mach = s_sys / self.s_scale
-            sgen_meas = {sid: SgenMeasurement(v_mag, theta, p, q)
-                         for sid, v_mag, theta, p, q in zip(
-                             self.sgen_ids, np.abs(vb).tolist(), np.angle(vb).tolist(),
-                             s_mach.real.tolist(), s_mach.imag.tolist())}
-            s_sys_total = complex(np.sum(s_sys))
+        sgen_meas, s_sys = self._sgen_measurements(v, cur)
+        s_sys_total = complex(np.sum(s_sys))
 
         sf, st = self._branch_flows(v)
         pcc_v = pcc_theta = 0.0
@@ -383,18 +398,14 @@ class RmsModel:
                 i = self._pcc_br_idx
                 s_into_pcc = -(sf[i] if self._pcc_br_from_side else st[i])
             else:
-                mask = self.s_bus == self._index[self.pcc_bus]
-                s_into_pcc = complex(np.sum((v[self.s_bus] * np.conj(cur))[mask])) \
-                    if len(self.s_bus) else 0.0
+                s_into_pcc = complex(np.sum(s_sys[self.s_bus == self._index[self.pcc_bus]]))
             p_wpp = float(s_into_pcc.real) * self.network.base_mva
             q_wpp = float(s_into_pcc.imag) * self.network.base_mva
 
         # independent balance bookkeeping
         gen = float(s_sys_total.real)
-        if len(self.m_bus):
-            e = self.e_mag * np.exp(1j * self.delta)
-            it = (e - v[self.m_bus]) * self.y_m
-            gen += float(np.sum((v[self.m_bus] * np.conj(it)).real))
+        it = (self.e_mag * np.exp(1j * self.delta) - v[self.m_bus]) * self.y_m
+        gen += float(np.sum((v[self.m_bus] * np.conj(it)).real))
         if self._stiff_slack:
             i_s = (self._slack_e - v[self._slack_idx]) * self._y_stiff
             gen += float((v[self._slack_idx] * np.conj(i_s)).real)

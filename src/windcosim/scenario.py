@@ -318,6 +318,7 @@ def run_scenario(scenario: Scenario, scheme: Scheme | str | None = None,
     meta.events = [dict(bus=ev.bus, start=ev.start, duration=ev.duration,
                         admittance=ev.admittance) for ev in sc.events]
     meta.warnings += _fault_time_warnings(sc)
+    meta.init = dict(master.component("grid").model.init_diagnostics)
     return trace, meta
 
 

@@ -258,3 +258,15 @@ def test_component_step_writes_floats_across_a_fault():
         assert type(comp.get("i_q_cmd")) is float
         if mode is Mode.FAULT:
             assert comp.get("i_q_cmd") == 1.1
+
+
+def test_component_step_rejects_unknown_frt_mode():
+    comp = ConverterComponent("conv", ConverterParams(), p_ref=0.85)
+    comp.set("v_meas", 1.0)
+    comp.equilibrate()
+    for mode in Mode:
+        comp.set("frt_mode", int(mode))
+        comp.step(int(mode) * 1e-3, 1e-3)
+    comp.set("frt_mode", 7)
+    with pytest.raises(ValueError, match="7 is not a valid FRT mode"):
+        comp.step(3e-3, 1e-3)

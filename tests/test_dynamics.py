@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -324,3 +325,115 @@ def test_fault_schedule_matches_fault_shunts(monkeypatch):
         assert model._lu_at(t)[1] == fault_shunts(net, events, t), t
     idx = net.bus_index()
     assert model._lu_at(0.0045)[1] == {idx[6]: complex(1.5e6), idx[5]: complex(1e6)}
+
+
+# -- network solution -------------------------------------------------------------
+
+
+def smib():
+    # a machine against a slack bus without one: the slack is a stiff source
+    return NetworkData(
+        name="smib",
+        buses=[Bus(id=1, base_kv=110.0, btype="slack", v_set=1.0),
+               Bus(id=2, base_kv=110.0, btype="pv", v_set=1.0, p_gen=0.3)],
+        branches=[Branch(from_bus=1, to_bus=2, r=0.0, x=0.1)],
+        machines=[SynchronousMachine(bus=2, h=3.0, d=0.0, xd_p=0.1)])
+
+
+def machineless():
+    # a feeder string of converter plant behind a stiff slack
+    return NetworkData(
+        name="string",
+        buses=[Bus(id=1, base_kv=33.0, btype="slack", v_set=1.0),
+               Bus(id=2, base_kv=33.0), Bus(id=3, base_kv=33.0), Bus(id=4, base_kv=33.0)],
+        branches=[Branch(from_bus=1, to_bus=2, r=0.001, x=0.01),
+                  Branch(from_bus=2, to_bus=3, r=0.0045, x=0.0054),
+                  Branch(from_bus=3, to_bus=4, r=0.0045, x=0.0054)],
+        sgens=[StaticGenerator(id="t1", bus=3, mva=2.0),
+               StaticGenerator(id="t2", bus=4, mva=2.0)])
+
+
+def direct_solve(model, lu, cur):
+    """The network solved from the full injection vector at the model's states."""
+    i_inj = np.zeros(len(model.network.buses), dtype=complex)
+    np.add.at(i_inj, model.m_bus, model.e_mag * np.exp(1j * model.delta) * model.y_m)
+    if model._stiff_slack:
+        i_inj[model._slack_idx] += model._slack_e * model._y_stiff
+    np.add.at(i_inj, model.s_bus, cur)
+    return lu.solve(i_inj)
+
+
+@pytest.mark.parametrize("net, sgen_pq, fault_bus", [
+    (nine_bus_with_plant(), {"wpp": (0.85, 0.0)}, 6),
+    (smib(), {}, 2),
+    (machineless(), {"t1": (0.9, 0.1), "t2": (0.9, 0.1)}, 2),
+], ids=["nine_bus_with_plant", "smib", "machineless"])
+def test_committed_voltages_match_a_direct_solve(monkeypatch, net, sgen_pq, fault_bus):
+    # the fault starts and clears on micro-step boundaries inside macro steps
+    events = [FaultEvent(bus=fault_bus, start=0.0035, duration=0.003, admittance=50.0)]
+    model, _ = equilibrated(net, sgen_pq, events=events)
+    lu_at, counted, solves = model._lu_at, {}, []
+
+    def counting_lu_at(t):
+        lu, shunts = lu_at(t)
+        if id(lu) not in counted:
+            def solve(b, inner=lu.solve):
+                solves.append(t)
+                return inner(b)
+            counted[id(lu)] = lu._replace(solve=solve)
+        return counted[id(lu)], shunts
+
+    worst, checked = 0.0, 0
+    cur = model._sgen_currents()
+
+    def check(t, v):
+        nonlocal worst, checked
+        worst = max(worst, float(np.max(np.abs(v - direct_solve(model, lu_at(t)[0], cur)))))
+        checked += 1
+
+    def on_micro(t, meas, h):
+        nonlocal cur
+        check(t, meas.v)
+        for sid in sgen_pq:
+            model.set_sgen_command(sid, i_q=0.1 + 0.05 * math.sin(2e3 * t))
+        cur = model._sgen_currents()       # what enters this micro step's solve
+
+    monkeypatch.setattr(model, "_lu_at", counting_lu_at)
+    macro, n = 2e-3, 4
+    for k in range(5):
+        solves.clear()
+        meas = model.advance(k * macro, macro, on_micro=on_micro)
+        check(meas.t, meas.v)
+        ticks = [k * macro + m * macro / n for m in range(n + 1)]
+        switches = sum(fault_shunts(net, events, a) != fault_shunts(net, events, b)
+                       for a, b in zip(ticks, ticks[1:]))
+        assert len(solves) == n + switches, (k, solves)
+    assert checked == 5 * (n + 1)
+    assert worst <= 1e-12
+
+
+def test_sgen_measurements_inside_a_macro_step_match_a_full_measure():
+    events = [FaultEvent(bus=6, start=0.0035, duration=0.003)]
+    model, _ = equilibrated(nine_bus_with_plant(), {"wpp": (0.85, 0.0)},
+                            events=events, pcc_bus=3, pcc_branch=(3, 9))
+    seen, curs = [], []
+
+    def on_micro(t, meas, h):
+        seen.append(meas)
+        curs.append(model._sgen_currents())
+
+    for k in range(5):
+        full = model.advance(k * 2e-3, 2e-3, on_micro=on_micro)
+        assert full.balance is not None and full.p_wpp_mw != 0.0 and full.pcc_v != 0.0
+    # seen[j + 1] was committed with the currents of the micro step that
+    # started at seen[j]; inside a macro step only t, v and sgen are set
+    inside = [(meas, cur) for meas, cur in zip(seen[1:], curs) if meas.balance is None]
+    assert len(inside) == 5 * 3
+
+    def bits(sgen):
+        return {sid: [x.hex() for x in dataclasses.astuple(m)] for sid, m in sgen.items()}
+
+    for meas, cur in inside:
+        assert (meas.pcc_v, meas.pcc_theta, meas.p_wpp_mw, meas.q_wpp_mvar) == (0.0,) * 4
+        reference = model._measure(meas.t, meas.v, {}, cur)
+        assert bits(meas.sgen) == bits(reference.sgen)

@@ -1,11 +1,15 @@
 """Scenario construction, validation and instantiation."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from windcosim.cosim import Scheme
 from windcosim.errors import ScenarioValidationError, UnresolvedReferenceError
 from windcosim.network import FaultEvent
+from windcosim.powerflow import solve_power_flow
 from windcosim.scenario import (DEFAULT_FAULT, ConnectionSpec, build_large_scale,
                                 build_monolithic, build_small_scale, instantiate,
                                 run_scenario, standard_wiring)
@@ -163,3 +167,21 @@ def test_off_grid_fault_times_are_reported_with_the_applied_times():
     assert trace.names() == trace_on.names()
     for name in trace.names():
         assert np.array_equal(trace[name], trace_on[name]), name
+
+
+def test_run_scenario_reports_init_diagnostics():
+    sc = build_small_scale(t_end=0.01)
+    trace, meta = run_scenario(sc)
+    init = meta.init
+    assert set(init) == {"iterations", "max_mismatch", "equilibrium_deviation"}
+    # the same numbers as a power flow and an equilibrium done by hand
+    grid = sc.network
+    pf = solve_power_flow(grid, sgen_pq={w.id: (w.p_ref, w.q_ref) for w in sc.wtgs})
+    assert init["iterations"] == pf.iterations >= 1
+    assert init["max_mismatch"] == pf.max_mismatch < 1e-8
+    assert 0.0 <= init["equilibrium_deviation"] < 1e-6
+    assert json.loads(json.dumps(dataclasses.asdict(meta)))["init"] == init
+    # reporting them does not touch the run
+    direct, _ = instantiate(sc).run(scenario_name=sc.name)
+    for name in trace.names():
+        assert np.array_equal(trace[name], direct[name]), name
