@@ -190,6 +190,9 @@ class Scheme(enum.Enum):
     PARALLEL = "parallel"
 
 
+MAX_MACRO_STEPS = 10**7    # longest run accepted: a mistyped t_end must not hang a run
+
+
 @dataclass
 class MasterConfig:
     """Orchestration settings for one run."""
@@ -206,6 +209,9 @@ class MasterConfig:
             raise ValueError(f"macro_step must be finite and positive, got {self.macro_step}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
             raise ValueError(f"t_end must be finite and non-negative, got {self.t_end}")
+        if self.t_end / self.macro_step > MAX_MACRO_STEPS:
+            raise ValueError(f"t_end / macro_step is {self.t_end / self.macro_step:.3g} "
+                             f"macro steps, above the cap of {MAX_MACRO_STEPS}")
 
 
 @dataclass

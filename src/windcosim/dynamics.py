@@ -248,7 +248,9 @@ class RmsModel:
         self._lu_cache.clear()
         self._initialized = True
 
-        v_dyn = self.solve_network(0.0)
+        # on the pre-fault network, also when a fault starts at t = 0: the
+        # equilibrium is the power flow's, and the fault acts from the first step
+        v_dyn = self.solve_network(-math.inf)
         deviation = float(np.max(np.abs(v_dyn - v)))
         if deviation > 1e-6:
             raise InitializationError(

@@ -108,6 +108,14 @@ class Scenario:
         ids = {b.id for b in self.network.buses}
         if self.pcc_bus not in ids:
             raise ScenarioValidationError(f"pcc bus {self.pcc_bus} not in network")
+        for bus in self.export_bus_v:
+            if bus not in ids:
+                raise ScenarioValidationError(f"export_bus_v: bus {bus} not in network")
+        if self.pcc_branch is not None:
+            ends = {(br.from_bus, br.to_bus) for br in self.network.branches}
+            fb, tb = self.pcc_branch
+            if (fb, tb) not in ends and (tb, fb) not in ends:
+                raise ScenarioValidationError(f"pcc branch {fb}-{tb} not in network")
         if not (math.isfinite(self.micro_step) and self.micro_step > 0.0):
             raise ScenarioValidationError(
                 f"micro_step must be finite and positive, got {self.micro_step}")

@@ -8,15 +8,19 @@ Inside a section a line is either a scalar assignment ``key = value``
 or a keyword record such as ``bus 5 230.0 pq p_load=1.25 q_load=0.5``;
 unknown keys and keywords are rejected with the offending line number.
 
-``parse_scenario(serialize_scenario(s))`` compares equal to ``s``:
-floats are written with ``repr`` so the text holds full precision.
-The exact grammar lives in ``docs/scenario_format.md``.
+One grammar table (``_SCALARS`` and ``_RECORDS``) drives both the parser
+and the serializer.  ``parse_scenario(serialize_scenario(s))`` compares
+equal to ``s``: floats are written with ``repr`` so the text holds full
+precision.  The exact grammar lives in ``docs/scenario_format.md``.
 """
 
 from __future__ import annotations
 
+import enum
 import os
-from dataclasses import fields
+import typing
+from dataclasses import MISSING, fields
+from operator import attrgetter
 
 from .converter import ConverterParams
 from .cosim import MasterConfig
@@ -25,31 +29,116 @@ from .frt import FrtParams
 from .network import Branch, Bus, FaultEvent, NetworkData, StaticGenerator, SynchronousMachine
 from .scenario import ConnectionSpec, Scenario, WtgSpec
 
-_SECTIONS = ("network", "wtg", "controller", "connections", "events", "master")
 
-# per section: allowed scalar assignment keys and record keywords
+def _number(convert, what: str):
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise ValueError(f"expected {what}, got '{text}'") from None
+    return parse
+
+
+def _parse_bool(text: str) -> bool:
+    low = text.lower()
+    if low in ("true", "1", "yes"):
+        return True
+    if low in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected a boolean, got '{text}'")
+
+
+_int, _float = _number(int, "an integer"), _number(float, "a number")
+_PARSERS = {int: _int, float: _float, str: str, bool: _parse_bool}
+
+
+def _bus_pair(text: str) -> tuple[int, int]:
+    parts = text.split()
+    if len(parts) != 2:
+        raise ValueError("pcc_branch takes two bus ids")
+    return _int(parts[0]), _int(parts[1])
+
+
+# sections, and their scalar keys, in file order: key -> (parser, attribute
+# path on Scenario).  ``scheme`` stays a string: MasterConfig converts it, so
+# a bad one is a ScenarioValidationError like every other master setting.
 _SCALARS = {
-    "master": {"name", "mode", "scheme", "macro_step", "micro_step", "t_end", "record"},
-    "network": {"name", "base_mva", "frequency_hz"},
-    "wtg": {"rating_mva", "pcc_bus", "pcc_branch", "export_bus_v"},
-    "controller": set(),
-    "connections": set(),
-    "events": set(),
-}
-_RECORDS = {
-    "network": {"bus", "branch", "machine", "sgen"},
-    "wtg": {"wtg"},
-    "controller": {"converter", "frt"},
-    "connections": {"connect"},
-    "events": {"fault"},
-    "master": set(),
+    "network": {"name": (str, "network.name"),
+                "base_mva": (_float, "network.base_mva"),
+                "frequency_hz": (_float, "network.frequency_hz")},
+    "wtg": {"rating_mva": (_float, "wpp_rating_mva"),
+            "pcc_bus": (_int, "pcc_bus"),
+            "pcc_branch": (_bus_pair, "pcc_branch"),
+            "export_bus_v": (lambda text: tuple(_int(p) for p in text.split()), "export_bus_v")},
+    "controller": {},
+    "connections": {},
+    "events": {},
+    "master": {"name": (str, "name"),
+               "mode": (str, "mode"),
+               "scheme": (str, "master.scheme"),
+               "macro_step": (_float, "master.macro_step"),
+               "micro_step": (_float, "micro_step"),
+               "t_end": (_float, "master.t_end"),
+               "record": (str.split, "master.record")},
 }
 
-_BUS_KEYS = {"v_set", "p_gen", "p_load", "q_load"}
-_BRANCH_KEYS = {"r", "x", "b", "tap"}
-_MACHINE_KEYS = {"h", "xd_p", "d"}
-_CONVERTER_KEYS = {f.name for f in fields(ConverterParams)}
-_FRT_KEYS = {f.name for f in fields(FrtParams)}
+
+class _Record:
+    """One record keyword: ``keyword <positional>... key=value ...``.
+
+    Each value is parsed by the type its ``cls`` field declares; positional
+    fields that are not fields of ``cls`` are strings.  ``path`` locates the
+    record's list on ``Scenario`` (controller records have none: they
+    attach to the turbines).  ``sparse`` writes a key only when it differs
+    from the field default; ``defaults`` fills keys that ``cls`` requires
+    but the file may omit.
+    """
+
+    def __init__(self, section: str, cls: type, positional: tuple[str, ...],
+                 keys: tuple[str, ...], path: str | None = None, sparse: bool = False,
+                 defaults: dict | None = None):
+        self.section, self.cls, self.positional, self.keys = section, cls, positional, keys
+        self.path, self.sparse, self.defaults = path, sparse, defaults or {}
+        self.owner, _, self.attr = (path or "").rpartition(".")
+        hints = typing.get_type_hints(cls)
+        parse = {}
+        for name in positional + keys:
+            tp = hints.get(name, str)
+            parse[name] = _PARSERS.get(tp, tp)            # an enum parses its value
+        self.head = [(name, parse[name]) for name in positional]
+        self.key_parse = {key: parse[key] for key in keys}
+        self.field_defaults = {f.name: f.default for f in fields(cls)
+                               if f.default is not MISSING}
+        self.required = [k for k in keys
+                         if k not in self.field_defaults and k not in self.defaults]
+        self.usage = " ".join([*(f"<{p}>" for p in positional),
+                               *(f"{k}=" if k in self.required else f"[{k}=]" for k in keys)])
+
+
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+# record keyword -> grammar, in file order within each section
+_RECORDS = {
+    "bus": _Record("network", Bus, ("id", "base_kv", "btype"),
+                   ("v_set", "p_gen", "p_load", "q_load"), "network.buses", sparse=True),
+    "branch": _Record("network", Branch, ("from_bus", "to_bus"), ("r", "x", "b", "tap"),
+                      "network.branches", sparse=True),
+    "machine": _Record("network", SynchronousMachine, ("bus",), ("h", "xd_p", "d"),
+                       "network.machines", defaults={"d": 0.0}),
+    "sgen": _Record("network", StaticGenerator, ("id", "bus"), ("mva",), "network.sgens"),
+    "wtg": _Record("wtg", WtgSpec, ("id",), ("p_ref", "q_ref"), "wtgs",
+                   defaults={"p_ref": 0.0, "q_ref": 0.0}),
+    "converter": _Record("controller", ConverterParams, ("target",),
+                         _field_names(ConverterParams)),
+    "frt": _Record("controller", FrtParams, ("target",), _field_names(FrtParams)),
+    "connect": _Record("connections", ConnectionSpec, ("source", "sink"), ("gain", "offset"),
+                       "connections", sparse=True),
+    "fault": _Record("events", FaultEvent, (), ("bus", "start", "duration", "admittance"),
+                     "events"),
+}
+_CONTROLLERS = ("converter", "frt")
 
 
 def _fmt(value) -> str:
@@ -57,186 +146,46 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    if hasattr(value, "value"):            # enums serialize by value
+    if isinstance(value, enum.Enum):
         return str(value.value)
+    if isinstance(value, (list, tuple)):
+        return " ".join(_fmt(v) for v in value)
     return str(value)
 
 
-def _parse_bool(text: str, line_no: int) -> bool:
-    low = text.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ScenarioParseError(line_no, f"expected a boolean, got '{text}'")
-
-
-def _parse_float(text: str, line_no: int) -> float:
+def _record_kwargs(keyword: str, rec: _Record, tokens: list[str], line_no: int) -> dict:
+    """Typed field values of one record line, parse defaults filled in."""
+    if len(tokens) < len(rec.positional):
+        raise ScenarioParseError(line_no, f"usage: {keyword} {rec.usage}")
     try:
-        return float(text)
-    except ValueError:
-        raise ScenarioParseError(line_no, f"expected a number, got '{text}'") from None
-
-
-def _parse_int(text: str, line_no: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ScenarioParseError(line_no, f"expected an integer, got '{text}'") from None
-
-
-def _kv_pairs(tokens: list[str], allowed: set[str], line_no: int) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for tok in tokens:
-        key, sep, value = tok.partition("=")
-        if not sep or not key or not value:
-            raise ScenarioParseError(line_no, f"expected key=value, got '{tok}'")
-        if key not in allowed:
-            raise ScenarioParseError(line_no, f"unknown key '{key}'")
-        if key in out:
-            raise ScenarioParseError(line_no, f"duplicate key '{key}'")
-        out[key] = value
-    return out
-
-
-def _floats(kv: dict[str, str], line_no: int) -> dict[str, float]:
-    return {k: _parse_float(v, line_no) for k, v in kv.items()}
-
-
-class _Collector:
-    """Raw parse product of one file, assembled into a Scenario at the end."""
-
-    def __init__(self):
-        self.master: dict[str, object] = {}
-        self.network = NetworkData()
-        self.wtg_meta: dict[str, object] = {}
-        self.wtg_rows: list[tuple[str, float, float]] = []
-        self.conv_default: dict[str, object] = {}
-        self.frt_default: dict[str, object] = {}
-        self.conv_over: dict[str, dict[str, object]] = {}
-        self.frt_over: dict[str, dict[str, object]] = {}
-        self.connections: list[ConnectionSpec] = []
-        self.events: list[FaultEvent] = []
-        self.seen: set[str] = set()
-
-
-def _controller_kwargs(kv: dict[str, str], line_no: int) -> dict[str, object]:
-    out: dict[str, object] = {}
-    for key, raw in kv.items():
-        if key == "ramp_enabled":
-            out[key] = _parse_bool(raw, line_no)
-        elif key == "q_mode":
-            out[key] = raw
-        else:
-            out[key] = _parse_float(raw, line_no)
-    return out
-
-
-def _handle_assignment(col: _Collector, section: str, key: str, value: str,
-                       line_no: int) -> None:
-    if key not in _SCALARS[section]:
-        raise ScenarioParseError(line_no, f"unknown key '{key}' in [{section}]")
-    if section == "master":
-        if key in ("macro_step", "micro_step", "t_end"):
-            col.master[key] = _parse_float(value, line_no)
-        elif key == "record":
-            col.master[key] = value.split()
-        else:
-            col.master[key] = value
-    elif section == "network":
-        if key == "name":
-            col.network.name = value
-        elif key == "base_mva":
-            col.network.base_mva = _parse_float(value, line_no)
-        else:
-            col.network.frequency_hz = _parse_float(value, line_no)
-    else:                                   # [wtg] scalars
-        if key == "rating_mva":
-            col.wtg_meta[key] = _parse_float(value, line_no)
-        elif key == "pcc_bus":
-            col.wtg_meta[key] = _parse_int(value, line_no)
-        elif key == "pcc_branch":
-            parts = value.split()
-            if len(parts) != 2:
-                raise ScenarioParseError(line_no, "pcc_branch takes two bus ids")
-            col.wtg_meta[key] = (_parse_int(parts[0], line_no), _parse_int(parts[1], line_no))
-        else:
-            col.wtg_meta[key] = tuple(_parse_int(p, line_no) for p in value.split())
-
-
-def _handle_record(col: _Collector, section: str, tokens: list[str], line_no: int) -> None:
-    keyword, rest = tokens[0], tokens[1:]
-
-    def need(n: int, usage: str) -> None:
-        if len(rest) < n:
-            raise ScenarioParseError(line_no, f"usage: {usage}")
-
-    if keyword == "bus":
-        need(3, "bus <id> <base_kv> <type> [v_set=|p_gen=|p_load=|q_load=]")
-        kv = _floats(_kv_pairs(rest[3:], _BUS_KEYS, line_no), line_no)
-        col.network.buses.append(Bus(
-            id=_parse_int(rest[0], line_no), base_kv=_parse_float(rest[1], line_no),
-            btype=rest[2], **kv))
-    elif keyword == "branch":
-        need(2, "branch <from> <to> r= x= [b=] [tap=]")
-        kv = _floats(_kv_pairs(rest[2:], _BRANCH_KEYS, line_no), line_no)
-        for required in ("r", "x"):
-            if required not in kv:
-                raise ScenarioParseError(line_no, f"branch needs {required}=")
-        col.network.branches.append(Branch(
-            from_bus=_parse_int(rest[0], line_no), to_bus=_parse_int(rest[1], line_no), **kv))
-    elif keyword == "machine":
-        need(1, "machine <bus> h= xd_p= [d=]")
-        kv = _floats(_kv_pairs(rest[1:], _MACHINE_KEYS, line_no), line_no)
-        for required in ("h", "xd_p"):
-            if required not in kv:
-                raise ScenarioParseError(line_no, f"machine needs {required}=")
-        kv.setdefault("d", 0.0)
-        col.network.machines.append(SynchronousMachine(bus=_parse_int(rest[0], line_no), **kv))
-    elif keyword == "sgen":
-        need(2, "sgen <id> <bus> mva=")
-        kv = _floats(_kv_pairs(rest[2:], {"mva"}, line_no), line_no)
-        if "mva" not in kv:
-            raise ScenarioParseError(line_no, "sgen needs mva=")
-        col.network.sgens.append(StaticGenerator(
-            id=rest[0], bus=_parse_int(rest[1], line_no), mva=kv["mva"]))
-    elif keyword == "wtg":
-        need(1, "wtg <id> p_ref= q_ref=")
-        kv = _floats(_kv_pairs(rest[1:], {"p_ref", "q_ref"}, line_no), line_no)
-        col.wtg_rows.append((rest[0], kv.get("p_ref", 0.0), kv.get("q_ref", 0.0)))
-    elif keyword in ("converter", "frt"):
-        need(1, f"{keyword} <wtg_id>|default key=value ...")
-        allowed = _CONVERTER_KEYS if keyword == "converter" else _FRT_KEYS
-        kwargs = _controller_kwargs(_kv_pairs(rest[1:], allowed, line_no), line_no)
-        target = rest[0]
-        if target == "default":
-            store = col.conv_default if keyword == "converter" else col.frt_default
-            if store:
-                raise ScenarioParseError(line_no, f"duplicate '{keyword} default' record")
-            store.update(kwargs)
-        else:
-            over = col.conv_over if keyword == "converter" else col.frt_over
-            over.setdefault(target, {}).update(kwargs)
-    elif keyword == "connect":
-        need(2, "connect <source> <sink> [gain=] [offset=]")
-        kv = _floats(_kv_pairs(rest[2:], {"gain", "offset"}, line_no), line_no)
-        col.connections.append(ConnectionSpec(
-            source=rest[0], sink=rest[1],
-            gain=kv.get("gain", 1.0), offset=kv.get("offset", 0.0)))
-    else:                                   # fault
-        kv = _kv_pairs(rest, {"bus", "start", "duration", "admittance"}, line_no)
-        for required in ("bus", "start", "duration"):
-            if required not in kv:
-                raise ScenarioParseError(line_no, f"fault needs {required}=")
-        col.events.append(FaultEvent(
-            bus=_parse_int(kv["bus"], line_no),
-            start=_parse_float(kv["start"], line_no),
-            duration=_parse_float(kv["duration"], line_no),
-            admittance=_parse_float(kv.get("admittance", "1e6"), line_no)))
+        kw = {name: parse(tok) for (name, parse), tok in zip(rec.head, tokens)}
+        for tok in tokens[len(rec.positional):]:
+            key, sep, value = tok.partition("=")
+            if not sep or not key or not value:
+                raise ScenarioParseError(line_no, f"expected key=value, got '{tok}'")
+            parse = rec.key_parse.get(key)
+            if parse is None:
+                raise ScenarioParseError(line_no, f"unknown key '{key}'")
+            if key in kw:
+                raise ScenarioParseError(line_no, f"duplicate key '{key}'")
+            kw[key] = parse(value)
+    except ValueError as exc:
+        raise ScenarioParseError(line_no, str(exc)) from None
+    for key in rec.required:
+        if key not in kw:
+            raise ScenarioParseError(line_no, f"{keyword} needs {key}=")
+    return {**rec.defaults, **kw} if rec.defaults else kw
 
 
 def parse_scenario_text(text: str) -> Scenario:
-    col = _Collector()
+    # parsed values by the object that holds them: "" the Scenario itself
+    attrs: dict[str, dict[str, object]] = {"": {}, "network": {}, "master": {}}
+    for rec in _RECORDS.values():
+        if rec.path is not None:
+            attrs[rec.owner][rec.attr] = []
+    # controller keyword -> ['default' kwargs or None, per-wtg override kwargs]
+    controllers = {kw: [None, {}] for kw in _CONTROLLERS}
+    seen: set[str] = set()
     section: str | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -246,74 +195,77 @@ def parse_scenario_text(text: str) -> Scenario:
             if not line.endswith("]"):
                 raise ScenarioParseError(line_no, f"malformed section header '{line}'")
             name = line[1:-1].strip()
-            if name not in _SECTIONS:
+            if name not in _SCALARS:
                 raise ScenarioParseError(line_no, f"unknown section '[{name}]'")
-            if name in col.seen:
+            if name in seen:
                 raise ScenarioParseError(line_no, f"duplicate section '[{name}]'")
-            col.seen.add(name)
+            seen.add(name)
             section = name
             continue
         if section is None:
             raise ScenarioParseError(line_no, "content before any section header")
         tokens = line.split()
-        if tokens[0] in _RECORDS[section]:
-            _handle_record(col, section, tokens, line_no)
+        keyword = tokens[0]
+        rec = _RECORDS.get(keyword)
+        if rec is not None and rec.section == section:
+            kwargs = _record_kwargs(keyword, rec, tokens[1:], line_no)
+            if rec.path is not None:        # wtg rows get their controllers at the end
+                attrs[rec.owner][rec.attr].append(
+                    kwargs if rec.cls is WtgSpec else rec.cls(**kwargs))
+                continue
+            target, store = kwargs.pop("target"), controllers[keyword]
+            if target != "default":
+                store[1].setdefault(target, {}).update(kwargs)
+            elif store[0] is not None:
+                raise ScenarioParseError(line_no, f"duplicate '{keyword} default' record")
+            else:
+                store[0] = kwargs
         elif "=" in line:
             key, _, value = line.partition("=")
-            _handle_assignment(col, section, key.strip(), value.strip(), line_no)
+            key = key.strip()
+            if key not in _SCALARS[section]:
+                raise ScenarioParseError(line_no, f"unknown key '{key}' in [{section}]")
+            parse, path = _SCALARS[section][key]
+            owner, _, attr = path.rpartition(".")
+            try:
+                attrs[owner][attr] = parse(value.strip())
+            except ValueError as exc:
+                raise ScenarioParseError(line_no, str(exc)) from None
         else:
-            raise ScenarioParseError(
-                line_no, f"unrecognized directive '{tokens[0]}' in [{section}]")
+            raise ScenarioParseError(line_no, f"unrecognized directive '{keyword}' in [{section}]")
 
     for required in ("master", "network", "wtg"):
-        if required not in col.seen:
+        if required not in seen:
             raise ScenarioParseError(0, f"missing required section [{required}]")
+    top = attrs[""]
     for key in ("name", "mode"):
-        if key not in col.master:
+        if key not in top:
             raise ScenarioParseError(0, f"[master] is missing '{key}'")
-    if "rating_mva" not in col.wtg_meta or "pcc_bus" not in col.wtg_meta:
+    if "wpp_rating_mva" not in top or "pcc_bus" not in top:
         raise ScenarioParseError(0, "[wtg] needs rating_mva and pcc_bus")
-    if not col.wtg_rows:
+    if not top["wtgs"]:
         raise ScenarioParseError(0, "[wtg] declares no turbines")
 
+    wtg_ids = {row["id"] for row in top["wtgs"]}
+    params = {}                             # controller keyword -> wtg id -> params
     try:
-        conv_default = ConverterParams(**col.conv_default)
-        frt_default = FrtParams(**col.frt_default)
-        wtgs = []
-        for wid, p_ref, q_ref in col.wtg_rows:
-            conv = (ConverterParams(**{**col.conv_default, **col.conv_over[wid]})
-                    if wid in col.conv_over else conv_default)
-            frt = (FrtParams(**{**col.frt_default, **col.frt_over[wid]})
-                   if wid in col.frt_over else frt_default)
-            wtgs.append(WtgSpec(id=wid, p_ref=p_ref, q_ref=q_ref, converter=conv, frt=frt))
+        for keyword, (default, over) in controllers.items():
+            for wid in over:
+                if wid not in wtg_ids:
+                    raise ScenarioParseError(0, f"controller override for unknown wtg '{wid}'")
+            cls, default = _RECORDS[keyword].cls, default or {}
+            shared = cls(**default)
+            params[keyword] = {wid: cls(**{**default, **over[wid]}) if wid in over else shared
+                               for wid in wtg_ids}
     except ValueError as exc:
         raise ScenarioParseError(0, str(exc)) from exc
+    top["wtgs"] = [WtgSpec(**row, **{kw: params[kw][row["id"]] for kw in _CONTROLLERS})
+                   for row in top["wtgs"]]
     try:
-        master = MasterConfig(
-            macro_step=col.master.get("macro_step", 1e-3),
-            t_end=col.master.get("t_end", 2.0),
-            scheme=col.master.get("scheme", "serial"),
-            record=col.master.get("record", []))
+        master = MasterConfig(**attrs["master"])
     except ValueError as exc:
         raise ScenarioValidationError(str(exc)) from exc
-
-    for wid in list(col.conv_over) + list(col.frt_over):
-        if wid not in {w.id for w in wtgs}:
-            raise ScenarioParseError(0, f"controller override for unknown wtg '{wid}'")
-
-    scenario = Scenario(
-        name=str(col.master["name"]),
-        mode=str(col.master["mode"]),
-        network=col.network,
-        wtgs=wtgs,
-        wpp_rating_mva=float(col.wtg_meta["rating_mva"]),
-        pcc_bus=int(col.wtg_meta["pcc_bus"]),
-        master=master,
-        micro_step=float(col.master.get("micro_step", 5e-4)),
-        pcc_branch=col.wtg_meta.get("pcc_branch"),
-        events=col.events,
-        connections=col.connections,
-        export_bus_v=col.wtg_meta.get("export_bus_v", ()))
+    scenario = Scenario(**top, network=NetworkData(**attrs["network"]), master=master)
     try:
         scenario.validate()
     except TopologyError as exc:
@@ -326,89 +278,34 @@ def parse_scenario(path: str | os.PathLike) -> Scenario:
         return parse_scenario_text(fh.read())
 
 
-def _controller_line(keyword: str, target: str, params) -> str:
-    parts = [keyword, target]
-    for f in fields(params):
-        parts.append(f"{f.name}={_fmt(getattr(params, f.name))}")
+def _record_line(keyword: str, obj, *head) -> str:
+    """One record line; ``head`` stands for positional fields ``obj`` does not hold."""
+    rec = _RECORDS[keyword]
+    parts = [keyword, *map(_fmt, head or [getattr(obj, p) for p in rec.positional])]
+    for key in rec.keys:
+        value = getattr(obj, key)
+        if not rec.sparse or rec.field_defaults.get(key, MISSING) != value:
+            parts.append(f"{key}={_fmt(value)}")
     return " ".join(parts)
 
 
 def serialize_scenario(scenario: Scenario) -> str:
-    net = scenario.network
     out: list[str] = []
-
-    out.append("[network]")
-    out.append(f"name = {net.name}")
-    out.append(f"base_mva = {_fmt(net.base_mva)}")
-    out.append(f"frequency_hz = {_fmt(net.frequency_hz)}")
-    for b in net.buses:
-        line = f"bus {b.id} {_fmt(b.base_kv)} {b.btype}"
-        for key in ("v_set", "p_gen", "p_load", "q_load"):
-            value = getattr(b, key)
-            if value != getattr(Bus, key):
-                line += f" {key}={_fmt(value)}"
-        out.append(line)
-    for br in net.branches:
-        line = f"branch {br.from_bus} {br.to_bus} r={_fmt(br.r)} x={_fmt(br.x)}"
-        if br.b != 0.0:
-            line += f" b={_fmt(br.b)}"
-        if br.tap != 1.0:
-            line += f" tap={_fmt(br.tap)}"
-        out.append(line)
-    for m in net.machines:
-        out.append(f"machine {m.bus} h={_fmt(m.h)} xd_p={_fmt(m.xd_p)} d={_fmt(m.d)}")
-    for sg in net.sgens:
-        out.append(f"sgen {sg.id} {sg.bus} mva={_fmt(sg.mva)}")
-
-    out.append("")
-    out.append("[wtg]")
-    out.append(f"rating_mva = {_fmt(scenario.wpp_rating_mva)}")
-    out.append(f"pcc_bus = {scenario.pcc_bus}")
-    if scenario.pcc_branch is not None:
-        out.append(f"pcc_branch = {scenario.pcc_branch[0]} {scenario.pcc_branch[1]}")
-    if scenario.export_bus_v:
-        out.append("export_bus_v = " + " ".join(str(i) for i in scenario.export_bus_v))
-    for w in scenario.wtgs:
-        out.append(f"wtg {w.id} p_ref={_fmt(w.p_ref)} q_ref={_fmt(w.q_ref)}")
-
-    out.append("")
-    out.append("[controller]")
-    conv_default = scenario.wtgs[0].converter
-    frt_default = scenario.wtgs[0].frt
-    out.append(_controller_line("converter", "default", conv_default))
-    out.append(_controller_line("frt", "default", frt_default))
-    for w in scenario.wtgs:
-        if w.converter != conv_default:
-            out.append(_controller_line("converter", w.id, w.converter))
-        if w.frt != frt_default:
-            out.append(_controller_line("frt", w.id, w.frt))
-
-    out.append("")
-    out.append("[connections]")
-    for c in scenario.connections:
-        line = f"connect {c.source} {c.sink}"
-        if c.gain != 1.0:
-            line += f" gain={_fmt(c.gain)}"
-        if c.offset != 0.0:
-            line += f" offset={_fmt(c.offset)}"
-        out.append(line)
-
-    out.append("")
-    out.append("[events]")
-    for ev in scenario.events:
-        out.append(f"fault bus={ev.bus} start={_fmt(ev.start)} "
-                   f"duration={_fmt(ev.duration)} admittance={_fmt(ev.admittance)}")
-
-    out.append("")
-    out.append("[master]")
-    out.append(f"name = {scenario.name}")
-    out.append(f"mode = {scenario.mode}")
-    out.append(f"scheme = {scenario.master.scheme.value}")
-    out.append(f"macro_step = {_fmt(scenario.master.macro_step)}")
-    out.append(f"micro_step = {_fmt(scenario.micro_step)}")
-    out.append(f"t_end = {_fmt(scenario.master.t_end)}")
-    if scenario.master.record:
-        out.append("record = " + " ".join(scenario.master.record))
+    for section, scalars in _SCALARS.items():
+        out += [""] if out else []
+        out.append(f"[{section}]")
+        for key, (_, path) in scalars.items():
+            value = attrgetter(path)(scenario)
+            if value not in (None, (), []):
+                out.append(f"{key} = {_fmt(value)}")
+        if section == "controller":         # defaults from the first turbine, then overrides
+            shared = {kw: getattr(scenario.wtgs[0], kw) for kw in _CONTROLLERS}
+            out += [_record_line(kw, shared[kw], "default") for kw in _CONTROLLERS]
+            out += [_record_line(kw, getattr(w, kw), w.id) for w in scenario.wtgs
+                    for kw in _CONTROLLERS if getattr(w, kw) != shared[kw]]
+        for keyword, rec in _RECORDS.items():
+            if rec.section == section and rec.path is not None:
+                out += [_record_line(keyword, obj) for obj in attrgetter(rec.path)(scenario)]
     return "\n".join(out) + "\n"
 
 

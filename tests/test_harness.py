@@ -293,6 +293,21 @@ def test_cli_usage_and_input_errors(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("old, new", [
+    ("export_bus_v = 6", "export_bus_v = 0"),
+    ("pcc_bus = 3", "pcc_bus = 3\npcc_branch = 3 99"),
+    ("t_end = 0.02", "t_end = 1e300"),
+])
+def test_cli_rejects_out_of_domain_inputs_with_exit_1(tmp_path, capsys, old, new):
+    text = serialize_scenario(build_small_scale(t_end=0.02, fault=None))
+    assert old in text
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text.replace(old, new))
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_run_failure_exit_code(tmp_path, capsys):
     # dispatch beyond the converter limit parses fine but cannot equilibrate
     sc = build_small_scale(t_end=0.02, plant_mw=102.0, fault=None)

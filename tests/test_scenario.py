@@ -185,3 +185,19 @@ def test_run_scenario_reports_init_diagnostics():
     direct, _ = instantiate(sc).run(scenario_name=sc.name)
     for name in trace.names():
         assert np.array_equal(trace[name], direct[name]), name
+
+
+@pytest.mark.parametrize("build", [build_monolithic, build_small_scale])
+def test_fault_at_time_zero_acts_from_the_first_step(build):
+    fault = FaultEvent(bus=6, start=0.0, duration=0.01)
+    trace, meta = run_scenario(build(t_end=0.03, fault=fault))
+    clear, _ = run_scenario(build(t_end=0.03, fault=None))
+    v = trace["grid.v_bus6"]
+    # the run starts from the pre-fault equilibrium ...
+    assert meta.init["equilibrium_deviation"] < 1e-6
+    for name in trace.names():
+        assert trace[name][0] == clear[name][0], name
+    # ... the bolted fault holds bus 6 down from the first step until it clears at 10 ms ...
+    assert np.all(v[1:10] < 1e-3)
+    # ... and the voltage comes back afterwards
+    assert v[-1] > 0.95

@@ -1,19 +1,23 @@
 """Scenario text format: roundtrips, shipped files, parse diagnostics."""
 
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from windcosim.converter import QMode
+from windcosim.cosim import MAX_MACRO_STEPS, MasterConfig, Scheme
 from windcosim.errors import (ScenarioError, ScenarioParseError,
                               ScenarioValidationError, TopologyError)
 from windcosim.scenario import (build_large_scale, build_monolithic,
                                 build_small_scale)
-from windcosim.scenario_io import (parse_scenario, parse_scenario_text,
+from windcosim.scenario_io import (_RECORDS, _SCALARS, parse_scenario, parse_scenario_text,
                                    serialize_scenario, write_scenario)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+FORMAT_DOC = Path(__file__).resolve().parent.parent / "docs" / "scenario_format.md"
 
 BASE = """\
 [network]
@@ -226,6 +230,22 @@ def test_semantic_errors_surface_as_validation_errors():
         parse_scenario_text(bad)
 
 
+@pytest.mark.parametrize("record, fragment", [
+    ("converter default q_mode=reactive", "'reactive' is not a valid QMode"),
+    ("converter default q_mode=volts", "'volts' is not a valid QMode"),
+    ("frt default ramp_enabled=maybe", "expected a boolean, got 'maybe'"),
+    ("frt wpp ramp_enabled=2", "expected a boolean, got '2'"),
+])
+def test_bad_controller_value_reports_its_line(record, fragment):
+    bad = BASE.replace("[master]", f"[controller]\nfrt default deglitch=0.01\n{record}\n\n[master]")
+    reject(bad, fragment, line_no=bad.splitlines().index(record) + 1)
+
+
+def test_reactive_power_q_mode_parses():
+    ok = BASE.replace("[master]", "[controller]\nconverter default q_mode=reactive_power\n\n[master]")
+    assert parse_scenario_text(ok).wtgs[0].converter.q_mode is QMode.REACTIVE_POWER
+
+
 @pytest.mark.parametrize("old, new", [
     ("macro_step = 0.001", "macro_step = nan"),
     ("micro_step = 0.0005", "micro_step = nan"),
@@ -234,6 +254,25 @@ def test_semantic_errors_surface_as_validation_errors():
 def test_rejects_non_finite_step_settings(old, new):
     with pytest.raises(ScenarioValidationError, match="finite"):
         parse_scenario_text(BASE.replace(old, new))
+
+
+@pytest.mark.parametrize("macro_step, t_end", [
+    ("0.001", "1e300"),
+    ("0.001", "100000.0"),
+    ("1e-12", "0.01"),
+    ("5e-324", "0.01"),
+])
+def test_rejects_runs_longer_than_the_step_cap(macro_step, t_end):
+    text = (BASE.replace("macro_step = 0.001", f"macro_step = {macro_step}")
+            .replace("t_end = 0.01", f"t_end = {t_end}"))
+    with pytest.raises(ScenarioValidationError, match="macro steps, above the cap"):
+        parse_scenario_text(text)
+
+
+def test_step_cap_admits_a_run_of_exactly_the_cap():
+    MasterConfig(macro_step=1.0, t_end=float(MAX_MACRO_STEPS))
+    with pytest.raises(ValueError, match="above the cap"):
+        MasterConfig(macro_step=1.0, t_end=float(MAX_MACRO_STEPS + 1))
 
 
 @pytest.mark.parametrize("fault", [
@@ -264,6 +303,47 @@ def test_invalid_network_surfaces_as_validation_error(old, new, fragment):
     with pytest.raises(ScenarioValidationError, match=fragment) as exc:
         parse_scenario_text(SMALL_SCALE.replace(old, new, 1))
     assert isinstance(exc.value.__cause__, TopologyError)
+
+
+LARGE_SCALE = (SCENARIO_DIR / "large_scale.scn").read_text()
+
+
+@pytest.mark.parametrize("text, old, new, fragment", [
+    (SMALL_SCALE, "export_bus_v = 6", "export_bus_v = 0", "export_bus_v: bus 0 not in network"),
+    (SMALL_SCALE, "export_bus_v = 6", "export_bus_v = 6 77", "bus 77 not in network"),
+    (LARGE_SCALE, "pcc_branch = 3 10", "pcc_branch = 3 99", "pcc branch 3-99 not in network"),
+    (LARGE_SCALE, "pcc_branch = 3 10", "pcc_branch = 3 11", "pcc branch 3-11 not in network"),
+], ids=["export-bus-0", "export-bus-77", "pcc-branch-to-unknown-bus", "pcc-branch-not-a-branch"])
+def test_rejects_pcc_branch_and_export_bus_outside_the_network(text, old, new, fragment):
+    assert old in text
+    with pytest.raises(ScenarioValidationError, match=fragment):
+        parse_scenario_text(text.replace(old, new, 1))
+
+
+def test_pcc_branch_may_name_its_ends_in_either_order():
+    sc = parse_scenario_text(LARGE_SCALE.replace("pcc_branch = 3 10", "pcc_branch = 10 3"))
+    assert sc.pcc_branch == (10, 3)
+
+
+# -- the grammar table against the format document ----------------------------------
+
+
+def test_format_doc_names_every_keyword_key_and_value():
+    doc = FORMAT_DOC.read_text(encoding="utf-8")
+    parts = re.split(r"^## `\[(\w+)\]`$", doc, flags=re.M)
+    sections = dict(zip(parts[1::2], parts[2::2]))
+    assert set(sections) == set(_SCALARS)
+    missing = []
+    for section, scalars in _SCALARS.items():
+        missing += [f"[{section}] {key}" for key in scalars
+                    if f"`{key}`" not in sections[section]]
+    for keyword, rec in _RECORDS.items():
+        body = sections[rec.section]
+        if not re.search(rf"(?<![\w.]){keyword}(?!\w)", body):
+            missing.append(f"[{rec.section}] {keyword}")
+        missing += [f"{keyword} {key}=" for key in rec.keys if f"{key}=" not in body]
+    missing += [f"`{m.value}`" for m in (*QMode, *Scheme) if f"`{m.value}`" not in doc]
+    assert missing == []
 
 
 _LINES = SMALL_SCALE.splitlines()
