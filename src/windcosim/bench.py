@@ -23,12 +23,12 @@ class BenchRow:
     min_wall_s: float
     max_wall_s: float
     steps_per_s: float
-    trace: TraceSet | None = field(default=None, repr=False)
+    trace: TraceSet = field(repr=False)
 
 
-def bench_scaling(scenarios: list[Scenario], repetitions: int = 3,
-                  keep_traces: bool = False) -> list[BenchRow]:
-    """Run each scenario ``repetitions`` times, report the median time.
+def bench_scaling(scenarios: list[Scenario], repetitions: int = 3) -> list[BenchRow]:
+    """Run each scenario ``repetitions`` times, report the median time and
+    keep the first repetition's trace.
 
     Runs are sequential (no overlap that would distort timing).  Each
     repetition instantiates fresh components, so repetitions are
@@ -40,7 +40,6 @@ def bench_scaling(scenarios: list[Scenario], repetitions: int = 3,
     for sc in scenarios:
         times = []
         steps = components = None
-        trace = None
         for _ in range(repetitions):
             tr, meta = run_scenario(sc)
             times.append(meta.wall_clock_s)
@@ -55,7 +54,7 @@ def bench_scaling(scenarios: list[Scenario], repetitions: int = 3,
             scenario=sc.name, components=components, steps=steps,
             median_wall_s=med, min_wall_s=min(times), max_wall_s=max(times),
             steps_per_s=steps / med if med > 0 else float("inf"),
-            trace=trace if keep_traces else None))
+            trace=trace))
     return rows
 
 

@@ -99,10 +99,6 @@ class ConverterControl:
         self.i_q_cmd = 0.0
         self.active_q_mode = params.q_mode
 
-    def nominal_commands(self) -> tuple[float, float]:
-        """Setpoint currents at nominal (1.0 pu) voltage."""
-        return self.p_ref, self.q_ref
-
     def equilibrium(self, v_mag: float) -> tuple[float, float]:
         """Back-solve integrator states for steady state at voltage ``v_mag``.
 
@@ -126,18 +122,16 @@ class ConverterControl:
         return i_d, i_q
 
     def step(self, dt: float, v_mag: float, p_meas: float, q_meas: float,
-             override: "_frt.FrtOverride | None" = None) -> tuple[float, float]:
-        if override is None:
-            override = _frt.FrtOverride.none()
-        mode = override.mode
+             mode: _frt.Mode = _frt.Mode.NORMAL, block_active: bool = False,
+             i_q_boost: float = 0.0, i_d_ref: float = 0.0) -> tuple[float, float]:
         p = self.params
 
-        if override.block_active:
+        if block_active:
             i_d_pre = 0.0
             new_integ_d = 0.0
             d_tracks = True
         elif mode is _frt.Mode.RECOVERY:
-            i_d_pre = override.i_d_ref
+            i_d_pre = i_d_ref
             new_integ_d = i_d_pre
             d_tracks = True
         else:
@@ -150,7 +144,7 @@ class ConverterControl:
         self.active_q_mode = QMode.VOLTAGE if use_voltage else QMode.REACTIVE_POWER
         err_q = (self.v_ref - v_mag) if use_voltage else (self.q_ref - q_meas)
         new_integ_q = self.integ_q + p.ki_q * dt * err_q
-        i_q_pre = p.kp_q * err_q + new_integ_q + override.i_q_boost
+        i_q_pre = p.kp_q * err_q + new_integ_q + i_q_boost
 
         priority = Priority.REACTIVE if mode is not _frt.Mode.NORMAL else Priority.ACTIVE
         i_d, i_q, clip_d, clip_q = current_limit(i_d_pre, i_q_pre, p.i_max, priority)
@@ -180,13 +174,8 @@ class ConverterComponent(SimComponent):
         self.declare_input("block_active", kind=VarKind.BOOL, start=False)
         self.declare_input("i_q_boost", start=0.0)
         self.declare_input("i_d_ref_frt", start=0.0)
-        self.declare_output("i_d_cmd", start=0.0)
-        self.declare_output("i_q_cmd", start=0.0)
-
-    def publish_setpoints(self) -> None:
-        i_d, i_q = self.control.nominal_commands()
-        self.set("i_d_cmd", i_d)
-        self.set("i_q_cmd", i_q)
+        self.declare_output("i_d_cmd", start=p_ref)     # setpoints are the nominal commands
+        self.declare_output("i_q_cmd", start=q_ref)
 
     def equilibrate(self) -> None:
         i_d, i_q = self.control.equilibrium(self.get("v_meas"))
@@ -199,7 +188,6 @@ class ConverterComponent(SimComponent):
             mode = _MODES[values["frt_mode"]]
         except KeyError:
             raise ValueError(f"{values['frt_mode']!r} is not a valid FRT mode") from None
-        override = _frt.FrtOverride(mode, values["block_active"],
-                                    values["i_q_boost"], values["i_d_ref_frt"])
         values["i_d_cmd"], values["i_q_cmd"] = self.control.step(
-            dt, values["v_meas"], values["p_meas"], values["q_meas"], override)
+            dt, values["v_meas"], values["p_meas"], values["q_meas"], mode,
+            values["block_active"], values["i_q_boost"], values["i_d_ref_frt"])

@@ -253,6 +253,7 @@ class Master:
         self._driven: set[VariableRef] = set()
         self._order: list[SimComponent] = []
         self._plan: list[tuple] = []
+        self._recorded: list[VariableRef] | None = None
         self._initialized = False
         self.current_step = 0
 
@@ -305,6 +306,12 @@ class Master:
         self._by_sink.setdefault(sink.component_id, []).append(conn)
         self._driven.add(sink)
         return conn
+
+    def recorded(self) -> list[VariableRef]:
+        """The ``config.record`` channels, resolved on the first call."""
+        if self._recorded is None:
+            self._recorded = [self.resolve(name) for name in self.config.record]
+        return self._recorded
 
     def component(self, component_id: str) -> SimComponent:
         return self._components[component_id]
@@ -391,9 +398,9 @@ class Master:
         meta.steps = n_steps
 
         started = _time.perf_counter()
+        refs = self.recorded()         # before initializing: an unknown channel fails first
         if not self._initialized:
             self.initialize()
-        refs = [self.resolve(name) for name in self.config.record]
         times = [0.0]
         rows = [self._sample(refs)]
         for _ in range(n_steps):

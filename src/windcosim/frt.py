@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,18 +63,13 @@ class FrtParams:
             raise ValueError("deglitch and k_boost must be >= 0, ramp_rate > 0")
 
 
-@dataclass(frozen=True)
-class FrtOverride:
-    """What the supervisor tells the converter each step."""
+class FrtOverride(NamedTuple):
+    """The supervisor's outputs: the last four arguments of ``ConverterControl.step``."""
 
     mode: Mode
     block_active: bool
     i_q_boost: float
     i_d_ref: float
-
-    @staticmethod
-    def none() -> "FrtOverride":
-        return FrtOverride(Mode.NORMAL, False, 0.0, 0.0)
 
 
 class FrtControl:
@@ -118,7 +114,7 @@ class FrtControl:
                 if p.ramp_enabled:
                     room = p.ramp_rate * dt
                     diff = self.prefault_i_d - self.i_d_ref
-                    self.i_d_ref += float(np.clip(diff, -room, room))
+                    self.i_d_ref += min(max(diff, -room), room)
                 else:
                     self.i_d_ref = self.prefault_i_d
                 if abs(self.i_d_ref - self.prefault_i_d) < 1e-12:
@@ -128,11 +124,7 @@ class FrtControl:
             raise FrtTransitionError(f"forbidden transition {prev.name} -> {self.mode.name}")
         self._prev_cmd = i_d_cmd_meas
         boost = p.k_boost * max(0.0, p.v_enter - v_mag) if self.mode is not Mode.NORMAL else 0.0
-        return FrtOverride(
-            mode=self.mode,
-            block_active=self.mode is Mode.FAULT,
-            i_q_boost=boost,
-            i_d_ref=self.i_d_ref)
+        return FrtOverride(self.mode, self.mode is Mode.FAULT, boost, self.i_d_ref)
 
 
 class FrtComponent(SimComponent):
@@ -156,11 +148,9 @@ class FrtComponent(SimComponent):
 
     def _do_step(self, t: float, dt: float) -> None:
         values = self._values
-        ov = self.control.step(dt, values["v_meas"], values["i_d_cmd_meas"])
-        values["mode"] = int(ov.mode)
-        values["block_active"] = ov.block_active
-        values["i_q_boost"] = ov.i_q_boost
-        values["i_d_ref_limited"] = ov.i_d_ref
+        mode, values["block_active"], values["i_q_boost"], values["i_d_ref_limited"] = \
+            self.control.step(dt, values["v_meas"], values["i_d_cmd_meas"])
+        values["mode"] = int(mode)
 
 
 # -- voltage envelope ---------------------------------------------------------

@@ -31,7 +31,7 @@ from .converter import ConverterControl
 from .cosim import SimComponent, VarKind
 from .dynamics import GridMeasurements, RmsModel
 from .errors import UnknownVariableError
-from .frt import FrtControl, FrtOverride
+from .frt import FrtControl, FrtOverride, Mode
 from .network import FaultEvent, NetworkData
 from .powerflow import solve_power_flow
 
@@ -42,7 +42,7 @@ class _EmbeddedWtg:
     def __init__(self, converter: ConverterControl, supervisor: FrtControl):
         self.converter = converter
         self.supervisor = supervisor
-        self.override = FrtOverride.none()
+        self.override = FrtOverride(Mode.NORMAL, False, 0.0, 0.0)
 
 
 class GridComponent(SimComponent):
@@ -143,7 +143,7 @@ class GridComponent(SimComponent):
             return
         for sid, wtg in self.embedded.items():
             m = meas.sgen[sid]
-            i_d, i_q = wtg.converter.step(h, m.v_mag, m.p, m.q, wtg.override)
+            i_d, i_q = wtg.converter.step(h, m.v_mag, m.p, m.q, *wtg.override)
             wtg.override = wtg.supervisor.step(h, m.v_mag, i_d)
             self.model.set_sgen_command(sid, i_d=i_d, i_q=i_q)
 

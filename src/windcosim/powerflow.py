@@ -3,7 +3,7 @@
 Loads are constant power.  Static generators enter as fixed P/Q
 injections at their buses (their setpoints, rescaled to the system
 base), so a converter-dominated plant can be dispatched without a
-voltage-controlled bus.  Convergence is max |mismatch| < tol on both
+voltage-controlled bus.  Convergence is max |mismatch| < ``TOL`` on both
 active and reactive equations.
 """
 
@@ -12,10 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import PowerFlowDivergedError, SingularNetworkError
 from .network import NetworkData, assemble_ybus
+
+TOL = 1e-8          # max |mismatch| in pu on the system base
+MAX_ITER = 20
 
 
 @dataclass
@@ -48,12 +50,8 @@ def scheduled_injections(network: NetworkData,
 
 
 def solve_power_flow(network: NetworkData,
-                     sgen_pq: dict[str, tuple[float, float]] | None = None,
-                     tol: float = 1e-8,
-                     max_iter: int = 20,
-                     ybus: sp.csc_matrix | None = None) -> PowerFlowResult:
-    if ybus is None:
-        ybus = assemble_ybus(network)
+                     sgen_pq: dict[str, tuple[float, float]] | None = None) -> PowerFlowResult:
+    ybus = assemble_ybus(network)
     n = len(network.buses)
     btypes = [b.btype for b in network.buses]
     pv = [i for i, t in enumerate(btypes) if t == "pv"]
@@ -67,15 +65,15 @@ def solve_power_flow(network: NetworkData,
     def mismatch(v):
         return v * np.conj(ybus @ v) - s_sched
 
-    for it in range(max_iter + 1):
+    for it in range(MAX_ITER + 1):
         v = vm * np.exp(1j * va)
         mis = mismatch(v)
         f = np.concatenate([mis[pvpq].real, mis[pq].imag])
         max_mis = float(np.max(np.abs(f))) if f.size else 0.0
-        if max_mis < tol:
+        if max_mis < TOL:
             return PowerFlowResult(v=v, iterations=it, max_mismatch=max_mis,
                                    bus_ids=[b.id for b in network.buses])
-        if it == max_iter:
+        if it == MAX_ITER:
             break
 
         # complex Jacobian blocks dS/dVa, dS/dVm (dense; systems stay small)
@@ -99,4 +97,4 @@ def solve_power_flow(network: NetworkData,
         va[pvpq] += dx[: len(pvpq)]
         vm[pq] += dx[len(pvpq):]
 
-    raise PowerFlowDivergedError(iterations=max_iter, mismatch=max_mis)
+    raise PowerFlowDivergedError(iterations=MAX_ITER, mismatch=max_mis)

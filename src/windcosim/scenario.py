@@ -29,9 +29,9 @@ from dataclasses import dataclass, field, replace
 
 from .collector import WppLayout
 from .converter import ConverterComponent, ConverterParams, QMode
-from .cosim import Master, MasterConfig, Scheme
+from .cosim import MAX_MACRO_STEPS, Master, MasterConfig, Scheme
 from .dynamics import micro_grid
-from .errors import ScenarioValidationError, UnresolvedReferenceError
+from .errors import ScenarioValidationError, UnresolvedReferenceError, WiringError
 from .frt import FrtComponent, FrtParams
 from .gridcomp import GridComponent
 from .network import (Bus, Branch, FaultEvent, NetworkData, StaticGenerator,
@@ -119,6 +119,13 @@ class Scenario:
         if not (math.isfinite(self.micro_step) and self.micro_step > 0.0):
             raise ScenarioValidationError(
                 f"micro_step must be finite and positive, got {self.micro_step}")
+        per_macro = self.master.macro_step / self.micro_step
+        if per_macro <= MAX_MACRO_STEPS:      # past the cap, micro_grid's count may overflow
+            per_macro = micro_grid(self.master.macro_step, self.micro_step)[0]
+        micro_steps = max(1.0, self.master.t_end / self.master.macro_step) * per_macro
+        if micro_steps > MAX_MACRO_STEPS:
+            raise ScenarioValidationError(f"micro_step {self.micro_step} gives {micro_steps:.3g} "
+                                          f"micro steps, above the cap of {MAX_MACRO_STEPS}")
         for ev in self.events:
             if ev.bus not in ids:
                 raise UnresolvedReferenceError(f"bus {ev.bus}", "fault at unknown bus")
@@ -305,7 +312,14 @@ def instantiate(scenario: Scenario) -> Master:
         for i, w in enumerate(scenario.wtgs):
             master.register(FrtComponent(f"frt_{w.id}", w.frt), base + i)
         for c in scenario.connections:
-            master.connect(c.source, c.sink, c.gain, c.offset)
+            try:
+                master.connect(c.source, c.sink, c.gain, c.offset)
+            except WiringError as exc:
+                raise ScenarioValidationError(f"connect {c.source} {c.sink}: {exc}") from exc
+    try:
+        master.recorded()
+    except WiringError as exc:
+        raise ScenarioValidationError(f"record: {exc}") from exc
     return master
 
 
@@ -331,11 +345,14 @@ def run_scenario(scenario: Scenario, scheme: Scheme | str | None = None,
 
 
 def _fault_time_warnings(sc: Scenario) -> list[str]:
-    """Name each fault start or clearance that the grid moves to the next
-    micro-step boundary."""
+    """Name each fault starting at or after the end of the run, and each fault
+    start or clearance that the grid moves to the next micro-step boundary."""
     _, h = micro_grid(sc.master.macro_step, sc.micro_step)
     warnings = []
     for ev in sc.events:
+        if ev.start >= sc.master.t_end:
+            warnings.append(f"fault at bus {ev.bus}: start {ev.start:.12g} s is at or after "
+                            f"the end of the run ({sc.master.t_end:.12g} s); it has no effect")
         for what, t in (("start", ev.start), ("clearance", ev.clearance)):
             applied = fault_switch_time(t, h)
             if abs(applied - t) > 1e-9:

@@ -82,11 +82,11 @@ def test_limit_properties(i_d, i_q, i_max, priority):
 # -- PI loops --------------------------------------------------------------------
 
 
-def step_against_unit_grid(control, n, dt=1e-3, v=1.0, override=None):
+def step_against_unit_grid(control, n, dt=1e-3, v=1.0):
     """Algebraic 1 pu grid: measured P, Q follow the commands instantly."""
     p = q = 0.0
     for _ in range(n):
-        i_d, i_q = control.step(dt, v, p, q, override)
+        i_d, i_q = control.step(dt, v, p, q)
         p, q = i_d * v, i_q * v
     return p, q
 
@@ -160,7 +160,7 @@ def test_conditional_anti_windup_releases_quickly():
 def test_fault_mode_forces_voltage_regulation():
     c = ConverterControl(ConverterParams(q_mode=QMode.REACTIVE_POWER), p_ref=0.5)
     ov = FrtOverride(mode=Mode.FAULT, block_active=True, i_q_boost=0.0, i_d_ref=0.0)
-    c.step(1e-3, 0.4, 0.0, 0.0, ov)
+    c.step(1e-3, 0.4, 0.0, 0.0, *ov)
     assert c.active_q_mode is QMode.VOLTAGE
 
 
@@ -168,7 +168,7 @@ def test_block_zeroes_active_axis_and_integrator():
     c = ConverterControl(ConverterParams(), p_ref=0.8)
     c.equilibrium(1.0)
     ov = FrtOverride(mode=Mode.FAULT, block_active=True, i_q_boost=0.0, i_d_ref=0.0)
-    i_d, _ = c.step(1e-3, 0.3, 0.8, 0.0, ov)
+    i_d, _ = c.step(1e-3, 0.3, 0.8, 0.0, *ov)
     assert i_d == 0.0
     assert c.integ_d == 0.0
 
@@ -176,7 +176,7 @@ def test_block_zeroes_active_axis_and_integrator():
 def test_boost_enters_additively():
     c = ConverterControl(ConverterParams(kp_q=0.0, ki_q=0.0), p_ref=0.0, v_ref=1.0)
     ov = FrtOverride(mode=Mode.FAULT, block_active=True, i_q_boost=0.7, i_d_ref=0.0)
-    _, i_q = c.step(1e-3, 1.0, 0.0, 0.0, ov)
+    _, i_q = c.step(1e-3, 1.0, 0.0, 0.0, *ov)
     assert i_q == pytest.approx(0.7, abs=1e-15)
 
 
@@ -184,7 +184,7 @@ def test_reactive_priority_during_override():
     p = ConverterParams(kp_q=0.0, ki_q=0.0, i_max=1.1)
     c = ConverterControl(p, p_ref=0.0)
     ov = FrtOverride(mode=Mode.RECOVERY, block_active=False, i_q_boost=0.8, i_d_ref=1.0)
-    i_d, i_q = c.step(1e-3, 1.0, 0.0, 0.0, ov)
+    i_d, i_q = c.step(1e-3, 1.0, 0.0, 0.0, *ov)
     assert i_q == pytest.approx(0.8, abs=1e-15)
     assert i_d == pytest.approx(math.sqrt(1.1 ** 2 - 0.8 ** 2), abs=1e-12)
 
@@ -193,7 +193,7 @@ def test_recovery_tracks_reference_bumplessly():
     c = ConverterControl(ConverterParams(), p_ref=0.9)
     c.equilibrium(1.0)
     ov = FrtOverride(mode=Mode.RECOVERY, block_active=False, i_q_boost=0.0, i_d_ref=0.37)
-    i_d, _ = c.step(1e-3, 1.0, 0.9, 0.0, ov)
+    i_d, _ = c.step(1e-3, 1.0, 0.9, 0.0, *ov)
     assert i_d == 0.37
     assert c.integ_d == 0.37
     # back to normal regulation: next command continues from the override value

@@ -154,7 +154,7 @@ def test_bench_rows_and_timing_purity():
     fault = FaultEvent(bus=6, start=0.02, duration=0.01)
     for scheme in (Scheme.SERIAL, Scheme.PARALLEL):
         sc = build_small_scale(t_end=0.05, fault=fault, scheme=scheme)
-        rows = bench_scaling([sc], repetitions=3, keep_traces=True)
+        rows = bench_scaling([sc], repetitions=3)
         assert len(rows) == 1
         row = rows[0]
         assert row.scenario == "small_scale"
@@ -297,6 +297,13 @@ def test_cli_usage_and_input_errors(tmp_path, capsys):
     ("export_bus_v = 6", "export_bus_v = 0"),
     ("pcc_bus = 3", "pcc_bus = 3\npcc_branch = 3 99"),
     ("t_end = 0.02", "t_end = 1e300"),
+    # wiring that only the built components can check
+    ("connect grid.v_wpp frt_wpp.v_meas",
+     "connect grid.v_wpp frt_wpp.v_meas\nconnect grid.v_pcc frt_wpp.v_meas"),
+    ("connect grid.q_wpp conv_wpp.q_meas", "connect grid.nope conv_wpp.q_meas"),
+    ("connect frt_wpp.mode conv_wpp.frt_mode", "connect grid.v_pcc conv_wpp.frt_mode"),
+    ("connect grid.q_wpp conv_wpp.q_meas", "connect conv_wpp.v_meas conv_wpp.q_meas"),
+    ("record = grid.v_pcc", "record = grid.nope grid.v_pcc"),
 ])
 def test_cli_rejects_out_of_domain_inputs_with_exit_1(tmp_path, capsys, old, new):
     text = serialize_scenario(build_small_scale(t_end=0.02, fault=None))

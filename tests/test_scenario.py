@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from windcosim.cosim import Scheme
-from windcosim.errors import ScenarioValidationError, UnresolvedReferenceError
+from windcosim.errors import (ScenarioValidationError, SinkAlreadyDrivenError,
+                              UnknownVariableError, UnresolvedReferenceError)
 from windcosim.network import FaultEvent
 from windcosim.powerflow import solve_power_flow
 from windcosim.scenario import (DEFAULT_FAULT, ConnectionSpec, build_large_scale,
@@ -129,6 +130,23 @@ def test_validate_rejects_recording_unknown_component():
         sc.validate()
 
 
+@pytest.mark.parametrize("connection, record, message, cause", [
+    (ConnectionSpec("grid.v_pcc", "frt_wpp.v_meas"), None,
+     "connect grid.v_pcc frt_wpp.v_meas: .* already driven", SinkAlreadyDrivenError),
+    (None, "grid.nope", "record: grid has no variable 'nope'", UnknownVariableError),
+])
+def test_instantiate_reports_wiring_errors_as_validation_errors(connection, record,
+                                                                message, cause):
+    sc = build_small_scale()
+    if connection is not None:
+        sc.connections = sc.connections + [connection]
+    if record is not None:
+        sc.master.record.append(record)
+    with pytest.raises(ScenarioValidationError, match=message) as info:
+        instantiate(sc)
+    assert type(info.value.__cause__) is cause
+
+
 def test_instantiate_orders_grid_then_converters_then_supervisors():
     master = instantiate(build_small_scale())
     assert master.execution_order() == ["grid", "conv_wpp", "frt_wpp"]
@@ -167,6 +185,14 @@ def test_off_grid_fault_times_are_reported_with_the_applied_times():
     assert trace.names() == trace_on.names()
     for name in trace.names():
         assert np.array_equal(trace[name], trace_on[name]), name
+
+
+@pytest.mark.parametrize("start", [0.03, 5.0])
+def test_fault_starting_at_or_after_the_end_of_the_run_is_reported(start):
+    late = FaultEvent(bus=6, start=start, duration=0.01)
+    _, meta = run_scenario(build_small_scale(t_end=0.03, fault=late))
+    assert meta.warnings == [f"fault at bus 6: start {start:.12g} s is at or after the end "
+                             f"of the run (0.03 s); it has no effect"]
 
 
 def test_run_scenario_reports_init_diagnostics():

@@ -269,6 +269,18 @@ def test_rejects_runs_longer_than_the_step_cap(macro_step, t_end):
         parse_scenario_text(text)
 
 
+@pytest.mark.parametrize("micro_step, t_end", [
+    ("1e-12", "0.01"),
+    ("5e-324", "0.01"),
+    ("1e-9", "0.1"),
+])
+def test_rejects_runs_with_more_micro_steps_than_the_step_cap(micro_step, t_end):
+    text = (BASE.replace("micro_step = 0.0005", f"micro_step = {micro_step}")
+            .replace("t_end = 0.01", f"t_end = {t_end}"))
+    with pytest.raises(ScenarioValidationError, match="micro steps, above the cap"):
+        parse_scenario_text(text)
+
+
 def test_step_cap_admits_a_run_of_exactly_the_cap():
     MasterConfig(macro_step=1.0, t_end=float(MAX_MACRO_STEPS))
     with pytest.raises(ValueError, match="above the cap"):
