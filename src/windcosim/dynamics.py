@@ -20,20 +20,23 @@ Model structure
 Integration is fixed-step RK4.  The admittance matrix ``Y`` (and its
 factorization) is frozen over each micro step, with fault shunts applied
 and removed exactly at micro-step boundaries; removing a fault restores
-the pre-fault factorization, so apply/remove cycles are bit-exact.  The
-sgen currents and the stiff slack are fixed over a micro step too, so the
-network solution is ``v = z_m e + w`` in the machine EMFs ``e``:
-``z_m = Y^-1 P_m diag(y_m)`` is solved once per factorization, ``w`` (the
-response to the fixed injections) once per micro step and fault topology,
-and each RK4 stage is a small dense product on the machine-bus rows.
+the pre-fault factorization, so apply/remove cycles are bit-exact.  One
+multi-column solve per factorization gives the bus voltages
+``v = z_m e + z_s i_s + w_0`` in the machine EMFs ``e`` and the sgen
+currents ``i_s`` (``w_0``: the stiff slack's response), so no micro step
+solves the network.  Each RK4 stage evaluates the reduced-network swing
+equation ``Pe = Im(e conj(v_m)) / x' = Im(u conj(A u + b))``, with
+``u = exp(j delta)``, ``A = diag(E/x') z_mm diag(E)`` per factorization
+and ``b = (E/x') w_m`` per micro step (``i_s`` is fixed over it).
 """
 
 from __future__ import annotations
 
 import bisect
+import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,15 +84,21 @@ class GridMeasurements:
 
 
 class _Factor(NamedTuple):
-    """A factorized ``Y``: its solver and ``z_m``."""
+    """One factorized ``Y``'s responses and reduced terms, ``b = b_0 + b_s i_s``."""
 
-    solve: Callable[[np.ndarray], np.ndarray]
     z_m: np.ndarray
+    z_s: np.ndarray
+    w_0: np.ndarray
+    a: np.ndarray
+    b_s: np.ndarray
+    b_0: np.ndarray
 
 
 def micro_grid(duration: float, micro_step: float) -> tuple[int, float]:
     """Split ``duration`` evenly into the fewest steps no longer than
     ``micro_step``: returns their number and their length."""
+    if not (micro_step > 0.0 and math.isfinite(duration / micro_step)):
+        raise ValueError(f"cannot split {duration} s into micro steps of {micro_step} s")
     n = max(1, math.ceil(duration / micro_step - 1e-9))
     return n, duration / n
 
@@ -102,8 +111,8 @@ class RmsModel:
                  pcc_bus: int | None = None,
                  pcc_branch: tuple[int, int] | None = None):
         network.validate()
-        if micro_step <= 0.0:
-            raise ValueError(f"micro_step must be positive, got {micro_step}")
+        if not (math.isfinite(micro_step) and micro_step > 0.0):
+            raise ValueError(f"micro_step must be finite and positive, got {micro_step}")
         self.network = network
         self.micro_step = micro_step
         self.events = list(events or [])
@@ -121,6 +130,11 @@ class RmsModel:
         self.d = np.array([m.d for m in machines])
         self.xd_p = np.array([m.xd_p for m in machines])
         self.y_m = 1.0 / (1j * self.xd_p)
+        # RK4 rates of y = [delta, domega]: rate_lin y + rate_acc (Pm - Pe)
+        nm = len(machines)
+        self._rate_acc = np.vstack([np.zeros((nm, nm)), np.diag(0.5 / self.h)])
+        self._rate_lin = np.hstack([np.zeros((2 * nm, nm)), np.vstack(
+            [self.omega_s * np.eye(nm), -self.d * self._rate_acc[nm:]])])
         # dynamic states and setpoints, filled by init_equilibrium
         self.delta = np.zeros(len(machines))
         self.domega = np.zeros(len(machines))
@@ -258,8 +272,7 @@ class RmsModel:
                 f"(max deviation {deviation:.3e} pu)")
         self.init_diagnostics = {"iterations": pf.iterations, "max_mismatch":
                                  float(pf.max_mismatch), "equilibrium_deviation": deviation}
-        self.pm = self._electrical_power(self.e_mag * np.exp(1j * self.delta),
-                                         v_dyn[self.m_bus])
+        self.pm = (e * v_dyn[self.m_bus].conj()).imag / self.xd_p
         self._measure(0.0, v_dyn, {}, self._sgen_currents())
 
     # -- network solution --------------------------------------------------
@@ -268,44 +281,35 @@ class RmsModel:
         shunts, key = self._fault_schedule[bisect.bisect_right(self._fault_bounds, t)]
         lu = self._lu_cache.get(key)
         if lu is None:
-            y = ybus_with_shunts(self._y_dyn, shunts)
+            nm, ns = len(self.m_bus), len(self.s_bus)
+            rhs = np.zeros((self._n, nm + ns + 1), dtype=complex)
+            rhs[self.m_bus, np.arange(nm)] = self.y_m
+            rhs[self.s_bus, nm + np.arange(ns)] = 1.0
+            rhs[self._slack_idx, -1] = self._slack_e * self._y_stiff if self._stiff_slack else 0.0
             try:
-                lu = spla.splu(y)
+                z = spla.splu(ybus_with_shunts(self._y_dyn, shunts)).solve(rhs)
             except RuntimeError as exc:
                 raise SingularNetworkError(f"dynamic admittance matrix: {exc}") from exc
-            rhs = np.zeros((self._n, len(self.m_bus)), dtype=complex)
-            rhs[self.m_bus, np.arange(len(self.m_bus))] = self.y_m
-            lu = self._lu_cache[key] = _Factor(lu.solve, lu.solve(rhs))
+            zr = (self.e_mag / self.xd_p)[:, None] * z[self.m_bus]    # machine rows, E/x'
+            lu = self._lu_cache[key] = _Factor(z[:, :nm], z[:, nm:-1], z[:, -1],
+                                               zr[:, :nm] * self.e_mag, zr[:, nm:-1], zr[:, -1])
         return lu, shunts
 
-    def _fixed_response(self, lu: _Factor, cur: np.ndarray) -> np.ndarray:
-        """``w``: the bus voltages from the stiff slack and the sgen currents."""
-        i_c = np.zeros(self._n, dtype=complex)
-        if self._stiff_slack:
-            i_c[self._slack_idx] = self._slack_e * self._y_stiff
-        np.add.at(i_c, self.s_bus, cur)
-        return lu.solve(i_c)
-
-    def _voltages(self, lu: _Factor, delta: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return lu.z_m @ (self.e_mag * np.exp(1j * delta)) + w
-
-    def _electrical_power(self, e: np.ndarray, v_m: np.ndarray) -> np.ndarray:
-        """Air-gap power of each machine from its EMF and terminal voltage."""
-        return (e * np.conj((e - v_m) * self.y_m)).real
+    def _voltages(self, lu: _Factor, cur: np.ndarray) -> np.ndarray:
+        return lu.z_m.dot(self.e_mag * np.exp(1j * self.delta)) + lu.z_s.dot(cur) + lu.w_0
 
     def solve_network(self, t: float = 0.0) -> np.ndarray:
-        """One algebraic solve at the current states (public, for inspection)."""
+        """The bus voltages at the current states (public, for inspection)."""
         self._require_init()
-        lu, _ = self._lu_at(t)
-        return self._voltages(lu, self.delta, self._fixed_response(lu, self._sgen_currents()))
+        return self._voltages(self._lu_at(t)[0], self._sgen_currents())
 
     # -- integration ---------------------------------------------------------
 
-    def _rates(self, delta, domega, z_mm, w_m):
-        """RK4 right-hand side, with the machine-bus voltages ``z_mm e + w_m``."""
-        e = self.e_mag * np.exp(1j * delta)
-        pe = self._electrical_power(e, z_mm @ e + w_m)
-        return self.omega_s * domega, (self.pm - pe - self.d * domega) / (2.0 * self.h)
+    def _rates(self, y: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """RK4 rates of ``y = [delta, domega]``; ``Pe = Im(u conj(a u + b))``."""
+        u = np.exp(1j * y[:len(self.pm)])
+        pe = (u * (a.dot(u) + b).conj()).imag
+        return self._rate_lin.dot(y) + self._rate_acc.dot(self.pm - pe)
 
     def advance(self, t0: float, duration: float, on_micro=None) -> GridMeasurements:
         """Integrate ``[t0, t0+duration]`` in micro steps.
@@ -320,27 +324,23 @@ class RmsModel:
         """
         self._require_init()
         n, h = micro_grid(duration, self.micro_step)
-        lu, shunts = self._lu_at(t0)
+        lu = self._lu_at(t0)[0]
         for m in range(n):
             if on_micro is not None:
                 on_micro(t0 + m * h, self.last_measurements, h)
             # commands, the angle lag and the topology are fixed over the micro step
             cur = self._sgen_currents()
-            w = self._fixed_response(lu, cur)
-            z_mm, w_m = lu.z_m[self.m_bus], w[self.m_bus]
-            d0, w0 = self.delta, self.domega
-            k1d, k1w = self._rates(d0, w0, z_mm, w_m)
-            k2d, k2w = self._rates(d0 + 0.5 * h * k1d, w0 + 0.5 * h * k1w, z_mm, w_m)
-            k3d, k3w = self._rates(d0 + 0.5 * h * k2d, w0 + 0.5 * h * k2w, z_mm, w_m)
-            k4d, k4w = self._rates(d0 + h * k3d, w0 + h * k3w, z_mm, w_m)
-            self.delta = d0 + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d)
-            self.domega = w0 + (h / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
+            a, b = lu.a, lu.b_0 + lu.b_s.dot(cur)
+            y0 = np.concatenate((self.delta, self.domega))
+            k1 = self._rates(y0, a, b)
+            k2 = self._rates(y0 + 0.5 * h * k1, a, b)
+            k3 = self._rates(y0 + 0.5 * h * k2, a, b)
+            k4 = self._rates(y0 + h * k3, a, b)
+            y = y0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            self.delta, self.domega = y[:len(self.pm)], y[len(self.pm):]
             tau_next = t0 + (m + 1) * h
-            lu_next, shunts = self._lu_at(tau_next)
-            if lu_next is not lu:
-                lu = lu_next
-                w = self._fixed_response(lu, cur)
-            v = self._voltages(lu, self.delta, w)
+            lu, shunts = self._lu_at(tau_next)
+            v = self._voltages(lu, cur)
             # measure with the currents that actually entered the solve, then
             # advance the angle lag for the next step; anything else breaks
             # the energy bookkeeping when the bus angle jumps at an event
@@ -388,33 +388,32 @@ class RmsModel:
     def _measure(self, t: float, v: np.ndarray, shunts: dict[int, complex],
                  cur: np.ndarray) -> GridMeasurements:
         sgen_meas, s_sys = self._sgen_measurements(v, cur)
-        s_sys_total = complex(np.sum(s_sys))
 
         sf, st = self._branch_flows(v)
         pcc_v = pcc_theta = 0.0
         p_wpp = q_wpp = 0.0
         if self.pcc_bus is not None:
-            vp = v[self._index[self.pcc_bus]]
-            pcc_v, pcc_theta = float(np.abs(vp)), float(np.angle(vp))
+            vp = complex(v[self._index[self.pcc_bus]])
+            pcc_v, pcc_theta = abs(vp), cmath.phase(vp)
             if self._pcc_br_idx is not None:
                 i = self._pcc_br_idx
-                s_into_pcc = -(sf[i] if self._pcc_br_from_side else st[i])
+                s_into_pcc = -complex(sf[i] if self._pcc_br_from_side else st[i])
             else:
-                s_into_pcc = complex(np.sum(s_sys[self.s_bus == self._index[self.pcc_bus]]))
-            p_wpp = float(s_into_pcc.real) * self.network.base_mva
-            q_wpp = float(s_into_pcc.imag) * self.network.base_mva
+                s_into_pcc = complex(s_sys[self.s_bus == self._index[self.pcc_bus]].sum())
+            p_wpp = s_into_pcc.real * self.network.base_mva
+            q_wpp = s_into_pcc.imag * self.network.base_mva
 
-        # independent balance bookkeeping
-        gen = float(s_sys_total.real)
-        it = (self.e_mag * np.exp(1j * self.delta) - v[self.m_bus]) * self.y_m
-        gen += float(np.sum((v[self.m_bus] * np.conj(it)).real))
+        # independent balance bookkeeping: terminal currents, branch flows, loads
+        v_m = v[self.m_bus]
+        i_m = (self.e_mag * np.exp(1j * self.delta) - v_m) * self.y_m
+        gen = float(s_sys.real.sum()) + float((v_m * i_m.conj()).real.sum())
         if self._stiff_slack:
-            i_s = (self._slack_e - v[self._slack_idx]) * self._y_stiff
-            gen += float((v[self._slack_idx] * np.conj(i_s)).real)
-        load = float(np.sum(np.abs(v) ** 2 * self._load_y.real))
-        loss = float(np.sum(sf.real + st.real))
+            v_s = complex(v[self._slack_idx])
+            gen += (v_s * ((self._slack_e - v_s) * self._y_stiff).conjugate()).real
+        load = float((np.abs(v) ** 2 * self._load_y.real).sum())
+        loss = float((sf.real + st.real).sum())
         for i, y in shunts.items():
-            loss += float(np.abs(v[i]) ** 2 * y.real)
+            loss += abs(complex(v[i])) ** 2 * y.real
 
         meas = GridMeasurements(
             t=t, v=v, sgen=sgen_meas, pcc_v=pcc_v, pcc_theta=pcc_theta,

@@ -1,8 +1,10 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +19,7 @@ from windcosim.network import (
     StaticGenerator,
     SynchronousMachine,
     fault_shunts,
+    ybus_with_shunts,
 )
 from windcosim.powerflow import solve_power_flow
 from windcosim.wscc9 import wscc9_without_g3
@@ -70,6 +73,19 @@ def test_use_before_init_rejected():
 def test_bad_micro_step_rejected():
     with pytest.raises(ValueError):
         RmsModel(nine_bus_with_plant(), micro_step=0.0)
+
+
+@pytest.mark.parametrize("micro_step", [math.nan, math.inf, -1e-3])
+def test_non_finite_or_negative_micro_step_rejected(micro_step):
+    with pytest.raises(ValueError):
+        RmsModel(nine_bus_with_plant(), micro_step=micro_step)
+
+
+@pytest.mark.parametrize("duration, micro_step", [
+    (1e-3, 5e-324), (1e-3, 0.0), (math.inf, 5e-4), (math.nan, 5e-4)])
+def test_micro_grid_rejects_a_split_without_a_finite_step_count(duration, micro_step):
+    with pytest.raises(ValueError):
+        dynamics.micro_grid(duration, micro_step)
 
 
 def smib_network(d=0.0, h=3.0, xd_p=0.1, x_line=0.1, p_gen=0.3):
@@ -353,42 +369,48 @@ def machineless():
                StaticGenerator(id="t2", bus=4, mva=2.0)])
 
 
-def direct_solve(model, lu, cur):
-    """The network solved from the full injection vector at the model's states."""
+def direct_solve(model, t, cur):
+    """The network solved from the full injection vector at the model's
+    states, with its own factorization of ``Y`` and the shunts active at ``t``."""
     i_inj = np.zeros(len(model.network.buses), dtype=complex)
     np.add.at(i_inj, model.m_bus, model.e_mag * np.exp(1j * model.delta) * model.y_m)
     if model._stiff_slack:
         i_inj[model._slack_idx] += model._slack_e * model._y_stiff
     np.add.at(i_inj, model.s_bus, cur)
-    return lu.solve(i_inj)
+    y = ybus_with_shunts(model._y_dyn, fault_shunts(model.network, model.events, t))
+    return spla.spsolve(y.tocsc(), i_inj)
 
 
-@pytest.mark.parametrize("net, sgen_pq, fault_bus", [
+NETWORKS = pytest.mark.parametrize("net, sgen_pq, fault_bus", [
     (nine_bus_with_plant(), {"wpp": (0.85, 0.0)}, 6),
     (smib(), {}, 2),
     (machineless(), {"t1": (0.9, 0.1), "t2": (0.9, 0.1)}, 2),
 ], ids=["nine_bus_with_plant", "smib", "machineless"])
+
+
+@NETWORKS
 def test_committed_voltages_match_a_direct_solve(monkeypatch, net, sgen_pq, fault_bus):
     # the fault starts and clears on micro-step boundaries inside macro steps
     events = [FaultEvent(bus=fault_bus, start=0.0035, duration=0.003, admittance=50.0)]
     model, _ = equilibrated(net, sgen_pq, events=events)
-    lu_at, counted, solves = model._lu_at, {}, []
+    factorized, solves = [], []
+    splu = spla.splu
 
-    def counting_lu_at(t):
-        lu, shunts = lu_at(t)
-        if id(lu) not in counted:
-            def solve(b, inner=lu.solve):
-                solves.append(t)
-                return inner(b)
-            counted[id(lu)] = lu._replace(solve=solve)
-        return counted[id(lu)], shunts
+    def counting_splu(y):
+        lu = splu(y)
+        factorized.append(y)
+
+        def solve(rhs):
+            solves.append(rhs.shape)
+            return lu.solve(rhs)
+        return types.SimpleNamespace(solve=solve)
 
     worst, checked = 0.0, 0
     cur = model._sgen_currents()
 
     def check(t, v):
         nonlocal worst, checked
-        worst = max(worst, float(np.max(np.abs(v - direct_solve(model, lu_at(t)[0], cur)))))
+        worst = max(worst, float(np.max(np.abs(v - direct_solve(model, t, cur)))))
         checked += 1
 
     def on_micro(t, meas, h):
@@ -396,20 +418,47 @@ def test_committed_voltages_match_a_direct_solve(monkeypatch, net, sgen_pq, faul
         check(t, meas.v)
         for sid in sgen_pq:
             model.set_sgen_command(sid, i_q=0.1 + 0.05 * math.sin(2e3 * t))
-        cur = model._sgen_currents()       # what enters this micro step's solve
+        cur = model._sgen_currents()       # what enters this micro step's network
 
-    monkeypatch.setattr(model, "_lu_at", counting_lu_at)
+    monkeypatch.setattr(spla, "splu", counting_splu)
     macro, n = 2e-3, 4
     for k in range(5):
+        factorized.clear()
         solves.clear()
         meas = model.advance(k * macro, macro, on_micro=on_micro)
         check(meas.t, meas.v)
-        ticks = [k * macro + m * macro / n for m in range(n + 1)]
-        switches = sum(fault_shunts(net, events, a) != fault_shunts(net, events, b)
-                       for a, b in zip(ticks, ticks[1:]))
-        assert len(solves) == n + switches, (k, solves)
+        # one multi-column solve per newly built factorization, none per micro step
+        columns = len(net.machines) + len(net.sgens) + 1
+        assert solves == [(len(net.buses), columns)] * len(factorized), (k, solves)
+        # the faulted topology is factorized once; clearing reuses the pre-fault one
+        assert len(factorized) == (1 if k == 1 else 0), k
     assert checked == 5 * (n + 1)
     assert worst <= 1e-12
+
+
+@NETWORKS
+def test_stage_power_matches_a_full_network_solve(net, sgen_pq, fault_bus):
+    # the reduced Pe = Im(u conj(A u + b)) of an RK4 stage against
+    # Im(e conj(v)) / x' at the machine buses of a full network solve
+    events = [FaultEvent(bus=fault_bus, start=0.01, duration=0.01, admittance=50.0)]
+    model, _ = equilibrated(net, sgen_pq, events=events)
+    nm = len(net.machines)
+    rng = np.random.default_rng(7)
+    for t in (0.0, 0.015):
+        for _ in range(3):
+            model.delta = model.delta + rng.uniform(-0.3, 0.3, nm)
+            for sid in sgen_pq:
+                model.set_sgen_command(sid, i_d=rng.uniform(0.2, 1.0), i_q=rng.uniform(-0.2, 0.2))
+            cur = model._sgen_currents()
+            lu, _ = model._lu_at(t)
+            y = np.concatenate((model.delta, np.zeros(nm)))
+            rates = model._rates(y, lu.a, lu.b_0 + lu.b_s @ cur)
+            pe_stage = model.pm - 2.0 * model.h * rates[nm:]
+            e = model.e_mag * np.exp(1j * model.delta)
+            v_m = direct_solve(model, t, cur)[model.m_bus]
+            pe_full = (e * np.conj(v_m)).imag / model.xd_p
+            assert pe_stage.shape == (nm,)
+            assert np.all(np.abs(pe_stage - pe_full) <= 1e-12), (t, pe_stage, pe_full)
 
 
 def test_sgen_measurements_inside_a_macro_step_match_a_full_measure():
