@@ -97,7 +97,6 @@ class ConverterControl:
         self.integ_q = 0.0
         self.i_d_cmd = 0.0
         self.i_q_cmd = 0.0
-        self.active_q_mode = params.q_mode
 
     def equilibrium(self, v_mag: float) -> tuple[float, float]:
         """Back-solve integrator states for steady state at voltage ``v_mag``.
@@ -141,7 +140,6 @@ class ConverterControl:
             d_tracks = False
 
         use_voltage = mode is not _frt.Mode.NORMAL or p.q_mode is QMode.VOLTAGE
-        self.active_q_mode = QMode.VOLTAGE if use_voltage else QMode.REACTIVE_POWER
         err_q = (self.v_ref - v_mag) if use_voltage else (self.q_ref - q_meas)
         new_integ_q = self.integ_q + p.ki_q * dt * err_q
         i_q_pre = p.kp_q * err_q + new_integ_q + i_q_boost

@@ -23,14 +23,14 @@ is not initialized or run again.  Two coupling schemes are supported:
 Neither scheme iterates within a step and no component is ever asked to
 roll back, so any topology, cyclic or not, completes without deadlock.
 
-Initialization runs a staged protocol before the first step:
+Initialization starts from the declared start values, which are every
+component's nominal outputs (each real one is checked finite), and runs
+two stages before the first step:
 
-1. every component publishes nominal outputs from its own setpoints
-   (``publish_setpoints``),
-2. in priority order, with inputs refreshed before each call, every
+1. in priority order, with inputs refreshed before each call, every
    component solves its internal equilibrium (``equilibrate``) -- the
    grid runs a power flow here and publishes terminal voltages,
-3. in priority order again, every component commits state consistent
+2. in priority order again, every component commits state consistent
    with the final exchanged values (``finish_init``).
 
 A disturbance-free run started this way stays at its operating point.
@@ -99,8 +99,9 @@ class SimComponent:
     """Base class for steppable components.
 
     Subclasses declare variables in ``__init__`` and implement
-    ``_do_step(t, dt)``; the three initialization hooks default to
-    no-ops so trivial components only need the step body.
+    ``_do_step(t, dt)``.  The declared start values are the nominal
+    outputs initialization starts from; the two initialization hooks
+    default to no-ops so trivial components only need the step body.
 
     ``get``/``set`` are the checked public contract: an undeclared name
     raises ``UnknownVariableError`` and ``set`` casts to the declared
@@ -115,7 +116,6 @@ class SimComponent:
         self.current_time = 0.0
         self._vars: dict[str, VariableRef] = {}
         self._values: dict[str, object] = {}
-        self._casts: dict[str, type] = {}
 
     # -- declaration -------------------------------------------------------
 
@@ -130,8 +130,7 @@ class SimComponent:
             raise err.WiringError(f"{self.component_id}: variable '{name}' declared twice")
         ref = VariableRef(self.component_id, name, direction, kind)
         self._vars[name] = ref
-        self._casts[name] = cast = _CASTS[kind]
-        self._values[name] = cast(start)
+        self._values[name] = _CASTS[kind](start)
         return ref
 
     # -- access ------------------------------------------------------------
@@ -155,26 +154,20 @@ class SimComponent:
             raise self._unknown(name) from None
 
     def set(self, name: str, value) -> None:
-        try:
-            self._values[name] = self._casts[name](value)
-        except KeyError:
-            raise self._unknown(name) from None
+        self._values[name] = _CASTS[self.ref(name).kind](value)
 
     # -- lifecycle ---------------------------------------------------------
 
-    def publish_setpoints(self) -> None:
-        """Stage 1: publish nominal outputs computed without any inputs."""
-
     def equilibrate(self) -> None:
-        """Stage 2: solve internal equilibrium from current input values."""
+        """Stage 1: solve internal equilibrium from current input values."""
 
     def finish_init(self) -> None:
-        """Stage 3: commit state consistent with the final exchanged values."""
+        """Stage 2: commit state consistent with the final exchanged values."""
 
     def step(self, t: float, dt: float) -> None:
-        if dt <= 0.0:
+        if not dt > 0.0:          # written so that a NaN fails too
             raise err.ComponentStepError(self.component_id, t, f"non-positive dt {dt}")
-        if t < self.current_time - 1e-12:
+        if not t >= self.current_time - 1e-12:
             raise err.ComponentStepError(
                 self.component_id, t, f"time moved backwards (component at {self.current_time})"
             )
@@ -341,8 +334,7 @@ class Master:
         if self.current_step:
             raise err.InitializationError("master has already stepped; build a new Master")
         self._compile()
-        for comp, values, _, outputs in self._plan:
-            comp.publish_setpoints()
+        for comp, values, _, outputs in self._plan:      # the declared start values
             _check_finite(comp, values, outputs, 0.0)
         for stage in ("equilibrate", "finish_init"):
             for comp, values, edges, outputs in self._plan:

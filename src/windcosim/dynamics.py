@@ -43,8 +43,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InitializationError, SingularNetworkError
-from .network import (FaultEvent, NetworkData, assemble_ybus, fault_breakpoints,
-                      fault_shunts, ybus_with_shunts)
+from .network import (FaultEvent, NetworkData, assemble_ybus, branch_stamps,
+                      fault_breakpoints, fault_shunts, ybus_with_shunts)
 from .powerflow import PowerFlowResult
 
 _STIFF_SLACK_X = 1e-6
@@ -110,7 +110,6 @@ class RmsModel:
                  events: list[FaultEvent] | None = None,
                  pcc_bus: int | None = None,
                  pcc_branch: tuple[int, int] | None = None):
-        network.validate()
         if not (math.isfinite(micro_step) and micro_step > 0.0):
             raise ValueError(f"micro_step must be finite and positive, got {micro_step}")
         self.network = network
@@ -155,12 +154,7 @@ class RmsModel:
         self._slack_e = complex(network.buses[self._slack_idx].v_set, 0.0)
         self._y_stiff = 1.0 / (1j * _STIFF_SLACK_X)
 
-        # branch flow helpers (vectorized loss computation)
-        self._bf = np.array([self._index[br.from_bus] for br in network.branches], dtype=int)
-        self._bt = np.array([self._index[br.to_bus] for br in network.branches], dtype=int)
-        self._by = np.array([1.0 / complex(br.r, br.x) for br in network.branches])
-        self._bsh = np.array([0.5j * br.b for br in network.branches])
-        self._btap = np.array([br.tap for br in network.branches])
+        self._branches = branch_stamps(network)
 
         self._load_y = np.zeros(self._n, dtype=complex)
         self._y_dyn: sp.csc_matrix | None = None
@@ -179,19 +173,11 @@ class RmsModel:
         self.last_measurements: GridMeasurements | None = None
         self.init_diagnostics: dict[str, float] = {}   # set by init_equilibrium
 
-        self._pcc_br_idx: int | None = None
-        self._pcc_br_from_side = True
-        if pcc_branch is not None:
-            fb, tb = pcc_branch
-            for i, br in enumerate(network.branches):
-                if (br.from_bus, br.to_bus) == (fb, tb):
-                    self._pcc_br_idx, self._pcc_br_from_side = i, True
-                    break
-                if (br.from_bus, br.to_bus) == (tb, fb):
-                    self._pcc_br_idx, self._pcc_br_from_side = i, False
-                    break
-            if self._pcc_br_idx is None:
-                raise InitializationError(f"pcc branch {fb}-{tb} not found in network")
+        # (branch index, PCC bus on its from side), or None to sum the PCC bus's sgens
+        self._pcc_br = None if pcc_branch is None else network.branch_between(*pcc_branch)
+        if pcc_branch is not None and self._pcc_br is None:
+            raise InitializationError(
+                f"pcc branch {pcc_branch[0]}-{pcc_branch[1]} not found in network")
 
     # -- commands ------------------------------------------------------------
 
@@ -360,10 +346,10 @@ class RmsModel:
 
     def _branch_flows(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Complex power entering each branch at its from and to side."""
-        vf, vt = v[self._bf], v[self._bt]
-        a = self._btap
-        i_f = vf * (self._by + self._bsh) / (a * a) - vt * self._by / a
-        i_t = vt * (self._by + self._bsh) - vf * self._by / a
+        f, t, y_ff, y_ft, y_tf, y_tt = self._branches
+        vf, vt = v[f], v[t]
+        i_f = vf * y_ff + vt * y_ft
+        i_t = vt * y_tt + vf * y_tf
         return vf * np.conj(i_f), vt * np.conj(i_t)
 
     def branch_losses(self, v: np.ndarray | None = None) -> np.ndarray:
@@ -395,9 +381,9 @@ class RmsModel:
         if self.pcc_bus is not None:
             vp = complex(v[self._index[self.pcc_bus]])
             pcc_v, pcc_theta = abs(vp), cmath.phase(vp)
-            if self._pcc_br_idx is not None:
-                i = self._pcc_br_idx
-                s_into_pcc = -complex(sf[i] if self._pcc_br_from_side else st[i])
+            if self._pcc_br is not None:
+                i, from_side = self._pcc_br
+                s_into_pcc = -complex(sf[i] if from_side else st[i])
             else:
                 s_into_pcc = complex(s_sys[self.s_bus == self._index[self.pcc_bus]].sum())
             p_wpp = s_into_pcc.real * self.network.base_mva

@@ -107,15 +107,12 @@ class GridComponent(SimComponent):
     # -- initialization ------------------------------------------------------
 
     def equilibrate(self) -> None:
+        # p_<id> and q_<id> keep their start values, the setpoints the flow holds;
+        # abs per scalar: np.abs over an array can round the last bit differently
         self._pf = solve_power_flow(self.network, sgen_pq=self.setpoints)
-        index = self.network.bus_index()
-        for sg in self.network.sgens:
-            v = self._pf.v[index[sg.bus]]
-            p0, q0 = self.setpoints.get(sg.id, (0.0, 0.0))
-            self.set(f"v_{sg.id}", abs(v))
-            self.set(f"theta_{sg.id}", float(np.angle(v)))
-            self.set(f"p_{sg.id}", p0)
-            self.set(f"q_{sg.id}", q0)
+        for (v_name, theta, _, _), v in zip(self._sgen_outputs, self._pf.v[self.model.s_bus]):
+            self.set(v_name, abs(v))
+            self.set(theta, float(np.angle(v)))
         for sid, wtg in self.embedded.items():
             i_d, i_q = wtg.converter.equilibrium(self.get(f"v_{sid}"))
             wtg.supervisor.seed(i_d)

@@ -124,6 +124,14 @@ class NetworkData:
                           buses, list(self.branches), list(self.machines), list(self.sgens))
         return out
 
+    def branch_between(self, bus_a: int, bus_b: int) -> tuple[int, bool] | None:
+        """The first branch joining two buses, in either order: its index and
+        whether ``bus_a`` is its from side; None if no branch joins them."""
+        for i, br in enumerate(self.branches):
+            if (br.from_bus, br.to_bus) in ((bus_a, bus_b), (bus_b, bus_a)):
+                return i, br.from_bus == bus_a
+        return None
+
     def validate(self) -> None:
         ids = [b.id for b in self.buses]
         if len(set(ids)) != len(ids):
@@ -181,32 +189,37 @@ class NetworkData:
         return len(seen) == len(index)
 
 
-def assemble_ybus(network: NetworkData) -> sp.csc_matrix:
-    """Bus admittance matrix from branch pi models.
-
-    Branch stamp with series admittance ``y``, total charging ``b`` and
-    from-side tap ``t``:  Y[f,f] += (y + jb/2)/t^2,  Y[t,t] += y + jb/2,
-    Y[f,t] -= y/t,  Y[t,f] -= y/t.
+def branch_stamps(network: NetworkData) -> tuple[np.ndarray, ...]:
+    """Pi-model stamps of a valid network's branches: six arrays aligned with
+    ``network.branches``, the end bus indices ``f``, ``t`` and the admittances
+    ``y_ff``, ``y_ft``, ``y_tf``, ``y_tt``.  The current entering a branch is
+    ``y_ff v_f + y_ft v_t`` at its from side and ``y_tt v_t + y_tf v_f`` at
+    its to side.  With series admittance ``y``, total charging ``b`` and
+    from-side tap ``a``:  y_ff = (y + jb/2)/a^2,  y_tt = y + jb/2,
+    y_ft = y_tf = -y/a.
     """
-    network.validate()
     index = network.bus_index()
-    n = len(network.buses)
-    rows, cols, vals = [], [], []
-
-    def stamp(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
+    ends, stamps = [], []
     for br in network.branches:
-        f, t = index[br.from_bus], index[br.to_bus]
         y = 1.0 / complex(br.r, br.x)
-        ysh = 0.5j * br.b
+        y_end = y + 0.5j * br.b         # series plus half the charging
         a = br.tap
-        stamp(f, f, (y + ysh) / (a * a))
-        stamp(t, t, y + ysh)
-        stamp(f, t, -y / a)
-        stamp(t, f, -y / a)
+        ends.append((index[br.from_bus], index[br.to_bus]))
+        stamps.append((y_end / (a * a), -y / a, -y / a, y_end))
+    return (*np.array(ends, dtype=int).reshape(-1, 2).T,
+            *np.array(stamps, dtype=complex).reshape(-1, 4).T)
+
+
+def assemble_ybus(network: NetworkData) -> sp.csc_matrix:
+    """Bus admittance matrix: validates the network and sums its
+    ``branch_stamps``, entered per branch in the order ff, tt, ft, tf
+    (the order fixes the rounding of the sums)."""
+    network.validate()
+    f, t, y_ff, y_ft, y_tf, y_tt = branch_stamps(network)
+    n = len(network.buses)
+    rows = np.column_stack((f, t, f, t)).ravel()
+    cols = np.column_stack((f, t, t, f)).ravel()
+    vals = np.column_stack((y_ff, y_tt, y_ft, y_tf)).ravel()
     return sp.csc_matrix(
         sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex)
     )

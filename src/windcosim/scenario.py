@@ -111,11 +111,9 @@ class Scenario:
         for bus in self.export_bus_v:
             if bus not in ids:
                 raise ScenarioValidationError(f"export_bus_v: bus {bus} not in network")
-        if self.pcc_branch is not None:
-            ends = {(br.from_bus, br.to_bus) for br in self.network.branches}
+        if self.pcc_branch is not None and self.network.branch_between(*self.pcc_branch) is None:
             fb, tb = self.pcc_branch
-            if (fb, tb) not in ends and (tb, fb) not in ends:
-                raise ScenarioValidationError(f"pcc branch {fb}-{tb} not in network")
+            raise ScenarioValidationError(f"pcc branch {fb}-{tb} not in network")
         if not (math.isfinite(self.micro_step) and self.micro_step > 0.0):
             raise ScenarioValidationError(
                 f"micro_step must be finite and positive, got {self.micro_step}")

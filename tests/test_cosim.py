@@ -77,10 +77,6 @@ class StageLogger(SimComponent):
         self.declare_input("inp", start=0.0)
         self.declare_output("out", start=0.0)
 
-    def publish_setpoints(self):
-        self.log.append(("publish", self.component_id))
-        self.set("out", 5.0 if self.component_id == "a" else 0.0)
-
     def equilibrate(self):
         self.log.append(("equilibrate", self.component_id, self.get("inp")))
         if self.component_id == "a":
@@ -102,12 +98,29 @@ def test_staged_init_order_and_refresh():
     master.initialize()
 
     stages = [entry[0] for entry in log]
-    assert stages == ["publish", "publish", "equilibrate", "equilibrate", "finish", "finish"]
+    assert stages == ["equilibrate", "equilibrate", "finish", "finish"]
     order = [entry[1] for entry in log]
-    assert order == ["a", "b"] * 3, "each stage runs in priority order"
+    assert order == ["a", "b"] * 2, "each stage runs in priority order"
     # b equilibrates after a republished in its own equilibrate, so it sees 7
-    assert log[3] == ("equilibrate", "b", 7.0)
-    assert log[5] == ("finish", "b", 7.0)
+    assert log[1] == ("equilibrate", "b", 7.0)
+    assert log[3] == ("finish", "b", 7.0)
+
+
+class NonFiniteStart(StageLogger):
+    def __init__(self, cid, log):
+        super().__init__(cid, log)
+        self.declare_output("bad", start=math.nan)
+
+
+def test_non_finite_start_value_fails_before_any_equilibrate():
+    master = Master(MasterConfig())
+    log = []
+    master.register(StageLogger("a", log), priority=0)
+    master.register(NonFiniteStart("b", log), priority=1)
+    with pytest.raises(ComponentStepError, match="output 'bad' is not finite") as info:
+        master.initialize()
+    assert info.value.component_id == "b"
+    assert log == [], "declared start values are checked before the first stage"
 
 
 def test_kind_coercion_on_set():
@@ -223,6 +236,11 @@ def test_component_time_must_advance():
         c.step(0.0, 1e-3)  # t before the component's own clock
     with pytest.raises(ComponentStepError):
         c.step(1e-3, 0.0)  # non-positive dt
+    with pytest.raises(ComponentStepError):
+        c.step(1e-3, math.nan)  # NaN dt
+    with pytest.raises(ComponentStepError):
+        c.step(math.nan, 1e-3)  # NaN t
+    assert c.current_time == 1e-3
 
 
 class Exploder(SimComponent):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from windcosim.dynamics import RmsModel
 from windcosim.errors import TopologyError
 from windcosim.network import (
     Branch,
@@ -36,6 +37,33 @@ def test_ybus_matches_dense_oracle_with_tap_and_charging():
     net = two_bus(tap=0.975, b=0.25)
     y = assemble_ybus(net).toarray()
     assert np.max(np.abs(y - dense_ybus(net))) < 1e-15
+
+
+@pytest.mark.parametrize("net", [wscc9_without_g3(), two_bus(tap=0.975, b=0.25)],
+                         ids=["nine_bus", "two_bus_tap"])
+def test_branch_flows_add_up_to_the_bus_injections(net):
+    # the per-bus sum of the power entering each branch end is v conj(Y v),
+    # for the package's Y and for the independent dense one
+    flows = RmsModel(net)._branch_flows
+    idx, n = net.bus_index(), len(net.buses)
+    f = [idx[br.from_bus] for br in net.branches]
+    t = [idx[br.to_bus] for br in net.branches]
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        v = rng.uniform(0.5, 1.5, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+        sf, st = flows(v)
+        s = np.zeros(n, dtype=complex)
+        np.add.at(s, f, sf)
+        np.add.at(s, t, st)
+        for y in (assemble_ybus(net), dense_ybus(net)):
+            assert np.max(np.abs(s - v * np.conj(y @ v))) < 1e-12
+
+
+def test_branch_between_names_the_branch_in_either_order():
+    net = two_bus()
+    assert net.branch_between(1, 2) == (0, True)
+    assert net.branch_between(2, 1) == (0, False)
+    assert net.branch_between(1, 1) is None
 
 
 def test_ybus_two_bus_closed_form():
