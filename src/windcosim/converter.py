@@ -45,6 +45,11 @@ class QMode(enum.Enum):
     REACTIVE_POWER = "reactive_power"
 
 
+# members as module names: reading one off its enum class costs about 0.2 us
+_NORMAL, _RECOVERY = _frt.Mode.NORMAL, _frt.Mode.RECOVERY
+_ACTIVE, _REACTIVE, _VOLTAGE = Priority.ACTIVE, Priority.REACTIVE, QMode.VOLTAGE
+
+
 @dataclass(frozen=True)
 class ConverterParams:
     """Gains and limits.  Defaults settle the power loop in about 100 ms
@@ -73,7 +78,7 @@ def current_limit(i_d: float, i_q: float, i_max: float,
     """
     if math.hypot(i_d, i_q) <= i_max:
         return i_d, i_q, False, False
-    if priority is Priority.REACTIVE:
+    if priority is _REACTIVE:
         kept = math.copysign(min(abs(i_q), i_max), i_q)
         room = math.sqrt(max(0.0, i_max * i_max - kept * kept))
         other = math.copysign(min(abs(i_d), room), i_d)
@@ -129,7 +134,7 @@ class ConverterControl:
             i_d_pre = 0.0
             new_integ_d = 0.0
             d_tracks = True
-        elif mode is _frt.Mode.RECOVERY:
+        elif mode is _RECOVERY:
             i_d_pre = i_d_ref
             new_integ_d = i_d_pre
             d_tracks = True
@@ -139,12 +144,12 @@ class ConverterControl:
             i_d_pre = p.kp_d * err_d + new_integ_d
             d_tracks = False
 
-        use_voltage = mode is not _frt.Mode.NORMAL or p.q_mode is QMode.VOLTAGE
+        use_voltage = mode is not _NORMAL or p.q_mode is _VOLTAGE
         err_q = (self.v_ref - v_mag) if use_voltage else (self.q_ref - q_meas)
         new_integ_q = self.integ_q + p.ki_q * dt * err_q
         i_q_pre = p.kp_q * err_q + new_integ_q + i_q_boost
 
-        priority = Priority.REACTIVE if mode is not _frt.Mode.NORMAL else Priority.ACTIVE
+        priority = _ACTIVE if mode is _NORMAL else _REACTIVE
         i_d, i_q, clip_d, clip_q = current_limit(i_d_pre, i_q_pre, p.i_max, priority)
 
         if d_tracks:

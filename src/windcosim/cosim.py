@@ -4,8 +4,10 @@ Components expose scalar variables (real, integer, boolean) through a
 get/set interface and advance in fixed macro steps.  ``initialize``
 compiles the wiring into a plan of input edges per component: a refresh
 copies along them into the sink's values, and every hook's real outputs
-are checked finite.  No re-wiring follows, and a master that has stepped
-is not initialized or run again.  Two coupling schemes are supported:
+are checked finite right after the hook, so a failing macro step names
+the first component in priority order.  No re-wiring follows, and a
+master that has stepped is not initialized or run again.  Two coupling
+schemes are supported:
 
 ``serial``
     Components step once per macro step in ascending priority order.
@@ -350,24 +352,24 @@ class Master:
             raise err.InitializationError("step_macro before initialize")
         dt = self.config.macro_step
         t = self.current_step * dt
-        if self.config.scheme is Scheme.SERIAL:
-            for comp, values, edges, outputs in self._plan:
-                _refresh(values, edges)
-                comp.step(t, dt)
-                _check_finite(comp, values, outputs, t + dt)
-        else:
+        isfinite = math.isfinite
+        serial = self.config.scheme is Scheme.SERIAL
+        # _refresh and _check_finite inline; the check is called only to name a failure
+        if not serial:              # latch every input before any component steps
             for _, values, edges, _ in self._plan:
-                _refresh(values, edges)
-            for comp, _, _, _ in self._plan:
-                comp.step(t, dt)
-            for comp, values, _, outputs in self._plan:
-                _check_finite(comp, values, outputs, t + dt)
+                for src, src_name, name, real, gain, offset in edges:
+                    values[name] = gain * src[src_name] + offset if real else src[src_name]
+        for comp, values, edges, outputs in self._plan:
+            if serial:
+                for src, src_name, name, real, gain, offset in edges:
+                    values[name] = gain * src[src_name] + offset if real else src[src_name]
+            comp.step(t, dt)
+            for name in outputs:
+                if not isfinite(values[name]):
+                    _check_finite(comp, values, outputs, t + dt)
         self.current_step += 1
 
     # -- recording ---------------------------------------------------------
-
-    def _sample(self, refs: list[VariableRef]) -> list[float]:
-        return [float(self._components[ref.component_id]._values[ref.name]) for ref in refs]
 
     def run(self, scenario_name: str = "") -> tuple[TraceSet, RunMetadata]:
         if self.current_step:
@@ -393,12 +395,13 @@ class Master:
         refs = self.recorded()         # before initializing: an unknown channel fails first
         if not self._initialized:
             self.initialize()
+        sources = [(self._components[ref.component_id]._values, ref.name) for ref in refs]
         times = [0.0]
-        rows = [self._sample(refs)]
+        rows = [[float(values[name]) for values, name in sources]]
         for _ in range(n_steps):
             self.step_macro()
             times.append(self.current_step * dt)
-            rows.append(self._sample(refs))
+            rows.append([float(values[name]) for values, name in sources])
         meta.wall_clock_s = _time.perf_counter() - started
 
         data = np.asarray(rows, dtype=float).reshape(len(times), len(refs))

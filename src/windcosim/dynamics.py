@@ -75,12 +75,18 @@ class PowerBalance:
 class GridMeasurements:
     t: float
     v: np.ndarray
-    sgen: dict[str, SgenMeasurement] = field(default_factory=dict)
+    sgen_ids: list[str] = field(default_factory=list)
+    sgen_columns: tuple[list[float], ...] = ()     # v_mag, theta, p, q lists, as sgen_ids
     pcc_v: float = 0.0
     pcc_theta: float = 0.0
     p_wpp_mw: float = 0.0
     q_wpp_mvar: float = 0.0
     balance: PowerBalance | None = None
+
+    @property
+    def sgen(self) -> dict[str, SgenMeasurement]:
+        """The ``sgen_columns`` by sgen id."""
+        return {sid: SgenMeasurement(*m) for sid, *m in zip(self.sgen_ids, *self.sgen_columns)}
 
 
 class _Factor(NamedTuple):
@@ -116,7 +122,6 @@ class RmsModel:
         self.micro_step = micro_step
         self.events = list(events or [])
         self.pcc_bus = pcc_bus
-        self.pcc_branch = pcc_branch
         self.omega_s = network.omega_s
 
         self._index = network.bus_index()
@@ -173,11 +178,16 @@ class RmsModel:
         self.last_measurements: GridMeasurements | None = None
         self.init_diagnostics: dict[str, float] = {}   # set by init_equilibrium
 
-        # (branch index, PCC bus on its from side), or None to sum the PCC bus's sgens
-        self._pcc_br = None if pcc_branch is None else network.branch_between(*pcc_branch)
-        if pcc_branch is not None and self._pcc_br is None:
-            raise InitializationError(
-                f"pcc branch {pcc_branch[0]}-{pcc_branch[1]} not found in network")
+        # (branch index, PCC bus on its from side), or None to sum the PCC bus's sgens;
+        # the flow is taken at the PCC end whichever way round the pair is written
+        self._pcc_br = None
+        if pcc_branch is not None:
+            a, b = pcc_branch
+            if pcc_bus not in pcc_branch:
+                raise InitializationError(f"pcc branch {a}-{b} does not touch pcc bus {pcc_bus}")
+            self._pcc_br = network.branch_between(pcc_bus, b if a == pcc_bus else a)
+            if self._pcc_br is None:
+                raise InitializationError(f"pcc branch {a}-{b} not found in network")
 
     # -- commands ------------------------------------------------------------
 
@@ -193,6 +203,10 @@ class RmsModel:
             self._s_iq[k] = i_q
         if status is not None:
             self._s_on[k] = 1.0 if status else 0.0
+
+    def set_sgen_commands(self, k: np.ndarray, i_d, i_q, status) -> None:
+        """``set_sgen_command`` for the sgens at positions ``k`` of ``sgen_ids`` at once."""
+        self._s_id[k], self._s_iq[k], self._s_on[k] = i_d, i_q, status
 
     def _sgen_currents(self) -> np.ndarray:
         """Injected network-frame currents on the system base."""
@@ -334,7 +348,7 @@ class RmsModel:
                 self._measure(tau_next, v, shunts, cur)
             elif on_micro is not None:
                 self.last_measurements = GridMeasurements(
-                    t=tau_next, v=v, sgen=self._sgen_measurements(v, cur)[0])
+                    tau_next, v, self.sgen_ids, self._sgen_measurements(v, cur)[0])
             self._s_angle = np.angle(v[self.s_bus])
         return self.last_measurements
 
@@ -362,18 +376,17 @@ class RmsModel:
         return (sf + st).real
 
     def _sgen_measurements(self, v: np.ndarray, cur: np.ndarray):
-        """Each sgen's terminal quantities by id, and its complex power (system base)."""
+        """The sgens' terminal ``v_mag``, ``theta``, ``p`` and ``q`` (machine base) as
+        ``GridMeasurements.sgen_columns``, and their complex power (system base)."""
         vb = v[self.s_bus]
         s_sys = vb * np.conj(cur)
         s_mach = s_sys / self.s_scale
-        return {sid: SgenMeasurement(v_mag, theta, p, q)
-                for sid, v_mag, theta, p, q in zip(
-                    self.sgen_ids, np.abs(vb).tolist(), np.angle(vb).tolist(),
-                    s_mach.real.tolist(), s_mach.imag.tolist())}, s_sys
+        return (np.abs(vb).tolist(), np.angle(vb).tolist(),
+                s_mach.real.tolist(), s_mach.imag.tolist()), s_sys
 
     def _measure(self, t: float, v: np.ndarray, shunts: dict[int, complex],
                  cur: np.ndarray) -> GridMeasurements:
-        sgen_meas, s_sys = self._sgen_measurements(v, cur)
+        sgen_columns, s_sys = self._sgen_measurements(v, cur)
 
         sf, st = self._branch_flows(v)
         pcc_v = pcc_theta = 0.0
@@ -402,7 +415,7 @@ class RmsModel:
             loss += abs(complex(v[i])) ** 2 * y.real
 
         meas = GridMeasurements(
-            t=t, v=v, sgen=sgen_meas, pcc_v=pcc_v, pcc_theta=pcc_theta,
+            t, v, self.sgen_ids, sgen_columns, pcc_v=pcc_v, pcc_theta=pcc_theta,
             p_wpp_mw=p_wpp, q_wpp_mvar=q_wpp,
             balance=PowerBalance(generation=gen, load=load, loss=loss))
         self.last_measurements = meas

@@ -45,6 +45,9 @@ _ALLOWED = {
     (Mode.RECOVERY, Mode.FAULT),
 }
 
+# the members as module names: reading one off its enum class costs about 0.2 us
+_NORMAL, _FAULT, _RECOVERY = Mode.NORMAL, Mode.FAULT, Mode.RECOVERY
+
 
 @dataclass(frozen=True)
 class FrtParams:
@@ -93,22 +96,22 @@ class FrtControl:
     def step(self, dt: float, v_mag: float, i_d_cmd_meas: float) -> FrtOverride:
         p = self.params
         prev = self.mode
-        if self.mode is Mode.NORMAL:
+        if prev is _NORMAL:
             if v_mag < p.v_enter:
-                self.mode = Mode.FAULT
+                self.mode = _FAULT
                 self.prefault_i_d = self._prev_cmd
                 self._above_timer = 0.0
-        elif self.mode is Mode.FAULT:
+        elif prev is _FAULT:
             if v_mag >= p.v_exit:
                 self._above_timer += dt
                 if self._above_timer >= p.deglitch - 1e-12:
-                    self.mode = Mode.RECOVERY
+                    self.mode = _RECOVERY
                     self.i_d_ref = i_d_cmd_meas
             else:
                 self._above_timer = 0.0
         else:
             if v_mag < p.v_enter:
-                self.mode = Mode.FAULT
+                self.mode = _FAULT
                 self._above_timer = 0.0
             else:
                 if p.ramp_enabled:
@@ -119,12 +122,13 @@ class FrtControl:
                     self.i_d_ref = self.prefault_i_d
                 if abs(self.i_d_ref - self.prefault_i_d) < 1e-12:
                     self.i_d_ref = self.prefault_i_d
-                    self.mode = Mode.NORMAL
-        if (prev, self.mode) not in _ALLOWED:
-            raise FrtTransitionError(f"forbidden transition {prev.name} -> {self.mode.name}")
+                    self.mode = _NORMAL
+        mode = self.mode
+        if mode is not prev and (prev, mode) not in _ALLOWED:     # staying is always allowed
+            raise FrtTransitionError(f"forbidden transition {prev.name} -> {mode.name}")
         self._prev_cmd = i_d_cmd_meas
-        boost = p.k_boost * max(0.0, p.v_enter - v_mag) if self.mode is not Mode.NORMAL else 0.0
-        return FrtOverride(self.mode, self.mode is Mode.FAULT, boost, self.i_d_ref)
+        boost = p.k_boost * max(0.0, p.v_enter - v_mag) if mode is not _NORMAL else 0.0
+        return FrtOverride(mode, mode is _FAULT, boost, self.i_d_ref)
 
 
 class FrtComponent(SimComponent):

@@ -25,6 +25,8 @@ supervisor sees the fresh converter command.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 import numpy as np
 
 from .converter import ConverterControl
@@ -68,13 +70,16 @@ class GridComponent(SimComponent):
         for sid in list(self.setpoints) + list(self.embedded):
             if sid not in known:
                 raise UnknownVariableError(f"no static generator '{sid}' in network")
-        # per-sgen variable names, resolved once for the step path
-        self._command_names = [(sg.id, f"i_d_{sg.id}", f"i_q_{sg.id}", f"status_{sg.id}")
-                               for sg in network.sgens if sg.id not in self.embedded]
-        self._sgen_outputs = [(f"v_{sg.id}", f"theta_{sg.id}", f"p_{sg.id}", f"q_{sg.id}")
-                              for sg in network.sgens]
-        self._embedded_outputs = [(wtg, f"i_d_{sid}", f"i_q_{sid}", f"mode_{sid}")
-                                  for sid, wtg in self.embedded.items()]
+        # resolved once for the step path; each getter reads one input column of the
+        # commanded sgens (a tuple, or the bare value when only one sgen is commanded)
+        ids = self.model.sgen_ids
+        commanded = [sid for sid in ids if sid not in self.embedded]
+        self._command_k = np.array([ids.index(sid) for sid in commanded], dtype=int)
+        self._command_get = [itemgetter(*[f"{kind}_{sid}" for sid in commanded])
+                             for kind in ("i_d", "i_q", "status")] if commanded else None
+        self._sgen_outputs = [(f"v_{sid}", f"theta_{sid}", f"p_{sid}", f"q_{sid}") for sid in ids]
+        self._embedded_at = [(ids.index(sid), sid, wtg, f"i_d_{sid}", f"i_q_{sid}", f"mode_{sid}")
+                             for sid, wtg in self.embedded.items()]
 
         index = network.bus_index()
         for bid in extra_bus_voltages:
@@ -127,9 +132,10 @@ class GridComponent(SimComponent):
 
     def _take_commands(self) -> None:
         """Set the commanded turbines' currents and status from the inputs."""
-        values, command = self._values, self.model.set_sgen_command
-        for sid, i_d, i_q, status in self._command_names:
-            command(sid, i_d=values[i_d], i_q=values[i_q], status=values[status])
+        if self._command_get is not None:
+            i_d, i_q, status = self._command_get
+            values = self._values
+            self.model.set_sgen_commands(self._command_k, i_d(values), i_q(values), status(values))
 
     def _on_micro(self, tau: float, meas: GridMeasurements, h: float) -> None:
         if not self._ran_micro:
@@ -138,10 +144,10 @@ class GridComponent(SimComponent):
             # measurement, mirroring the co-simulated exchange sequence
             self._ran_micro = True
             return
-        for sid, wtg in self.embedded.items():
-            m = meas.sgen[sid]
-            i_d, i_q = wtg.converter.step(h, m.v_mag, m.p, m.q, *wtg.override)
-            wtg.override = wtg.supervisor.step(h, m.v_mag, i_d)
+        v_mag, _, p, q = meas.sgen_columns
+        for k, sid, wtg, _, _, _ in self._embedded_at:
+            i_d, i_q = wtg.converter.step(h, v_mag[k], p[k], q[k], *wtg.override)
+            wtg.override = wtg.supervisor.step(h, v_mag[k], i_d)
             self.model.set_sgen_command(sid, i_d=i_d, i_q=i_q)
 
     def _do_step(self, t: float, dt: float) -> None:
@@ -153,12 +159,13 @@ class GridComponent(SimComponent):
 
     def _publish_measurements(self, meas: GridMeasurements) -> None:
         values = self._values
-        for (v, theta, p, q), m in zip(self._sgen_outputs, meas.sgen.values()):
-            values[v] = m.v_mag
-            values[theta] = m.theta
-            values[p] = m.p
-            values[q] = m.q
-        for wtg, i_d, i_q, mode in self._embedded_outputs:
+        for (v_name, theta_name, p_name, q_name), v, theta, p, q in zip(
+                self._sgen_outputs, *meas.sgen_columns):
+            values[v_name] = v
+            values[theta_name] = theta
+            values[p_name] = p
+            values[q_name] = q
+        for _, _, wtg, i_d, i_q, mode in self._embedded_at:
             values[i_d] = wtg.converter.i_d_cmd
             values[i_q] = wtg.converter.i_q_cmd
             values[mode] = int(wtg.override.mode)

@@ -111,9 +111,13 @@ class Scenario:
         for bus in self.export_bus_v:
             if bus not in ids:
                 raise ScenarioValidationError(f"export_bus_v: bus {bus} not in network")
-        if self.pcc_branch is not None and self.network.branch_between(*self.pcc_branch) is None:
+        if self.pcc_branch is not None:
             fb, tb = self.pcc_branch
-            raise ScenarioValidationError(f"pcc branch {fb}-{tb} not in network")
+            if self.network.branch_between(fb, tb) is None:
+                raise ScenarioValidationError(f"pcc branch {fb}-{tb} not in network")
+            if self.pcc_bus not in self.pcc_branch:
+                raise ScenarioValidationError(
+                    f"pcc branch {fb}-{tb} does not touch pcc bus {self.pcc_bus}")
         if not (math.isfinite(self.micro_step) and self.micro_step > 0.0):
             raise ScenarioValidationError(
                 f"micro_step must be finite and positive, got {self.micro_step}")

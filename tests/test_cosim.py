@@ -457,15 +457,44 @@ def test_non_finite_output_detected_during_initialization():
     assert exc.value.component_id == "b"
 
 
-def test_non_finite_output_detected_in_parallel_scheme():
-    cfg = MasterConfig(macro_step=1e-3, t_end=10e-3, scheme=Scheme.PARALLEL)
-    master = Master(cfg)
-    master.register(Exploder("e", blow_at=4), priority=0)
-    master.register(RealRelay("r"), priority=1)
-    master.connect("e.out", "r.inp")
-    with pytest.raises(ComponentStepError, match="not finite"):
+class SecondOutputExploder(SimComponent):
+    """Its first real output stays finite; the second is NaN from step ``blow_at`` on."""
+
+    def __init__(self, cid, blow_at):
+        super().__init__(cid)
+        self.blow_at = blow_at
+        self.n = 0
+        self.declare_output("fine", start=0.0)
+        self.declare_output("out", start=0.0)
+
+    def _do_step(self, t, dt):
+        self.n += 1
+        self.set("fine", float(self.n))
+        self.set("out", math.nan if self.n >= self.blow_at else float(self.n))
+
+
+def _assert_first_failure_named(scheme):
+    # both exploders fail in the fourth step; the one registered first has the
+    # later priority, so only priority order picks the component named
+    master = Master(MasterConfig(macro_step=1e-3, t_end=10e-3, scheme=scheme))
+    master.register(Exploder("late", blow_at=4), priority=2)
+    master.register(SecondOutputExploder("early", blow_at=4), priority=1)
+    master.register(RealRelay("r"), priority=3)
+    master.connect("early.fine", "r.inp")
+    with pytest.raises(ComponentStepError, match=r"output 'out' is not finite \(nan\)") as exc:
         master.run()
+    assert exc.value.component_id == "early"
+    assert exc.value.time == 3e-3 + 1e-3          # t + dt of the failing step
+    assert "at t=0.004000" in str(exc.value)
     assert master.current_step == 3
+
+
+def test_non_finite_output_detected_in_parallel_scheme():
+    _assert_first_failure_named(Scheme.PARALLEL)
+
+
+def test_non_finite_output_detected_in_serial_scheme():
+    _assert_first_failure_named(Scheme.SERIAL)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.SERIAL, Scheme.PARALLEL])

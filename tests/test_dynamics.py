@@ -279,6 +279,20 @@ def test_unknown_pcc_branch_rejected():
         RmsModel(nine_bus_with_plant(), pcc_branch=(1, 99))
 
 
+def test_pcc_branch_is_measured_at_the_pcc_end_in_either_order():
+    events = [FaultEvent(bus=6, start=0.002, duration=0.002)]
+    runs = []
+    for pcc_branch in ((3, 9), (9, 3)):
+        model, _ = equilibrated(nine_bus_with_plant(), {"wpp": (0.85, 0.0)}, events=events,
+                                pcc_bus=3, pcc_branch=pcc_branch)
+        runs.append([(m.p_wpp_mw, m.q_wpp_mvar) for m in
+                     (model.advance(k * 1e-3, 1e-3) for k in range(6))])
+    assert runs[0] == runs[1]
+    assert abs(runs[0][0][0]) > 80.0      # the plant sits on the PCC bus: it exports into the branch
+    with pytest.raises(InitializationError, match="does not touch pcc bus 3"):
+        RmsModel(nine_bus_with_plant(), pcc_bus=3, pcc_branch=(4, 5))
+
+
 def test_unknown_sgen_command():
     model = RmsModel(nine_bus_with_plant())
     with pytest.raises(ValueError):

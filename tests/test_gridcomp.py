@@ -155,3 +155,45 @@ def test_step_outputs_have_declared_kinds_across_a_fault():
                 if ref.direction is Direction.OUTPUT:
                     assert type(comp.get(ref.name)) is kinds[ref.kind], ref.name
         assert min(v6) < 0.05 and v6[-1] > 0.5
+
+
+def test_column_commands_address_the_right_sgens():
+    # the embedded turbine sits between the two commanded ones, so the
+    # commanded positions (0 and 2) are not contiguous
+    net = wscc9_without_g3()
+    net.sgens = [StaticGenerator(id="a", bus=3, mva=20.0),
+                 StaticGenerator(id="emb", bus=5, mva=20.0),
+                 StaticGenerator(id="c", bus=8, mva=20.0)]
+    setpoints = {"a": (0.6, 0.0), "emb": (0.5, 0.0), "c": (0.7, 0.1)}
+
+    def run(trip):
+        embedded = {"emb": (ConverterControl(ConverterParams(), 0.5, 0.0),
+                            FrtControl(FrtParams()))}
+        comp = GridComponent("grid", net, setpoints, embedded=embedded)
+        comp.equilibrate()
+        for sid in ("a", "c"):
+            p, q = setpoints[sid]
+            comp.set(f"i_d_{sid}", p / comp.get(f"v_{sid}"))
+            comp.set(f"i_q_{sid}", q / comp.get(f"v_{sid}"))
+        comp.finish_init()
+        comp.step(0.0, 1e-3)
+        comp.set("i_d_a", 0.5 * comp.get("i_d_a"))     # a stale slot would keep the old value
+        if trip:
+            comp.set("status_c", False)
+        comp.step(1e-3, 1e-3)
+        return comp
+
+    tripped, healthy = run(trip=True), run(trip=False)
+    model = tripped.model
+    assert model.sgen_ids == ["a", "emb", "c"]
+    assert model._s_on.tolist() == [1.0, 1.0, 0.0]
+    assert model._s_id[[0, 2]].tolist() == [tripped.get("i_d_a"), tripped.get("i_d_c")]
+    assert model._s_iq[[0, 2]].tolist() == [tripped.get("i_q_a"), tripped.get("i_q_c")]
+    assert tripped.get("p_c") == 0.0 and tripped.get("q_c") == 0.0
+    # the others keep their commands; their power moves only with the grid
+    # voltage, which the trip shifts by well under 2 %
+    for sid in ("a", "emb"):
+        for name in (f"p_{sid}", f"q_{sid}"):
+            assert tripped.get(name) == pytest.approx(healthy.get(name), rel=2e-2, abs=1e-3), name
+    assert tripped.get("p_a") == pytest.approx(0.5 * 0.6, rel=2e-2)
+    assert tripped.get("p_emb") == pytest.approx(0.5, rel=2e-2)

@@ -296,6 +296,7 @@ def test_cli_usage_and_input_errors(tmp_path, capsys):
 @pytest.mark.parametrize("old, new", [
     ("export_bus_v = 6", "export_bus_v = 0"),
     ("pcc_bus = 3", "pcc_bus = 3\npcc_branch = 3 99"),
+    ("pcc_bus = 3", "pcc_bus = 3\npcc_branch = 4 5"),
     ("t_end = 0.02", "t_end = 1e300"),
     # wiring that only the built components can check
     ("connect grid.v_wpp frt_wpp.v_meas",

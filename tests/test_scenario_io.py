@@ -12,7 +12,7 @@ from windcosim.cosim import MAX_MACRO_STEPS, MasterConfig, Scheme
 from windcosim.errors import (ScenarioError, ScenarioParseError,
                               ScenarioValidationError, TopologyError)
 from windcosim.scenario import (build_large_scale, build_monolithic,
-                                build_small_scale)
+                                build_small_scale, run_scenario)
 from windcosim.scenario_io import (_RECORDS, _SCALARS, parse_scenario, parse_scenario_text,
                                    serialize_scenario, write_scenario)
 
@@ -325,7 +325,10 @@ LARGE_SCALE = (SCENARIO_DIR / "large_scale.scn").read_text()
     (SMALL_SCALE, "export_bus_v = 6", "export_bus_v = 6 77", "bus 77 not in network"),
     (LARGE_SCALE, "pcc_branch = 3 10", "pcc_branch = 3 99", "pcc branch 3-99 not in network"),
     (LARGE_SCALE, "pcc_branch = 3 10", "pcc_branch = 3 11", "pcc branch 3-11 not in network"),
-], ids=["export-bus-0", "export-bus-77", "pcc-branch-to-unknown-bus", "pcc-branch-not-a-branch"])
+    (LARGE_SCALE, "pcc_branch = 3 10", "pcc_branch = 4 5",
+     "pcc branch 4-5 does not touch pcc bus 3"),
+], ids=["export-bus-0", "export-bus-77", "pcc-branch-to-unknown-bus", "pcc-branch-not-a-branch",
+        "pcc-branch-off-the-pcc-bus"])
 def test_rejects_pcc_branch_and_export_bus_outside_the_network(text, old, new, fragment):
     assert old in text
     with pytest.raises(ScenarioValidationError, match=fragment):
@@ -333,8 +336,14 @@ def test_rejects_pcc_branch_and_export_bus_outside_the_network(text, old, new, f
 
 
 def test_pcc_branch_may_name_its_ends_in_either_order():
-    sc = parse_scenario_text(LARGE_SCALE.replace("pcc_branch = 3 10", "pcc_branch = 10 3"))
-    assert sc.pcc_branch == (10, 3)
+    reverse = parse_scenario_text(LARGE_SCALE.replace("pcc_branch = 3 10", "pcc_branch = 10 3"))
+    assert reverse.pcc_branch == (10, 3)
+    # the flow is measured at the pcc_bus end of the branch, whichever way round it is written
+    a, _ = run_scenario(parse_scenario_text(LARGE_SCALE), t_end=0.002)
+    b, _ = run_scenario(reverse, t_end=0.002)
+    for name in ("grid.p_wpp_mw", "grid.q_wpp_mvar"):
+        assert a[name].tobytes() == b[name].tobytes(), name
+    assert a["grid.p_wpp_mw"][-1] > 80.0
 
 
 # -- the grammar table against the format document ----------------------------------
