@@ -18,8 +18,7 @@ from .cosim import (Connection, Direction, Master, MasterConfig, RunMetadata,
 from .dynamics import GridMeasurements, PowerBalance, RmsModel, SgenMeasurement
 from .errors import *  # noqa: F401,F403 -- the error hierarchy is public API
 from .frt import (DEFAULT_ENVELOPE_POINTS, EnvelopeResult, FrtComponent,
-                  FrtControl, FrtEnvelope, FrtOverride, FrtParams, Mode,
-                  envelope_check)
+                  FrtControl, FrtEnvelope, FrtParams, Mode, envelope_check)
 from .gridcomp import GridComponent
 from .network import (Branch, Bus, FaultEvent, NetworkData, StaticGenerator,
                       SynchronousMachine, assemble_ybus, fault_shunts,

@@ -27,7 +27,10 @@ currents ``i_s`` (``w_0``: the stiff slack's response), so no micro step
 solves the network.  Each RK4 stage evaluates the reduced-network swing
 equation ``Pe = Im(e conj(v_m)) / x' = Im(u conj(A u + b))``, with
 ``u = exp(j delta)``, ``A = diag(E/x') z_mm diag(E)`` per factorization
-and ``b = (E/x') w_m`` per micro step (``i_s`` is fixed over it).
+and ``b = (E/x') w_m`` per micro step (``i_s`` is fixed over it).  The
+stages run over Python numbers: on a few machines NumPy's per-call
+overhead would cost more than the arithmetic.  The sgen angle lag is the
+unit phasor ``v / |v|`` of the previous terminal voltage.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import bisect
 import cmath
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -95,7 +99,7 @@ class _Factor(NamedTuple):
     z_m: np.ndarray
     z_s: np.ndarray
     w_0: np.ndarray
-    a: np.ndarray
+    a: list[list[complex]]
     b_s: np.ndarray
     b_0: np.ndarray
 
@@ -107,6 +111,13 @@ def micro_grid(duration: float, micro_step: float) -> tuple[int, float]:
         raise ValueError(f"cannot split {duration} s into micro steps of {micro_step} s")
     n = max(1, math.ceil(duration / micro_step - 1e-9))
     return n, duration / n
+
+
+def _electrical_power(delta: list[float], a: list[list[complex]], b: list[complex]) -> list[float]:
+    """The machines' ``Pe_i = Im(u_i conj(sum_j a_ij u_j + b_i))``, ``u = exp(j delta)``."""
+    u = [cmath.rect(1.0, d) for d in delta]          # cos(d) + j sin(d)
+    return [(ui * (sum(map(mul, row, u)) + bi).conjugate()).imag
+            for ui, row, bi in zip(u, a, b)]
 
 
 class RmsModel:
@@ -134,11 +145,9 @@ class RmsModel:
         self.d = np.array([m.d for m in machines])
         self.xd_p = np.array([m.xd_p for m in machines])
         self.y_m = 1.0 / (1j * self.xd_p)
-        # RK4 rates of y = [delta, domega]: rate_lin y + rate_acc (Pm - Pe)
-        nm = len(machines)
-        self._rate_acc = np.vstack([np.zeros((nm, nm)), np.diag(0.5 / self.h)])
-        self._rate_lin = np.hstack([np.zeros((2 * nm, nm)), np.vstack(
-            [self.omega_s * np.eye(nm), -self.d * self._rate_acc[nm:]])])
+        # swing-equation terms: d(domega)/dt = (Pm - Pe) / 2H - (D / 2H) domega
+        self._inv_2h = (0.5 / self.h).tolist()
+        self._d_2h = (self.d * (0.5 / self.h)).tolist()
         # dynamic states and setpoints, filled by init_equilibrium
         self.delta = np.zeros(len(machines))
         self.domega = np.zeros(len(machines))
@@ -152,7 +161,7 @@ class RmsModel:
         self._s_id = np.zeros(len(network.sgens))
         self._s_iq = np.zeros(len(network.sgens))
         self._s_on = np.ones(len(network.sgens))
-        self._s_angle = np.zeros(len(network.sgens))
+        self._s_unit = np.ones(len(network.sgens), dtype=complex)
 
         self._slack_idx = next(i for i, b in enumerate(network.buses) if b.btype == "slack")
         self._stiff_slack = self._slack_idx not in self.m_bus
@@ -204,14 +213,13 @@ class RmsModel:
         if status is not None:
             self._s_on[k] = 1.0 if status else 0.0
 
-    def set_sgen_commands(self, k: np.ndarray, i_d, i_q, status) -> None:
-        """``set_sgen_command`` for the sgens at positions ``k`` of ``sgen_ids`` at once."""
+    def set_sgen_commands(self, k: np.ndarray | int, i_d, i_q, status) -> None:
+        """``set_sgen_command`` for the sgens at position(s) ``k`` of ``sgen_ids`` at once."""
         self._s_id[k], self._s_iq[k], self._s_on[k] = i_d, i_q, status
 
     def _sgen_currents(self) -> np.ndarray:
         """Injected network-frame currents on the system base."""
-        return ((self._s_id - 1j * self._s_iq)
-                * np.exp(1j * self._s_angle) * self.s_scale * self._s_on)
+        return (self._s_id - 1j * self._s_iq) * self._s_unit * self.s_scale * self._s_on
 
     # -- initialization --------------------------------------------------------
 
@@ -252,7 +260,8 @@ class RmsModel:
             i_s = np.conj(s_gen_bus[self._slack_idx] / vs)
             self._slack_e = vs + 1j * _STIFF_SLACK_X * i_s
 
-        self._s_angle = np.angle(v[self.s_bus])
+        v_s = v[self.s_bus]
+        self._s_unit = v_s / np.abs(v_s)
 
         diag = self._load_y.copy()
         np.add.at(diag, self.m_bus, self.y_m)
@@ -292,7 +301,8 @@ class RmsModel:
                 raise SingularNetworkError(f"dynamic admittance matrix: {exc}") from exc
             zr = (self.e_mag / self.xd_p)[:, None] * z[self.m_bus]    # machine rows, E/x'
             lu = self._lu_cache[key] = _Factor(z[:, :nm], z[:, nm:-1], z[:, -1],
-                                               zr[:, :nm] * self.e_mag, zr[:, nm:-1], zr[:, -1])
+                                               (zr[:, :nm] * self.e_mag).tolist(),
+                                               zr[:, nm:-1], zr[:, -1])
         return lu, shunts
 
     def _voltages(self, lu: _Factor, cur: np.ndarray) -> np.ndarray:
@@ -305,18 +315,13 @@ class RmsModel:
 
     # -- integration ---------------------------------------------------------
 
-    def _rates(self, y: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """RK4 rates of ``y = [delta, domega]``; ``Pe = Im(u conj(a u + b))``."""
-        u = np.exp(1j * y[:len(self.pm)])
-        pe = (u * (a.dot(u) + b).conj()).imag
-        return self._rate_lin.dot(y) + self._rate_acc.dot(self.pm - pe)
-
     def advance(self, t0: float, duration: float, on_micro=None) -> GridMeasurements:
         """Integrate ``[t0, t0+duration]`` in micro steps.
 
         ``on_micro(t, measurements, h)`` runs before each micro step with
         the measurements committed at its start; it may update static
-        generator commands (used by embedded plant controllers).  Inside
+        generator commands (used by embedded plant controllers), not the
+        machine states, which the interval carries as numbers.  Inside
         the interval those measurements hold only ``t``, ``v`` and
         ``sgen`` (``balance`` is None and the PCC fields keep their
         defaults); the full set is committed only at ``t0 + duration``
@@ -324,20 +329,29 @@ class RmsModel:
         """
         self._require_init()
         n, h = micro_grid(duration, self.micro_step)
+        nm, hh, h6, w_s = len(self.m_bus), 0.5 * h, h / 6.0, self.omega_s
+        pm, inv_2h, d_2h = self.pm.tolist(), self._inv_2h, self._d_2h
+        y = self.delta.tolist() + self.domega.tolist()       # [delta, domega]
         lu = self._lu_at(t0)[0]
         for m in range(n):
             if on_micro is not None:
                 on_micro(t0 + m * h, self.last_measurements, h)
             # commands, the angle lag and the topology are fixed over the micro step
             cur = self._sgen_currents()
-            a, b = lu.a, lu.b_0 + lu.b_s.dot(cur)
-            y0 = np.concatenate((self.delta, self.domega))
-            k1 = self._rates(y0, a, b)
-            k2 = self._rates(y0 + 0.5 * h * k1, a, b)
-            k3 = self._rates(y0 + 0.5 * h * k2, a, b)
-            k4 = self._rates(y0 + h * k3, a, b)
-            y = y0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            self.delta, self.domega = y[:len(self.pm)], y[len(self.pm):]
+            a, b = lu.a, (lu.b_0 + lu.b_s.dot(cur)).tolist()
+
+            def rates(z):
+                pe, dw = _electrical_power(z[:nm], a, b), z[nm:]
+                return [w_s * x for x in dw] + [
+                    c * (p - e) - k * x for c, k, p, e, x in zip(inv_2h, d_2h, pm, pe, dw)]
+
+            k1 = rates(y)
+            k2 = rates([x + hh * k for x, k in zip(y, k1)])
+            k3 = rates([x + hh * k for x, k in zip(y, k2)])
+            k4 = rates([x + h * k for x, k in zip(y, k3)])
+            y = [x + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+                 for x, r1, r2, r3, r4 in zip(y, k1, k2, k3, k4)]
+            self.delta, self.domega = np.array(y[:nm]), np.array(y[nm:])
             tau_next = t0 + (m + 1) * h
             lu, shunts = self._lu_at(tau_next)
             v = self._voltages(lu, cur)
@@ -349,7 +363,8 @@ class RmsModel:
             elif on_micro is not None:
                 self.last_measurements = GridMeasurements(
                     tau_next, v, self.sgen_ids, self._sgen_measurements(v, cur)[0])
-            self._s_angle = np.angle(v[self.s_bus])
+            v_s = v[self.s_bus]
+            self._s_unit = v_s / np.abs(v_s)
         return self.last_measurements
 
     def _require_init(self):

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -66,19 +65,15 @@ class FrtParams:
             raise ValueError("deglitch and k_boost must be >= 0, ramp_rate > 0")
 
 
-class FrtOverride(NamedTuple):
-    """The supervisor's outputs: the last four arguments of ``ConverterControl.step``."""
-
-    mode: Mode
-    block_active: bool
-    i_q_boost: float
-    i_d_ref: float
-
-
 class FrtControl:
+    """The supervisor.  Its outputs are the attributes ``mode``, ``block_active``,
+    ``i_q_boost`` and ``i_d_ref``, the last four arguments of ``ConverterControl.step``."""
+
     def __init__(self, params: FrtParams):
         self.params = params
         self.mode = Mode.NORMAL
+        self.block_active = False
+        self.i_q_boost = 0.0
         self.prefault_i_d = 0.0
         self.i_d_ref = 0.0
         self._above_timer = 0.0
@@ -93,7 +88,7 @@ class FrtControl:
         self.i_d_ref = i_d_cmd
         self._prev_cmd = i_d_cmd
 
-    def step(self, dt: float, v_mag: float, i_d_cmd_meas: float) -> FrtOverride:
+    def step(self, dt: float, v_mag: float, i_d_cmd_meas: float) -> None:
         p = self.params
         prev = self.mode
         if prev is _NORMAL:
@@ -127,8 +122,8 @@ class FrtControl:
         if mode is not prev and (prev, mode) not in _ALLOWED:     # staying is always allowed
             raise FrtTransitionError(f"forbidden transition {prev.name} -> {mode.name}")
         self._prev_cmd = i_d_cmd_meas
-        boost = p.k_boost * max(0.0, p.v_enter - v_mag) if mode is not _NORMAL else 0.0
-        return FrtOverride(mode, mode is _FAULT, boost, self.i_d_ref)
+        self.block_active = mode is _FAULT
+        self.i_q_boost = p.k_boost * max(0.0, p.v_enter - v_mag) if mode is not _NORMAL else 0.0
 
 
 class FrtComponent(SimComponent):
@@ -151,10 +146,12 @@ class FrtComponent(SimComponent):
         self.set("i_d_ref_limited", self.get("i_d_cmd_meas"))
 
     def _do_step(self, t: float, dt: float) -> None:
-        values = self._values
-        mode, values["block_active"], values["i_q_boost"], values["i_d_ref_limited"] = \
-            self.control.step(dt, values["v_meas"], values["i_d_cmd_meas"])
-        values["mode"] = int(mode)
+        values, c = self._values, self.control
+        c.step(dt, values["v_meas"], values["i_d_cmd_meas"])
+        values["mode"] = int(c.mode)
+        values["block_active"] = c.block_active
+        values["i_q_boost"] = c.i_q_boost
+        values["i_d_ref_limited"] = c.i_d_ref
 
 
 # -- voltage envelope ---------------------------------------------------------
@@ -182,10 +179,9 @@ class FrtEnvelope:
     def horizon(self) -> float:
         return self.points[-1][0]
 
-    def min_voltage(self, dt_since_onset: float) -> float:
-        ts = np.array([p[0] for p in self.points])
-        vs = np.array([p[1] for p in self.points])
-        return float(np.interp(dt_since_onset, ts, vs))
+    def min_voltage(self, dt_since_onset: float | np.ndarray) -> float | np.ndarray:
+        ts, vs = zip(*self.points)
+        return np.interp(dt_since_onset, ts, vs)
 
 
 @dataclass(frozen=True)
@@ -210,9 +206,7 @@ def envelope_check(time: np.ndarray, voltage: np.ndarray, onset: float,
             f"does not cover envelope horizon [{onset}, {onset + env.horizon}]")
     mask = (time >= onset - 1e-12) & (time <= onset + env.horizon + 1e-12)
     ts = time[mask]
-    vs = voltage[mask]
-    floor = np.array([env.min_voltage(t - onset) for t in ts])
-    margins = vs - floor
+    margins = voltage[mask] - env.min_voltage(ts - onset)
     worst = float(margins.min())
     bad = margins < -1e-12
     if bad.any():

@@ -19,8 +19,8 @@ For the single-component (monolithic) configuration, controller pairs
 can be embedded per turbine.  They are then stepped at every micro
 step with the measurement committed at its start, reproducing the
 serial exchange pattern with the macro step shrunk to the micro step:
-the converter consumes the previous ride-through override, the
-supervisor sees the fresh converter command.
+the converter consumes the supervisor's outputs of its previous step,
+the supervisor sees the fresh converter command.
 """
 
 from __future__ import annotations
@@ -33,18 +33,9 @@ from .converter import ConverterControl
 from .cosim import SimComponent, VarKind
 from .dynamics import GridMeasurements, RmsModel
 from .errors import UnknownVariableError
-from .frt import FrtControl, FrtOverride, Mode
+from .frt import FrtControl
 from .network import FaultEvent, NetworkData
 from .powerflow import solve_power_flow
-
-
-class _EmbeddedWtg:
-    """Converter + supervisor pair stepped inside the grid component."""
-
-    def __init__(self, converter: ConverterControl, supervisor: FrtControl):
-        self.converter = converter
-        self.supervisor = supervisor
-        self.override = FrtOverride(Mode.NORMAL, False, 0.0, 0.0)
 
 
 class GridComponent(SimComponent):
@@ -61,8 +52,7 @@ class GridComponent(SimComponent):
         self.setpoints = dict(setpoints)
         self.model = RmsModel(network, micro_step=micro_step, events=events,
                               pcc_bus=pcc_bus, pcc_branch=pcc_branch)
-        self.embedded = {sid: _EmbeddedWtg(c, f)
-                         for sid, (c, f) in (embedded or {}).items()}
+        self.embedded = dict(embedded or {})
         self._ran_micro = False
         self._pf = None
 
@@ -78,8 +68,8 @@ class GridComponent(SimComponent):
         self._command_get = [itemgetter(*[f"{kind}_{sid}" for sid in commanded])
                              for kind in ("i_d", "i_q", "status")] if commanded else None
         self._sgen_outputs = [(f"v_{sid}", f"theta_{sid}", f"p_{sid}", f"q_{sid}") for sid in ids]
-        self._embedded_at = [(ids.index(sid), sid, wtg, f"i_d_{sid}", f"i_q_{sid}", f"mode_{sid}")
-                             for sid, wtg in self.embedded.items()]
+        self._embedded_at = [(ids.index(sid), conv, sup, f"i_d_{sid}", f"i_q_{sid}", f"mode_{sid}")
+                             for sid, (conv, sup) in self.embedded.items()]
 
         index = network.bus_index()
         for bid in extra_bus_voltages:
@@ -118,9 +108,9 @@ class GridComponent(SimComponent):
         for (v_name, theta, _, _), v in zip(self._sgen_outputs, self._pf.v[self.model.s_bus]):
             self.set(v_name, abs(v))
             self.set(theta, float(np.angle(v)))
-        for sid, wtg in self.embedded.items():
-            i_d, i_q = wtg.converter.equilibrium(self.get(f"v_{sid}"))
-            wtg.supervisor.seed(i_d)
+        for sid, (conv, sup) in self.embedded.items():
+            i_d, i_q = conv.equilibrium(self.get(f"v_{sid}"))
+            sup.seed(i_d)
             self.model.set_sgen_command(sid, i_d=i_d, i_q=i_q)
 
     def finish_init(self) -> None:
@@ -145,10 +135,11 @@ class GridComponent(SimComponent):
             self._ran_micro = True
             return
         v_mag, _, p, q = meas.sgen_columns
-        for k, sid, wtg, _, _, _ in self._embedded_at:
-            i_d, i_q = wtg.converter.step(h, v_mag[k], p[k], q[k], *wtg.override)
-            wtg.override = wtg.supervisor.step(h, v_mag[k], i_d)
-            self.model.set_sgen_command(sid, i_d=i_d, i_q=i_q)
+        for k, conv, sup, _, _, _ in self._embedded_at:
+            i_d, i_q = conv.step(h, v_mag[k], p[k], q[k], sup.mode, sup.block_active,
+                                 sup.i_q_boost, sup.i_d_ref)
+            sup.step(h, v_mag[k], i_d)
+            self.model.set_sgen_commands(k, i_d, i_q, True)
 
     def _do_step(self, t: float, dt: float) -> None:
         self._take_commands()
@@ -165,10 +156,10 @@ class GridComponent(SimComponent):
             values[theta_name] = theta
             values[p_name] = p
             values[q_name] = q
-        for _, _, wtg, i_d, i_q, mode in self._embedded_at:
-            values[i_d] = wtg.converter.i_d_cmd
-            values[i_q] = wtg.converter.i_q_cmd
-            values[mode] = int(wtg.override.mode)
+        for _, conv, sup, i_d, i_q, mode in self._embedded_at:
+            values[i_d] = conv.i_d_cmd
+            values[i_q] = conv.i_q_cmd
+            values[mode] = int(sup.mode)
         values["v_pcc"] = meas.pcc_v
         values["theta_pcc"] = meas.pcc_theta
         values["p_wpp_mw"] = meas.p_wpp_mw

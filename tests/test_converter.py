@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from windcosim.converter import (ConverterComponent, ConverterControl,
                                  ConverterParams, Priority, QMode, current_limit)
 from windcosim.errors import EquilibriumInfeasibleError
-from windcosim.frt import FrtOverride, Mode
+from windcosim.frt import Mode
 
 
 # -- current limiter ------------------------------------------------------------
@@ -157,8 +157,7 @@ def test_conditional_anti_windup_releases_quickly():
 
 def test_fault_mode_forces_voltage_regulation():
     c = ConverterControl(ConverterParams(q_mode=QMode.REACTIVE_POWER), p_ref=0.5)
-    ov = FrtOverride(mode=Mode.FAULT, block_active=True, i_q_boost=0.0, i_d_ref=0.0)
-    _, i_q = c.step(1e-3, 0.4, 0.0, 0.0, *ov)
+    _, i_q = c.step(1e-3, 0.4, 0.0, 0.0, Mode.FAULT, True, 0.0, 0.0)
     # the q loop acts on v_ref - v = 0.6, not on q_ref - q = 0
     assert i_q == pytest.approx((0.1 + 120.0 * 1e-3) * 0.6, abs=1e-15)
 
@@ -166,24 +165,21 @@ def test_fault_mode_forces_voltage_regulation():
 def test_block_zeroes_active_axis_and_integrator():
     c = ConverterControl(ConverterParams(), p_ref=0.8)
     c.equilibrium(1.0)
-    ov = FrtOverride(mode=Mode.FAULT, block_active=True, i_q_boost=0.0, i_d_ref=0.0)
-    i_d, _ = c.step(1e-3, 0.3, 0.8, 0.0, *ov)
+    i_d, _ = c.step(1e-3, 0.3, 0.8, 0.0, Mode.FAULT, True, 0.0, 0.0)
     assert i_d == 0.0
     assert c.integ_d == 0.0
 
 
 def test_boost_enters_additively():
     c = ConverterControl(ConverterParams(kp_q=0.0, ki_q=0.0), p_ref=0.0, v_ref=1.0)
-    ov = FrtOverride(mode=Mode.FAULT, block_active=True, i_q_boost=0.7, i_d_ref=0.0)
-    _, i_q = c.step(1e-3, 1.0, 0.0, 0.0, *ov)
+    _, i_q = c.step(1e-3, 1.0, 0.0, 0.0, Mode.FAULT, True, 0.7, 0.0)
     assert i_q == pytest.approx(0.7, abs=1e-15)
 
 
 def test_reactive_priority_during_override():
     p = ConverterParams(kp_q=0.0, ki_q=0.0, i_max=1.1)
     c = ConverterControl(p, p_ref=0.0)
-    ov = FrtOverride(mode=Mode.RECOVERY, block_active=False, i_q_boost=0.8, i_d_ref=1.0)
-    i_d, i_q = c.step(1e-3, 1.0, 0.0, 0.0, *ov)
+    i_d, i_q = c.step(1e-3, 1.0, 0.0, 0.0, Mode.RECOVERY, False, 0.8, 1.0)
     assert i_q == pytest.approx(0.8, abs=1e-15)
     assert i_d == pytest.approx(math.sqrt(1.1 ** 2 - 0.8 ** 2), abs=1e-12)
 
@@ -191,8 +187,7 @@ def test_reactive_priority_during_override():
 def test_recovery_tracks_reference_bumplessly():
     c = ConverterControl(ConverterParams(), p_ref=0.9)
     c.equilibrium(1.0)
-    ov = FrtOverride(mode=Mode.RECOVERY, block_active=False, i_q_boost=0.0, i_d_ref=0.37)
-    i_d, _ = c.step(1e-3, 1.0, 0.9, 0.0, *ov)
+    i_d, _ = c.step(1e-3, 1.0, 0.9, 0.0, Mode.RECOVERY, False, 0.0, 0.37)
     assert i_d == 0.37
     assert c.integ_d == 0.37
     # back to normal regulation: next command continues from the override value

@@ -383,6 +383,14 @@ def machineless():
                StaticGenerator(id="t2", bus=4, mva=2.0)])
 
 
+def three_machines():
+    # the nine-bus network with its third machine restored at the plant bus
+    net = nine_bus_with_plant()
+    net.buses[2] = dataclasses.replace(net.buses[2], btype="pv", v_set=1.025, p_gen=0.85)
+    net.machines.append(SynchronousMachine(bus=3, h=3.01, d=6.0, xd_p=0.1813))
+    return net
+
+
 def direct_solve(model, t, cur):
     """The network solved from the full injection vector at the model's
     states, with its own factorization of ``Y`` and the shunts active at ``t``."""
@@ -399,7 +407,8 @@ NETWORKS = pytest.mark.parametrize("net, sgen_pq, fault_bus", [
     (nine_bus_with_plant(), {"wpp": (0.85, 0.0)}, 6),
     (smib(), {}, 2),
     (machineless(), {"t1": (0.9, 0.1), "t2": (0.9, 0.1)}, 2),
-], ids=["nine_bus_with_plant", "smib", "machineless"])
+    (three_machines(), {"wpp": (0.4, 0.0)}, 6),
+], ids=["nine_bus_with_plant", "smib", "machineless", "three_machines"])
 
 
 @NETWORKS
@@ -451,28 +460,81 @@ def test_committed_voltages_match_a_direct_solve(monkeypatch, net, sgen_pq, faul
 
 
 @NETWORKS
-def test_stage_power_matches_a_full_network_solve(net, sgen_pq, fault_bus):
-    # the reduced Pe = Im(u conj(A u + b)) of an RK4 stage against
-    # Im(e conj(v)) / x' at the machine buses of a full network solve
+def test_stage_power_matches_a_full_network_solve(monkeypatch, net, sgen_pq, fault_bus):
+    # the reduced Pe = Im(u conj(A u + b)) of the first RK4 stage of a micro
+    # step against Im(e conj(v)) / x' at the machine buses of a full network solve
     events = [FaultEvent(bus=fault_bus, start=0.01, duration=0.01, admittance=50.0)]
     model, _ = equilibrated(net, sgen_pq, events=events)
     nm = len(net.machines)
     rng = np.random.default_rng(7)
+    stages = []
+    electrical_power = dynamics._electrical_power
+
+    def recording(delta, a, b):
+        stages.append(electrical_power(delta, a, b))
+        return stages[-1]
+
+    monkeypatch.setattr(dynamics, "_electrical_power", recording)
     for t in (0.0, 0.015):
         for _ in range(3):
             model.delta = model.delta + rng.uniform(-0.3, 0.3, nm)
             for sid in sgen_pq:
                 model.set_sgen_command(sid, i_d=rng.uniform(0.2, 1.0), i_q=rng.uniform(-0.2, 0.2))
             cur = model._sgen_currents()
-            lu, _ = model._lu_at(t)
-            y = np.concatenate((model.delta, np.zeros(nm)))
-            rates = model._rates(y, lu.a, lu.b_0 + lu.b_s @ cur)
-            pe_stage = model.pm - 2.0 * model.h * rates[nm:]
             e = model.e_mag * np.exp(1j * model.delta)
             v_m = direct_solve(model, t, cur)[model.m_bus]
             pe_full = (e * np.conj(v_m)).imag / model.xd_p
+            stages.clear()
+            model.advance(t, model.micro_step)
+            assert len(stages) == 4
+            pe_stage = np.array(stages[0])
             assert pe_stage.shape == (nm,)
             assert np.all(np.abs(pe_stage - pe_full) <= 1e-12), (t, pe_stage, pe_full)
+
+
+def array_rk4_step(model, lu, cur, h):
+    """One micro step of the swing equation in NumPy arrays: the same RK4 with
+    ``y = [delta, domega]``, ``dy/dt = rate_lin y + rate_acc (Pm - Pe)``."""
+    nm = len(model.pm)
+    a = np.array(lu.a, dtype=complex).reshape(nm, nm)
+    b = lu.b_0 + lu.b_s @ cur
+    rate_acc = np.vstack([np.zeros((nm, nm)), np.diag(0.5 / model.h)])
+    rate_lin = np.hstack([np.zeros((2 * nm, nm)), np.vstack(
+        [model.omega_s * np.eye(nm), -model.d * rate_acc[nm:]])])
+
+    def rates(y):
+        u = np.exp(1j * y[:nm])
+        pe = (u * (a.dot(u) + b).conj()).imag
+        return rate_lin.dot(y) + rate_acc.dot(model.pm - pe)
+
+    y0 = np.concatenate((model.delta, model.domega))
+    k1 = rates(y0)
+    k2 = rates(y0 + 0.5 * h * k1)
+    k3 = rates(y0 + 0.5 * h * k2)
+    k4 = rates(y0 + h * k3)
+    y = y0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y[:nm], y[nm:]
+
+
+@NETWORKS
+def test_micro_step_matches_an_array_rk4(net, sgen_pq, fault_bus):
+    events = [FaultEvent(bus=fault_bus, start=0.01, duration=0.01, admittance=50.0)]
+    h = 5e-4
+    model, _ = equilibrated(net, sgen_pq, micro_step=h, events=events)
+    nm = len(net.machines)
+    rng = np.random.default_rng(11)
+    for t in (0.0, 0.015):
+        for _ in range(3):
+            model.delta = model.delta + rng.uniform(-0.3, 0.3, nm)
+            model.domega = rng.uniform(-0.01, 0.01, nm)
+            for sid in sgen_pq:
+                model.set_sgen_command(sid, i_d=rng.uniform(0.2, 1.0), i_q=rng.uniform(-0.2, 0.2))
+            delta, domega = array_rk4_step(model, model._lu_at(t)[0], model._sgen_currents(), h)
+            meas = model.advance(t, h)
+            assert meas.t == t + h
+            assert model.delta.shape == model.domega.shape == (nm,)
+            assert np.all(np.abs(model.delta - delta) <= 1e-13), (t, model.delta, delta)
+            assert np.all(np.abs(model.domega - domega) <= 1e-13), (t, model.domega, domega)
 
 
 def test_sgen_measurements_inside_a_macro_step_match_a_full_measure():

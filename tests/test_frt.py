@@ -24,9 +24,9 @@ def make_control(**kw) -> FrtControl:
 def test_normal_stays_normal_at_healthy_voltage():
     c = make_control()
     for _ in range(100):
-        ov = c.step(DT, 1.0, 0.9)
-    assert ov.mode is Mode.NORMAL
-    assert not ov.block_active and ov.i_q_boost == 0.0
+        c.step(DT, 1.0, 0.9)
+    assert c.mode is Mode.NORMAL
+    assert not c.block_active and c.i_q_boost == 0.0
 
 
 def test_entry_is_immediate_and_latches_previous_command():
@@ -34,9 +34,9 @@ def test_entry_is_immediate_and_latches_previous_command():
     c.step(DT, 1.0, 0.9)
     # at the step where the dip shows up the command has already collapsed;
     # the latch must hold the pre-disturbance value from one step earlier
-    ov = c.step(DT, 0.3, 0.2)
-    assert ov.mode is Mode.FAULT
-    assert ov.block_active
+    c.step(DT, 0.3, 0.2)
+    assert c.mode is Mode.FAULT
+    assert c.block_active
     assert c.prefault_i_d == 0.9
 
 
@@ -50,20 +50,20 @@ def test_latch_happens_only_on_the_entry_edge():
 
 def test_boost_is_proportional_to_shortfall():
     c = make_control(k_boost=2.0)
-    ov = c.step(DT, 0.3, 0.9)
-    assert ov.i_q_boost == pytest.approx(2.0 * (0.9 - 0.3), abs=1e-15)
-    ov = c.step(DT, 0.75, 0.0)
-    assert ov.i_q_boost == pytest.approx(2.0 * 0.15, abs=1e-15)
+    c.step(DT, 0.3, 0.9)
+    assert c.i_q_boost == pytest.approx(2.0 * (0.9 - 0.3), abs=1e-15)
+    c.step(DT, 0.75, 0.0)
+    assert c.i_q_boost == pytest.approx(2.0 * 0.15, abs=1e-15)
 
 
 def test_exit_needs_the_full_deglitch_hold():
     c = make_control(deglitch=0.02)
     c.step(DT, 0.3, 0.9)
     for k in range(19):
-        ov = c.step(DT, 0.95, 0.0)
-        assert ov.mode is Mode.FAULT, f"left FAULT after only {k + 1} ms"
-    ov = c.step(DT, 0.95, 0.0)
-    assert ov.mode is Mode.RECOVERY
+        c.step(DT, 0.95, 0.0)
+        assert c.mode is Mode.FAULT, f"left FAULT after only {k + 1} ms"
+    c.step(DT, 0.95, 0.0)
+    assert c.mode is Mode.RECOVERY
 
 
 def test_deglitch_timer_resets_on_a_relapse():
@@ -73,31 +73,32 @@ def test_deglitch_timer_resets_on_a_relapse():
         c.step(DT, 0.95, 0.0)
     c.step(DT, 0.5, 0.0)                 # drops below v_exit: hold starts over
     for _ in range(19):
-        ov = c.step(DT, 0.95, 0.0)
-        assert ov.mode is Mode.FAULT
-    assert c.step(DT, 0.95, 0.0).mode is Mode.RECOVERY
+        c.step(DT, 0.95, 0.0)
+        assert c.mode is Mode.FAULT
+    c.step(DT, 0.95, 0.0)
+    assert c.mode is Mode.RECOVERY
 
 
 def test_recovery_ramp_matches_closed_form():
     c = make_control(deglitch=0.0, ramp_rate=1.0)
     c.step(DT, 0.3, 0.9)                 # latch 0.9
-    ov = c.step(DT, 0.95, 0.0)           # zero deglitch: clears immediately
-    assert ov.mode is Mode.RECOVERY
-    assert ov.i_d_ref == 0.0             # ramp starts from the clearance command
+    c.step(DT, 0.95, 0.0)                # zero deglitch: clears immediately
+    assert c.mode is Mode.RECOVERY
+    assert c.i_d_ref == 0.0              # ramp starts from the clearance command
     for k in range(1, 901):
-        ov = c.step(DT, 0.95, ov.i_d_ref)
-        assert ov.i_d_ref == pytest.approx(min(k * 1e-3, 0.9), abs=1e-12)
-    assert ov.mode is Mode.NORMAL
-    assert ov.i_d_ref == 0.9             # snapped exactly onto the latch
+        c.step(DT, 0.95, c.i_d_ref)
+        assert c.i_d_ref == pytest.approx(min(k * 1e-3, 0.9), abs=1e-12)
+    assert c.mode is Mode.NORMAL
+    assert c.i_d_ref == 0.9              # snapped exactly onto the latch
 
 
 def test_recovery_completes_on_the_expected_step():
     c = make_control(deglitch=0.0, ramp_rate=1.0)
     c.step(DT, 0.3, 0.9)
-    ov = c.step(DT, 0.95, 0.0)
+    c.step(DT, 0.95, 0.0)
     steps = 0
-    while ov.mode is Mode.RECOVERY:
-        ov = c.step(DT, 0.95, ov.i_d_ref)
+    while c.mode is Mode.RECOVERY:
+        c.step(DT, 0.95, c.i_d_ref)
         steps += 1
     # 0.9 pu at 1 pu/s in 1 ms steps
     assert steps == 900
@@ -107,31 +108,33 @@ def test_disabled_ramp_restores_in_one_step():
     c = make_control(deglitch=0.0, ramp_enabled=False)
     c.step(DT, 0.3, 0.9)
     c.step(DT, 0.95, 0.0)
-    ov = c.step(DT, 0.95, 0.0)
-    assert ov.mode is Mode.NORMAL
-    assert ov.i_d_ref == 0.9
+    c.step(DT, 0.95, 0.0)
+    assert c.mode is Mode.NORMAL
+    assert c.i_d_ref == 0.9
 
 
 def test_redip_returns_to_fault_and_keeps_the_original_latch():
     c = make_control(deglitch=0.0)
     c.step(DT, 0.3, 0.9)
-    ov = c.step(DT, 0.95, 0.0)
+    c.step(DT, 0.95, 0.0)
     for _ in range(100):
-        ov = c.step(DT, 0.95, ov.i_d_ref)
-    assert ov.mode is Mode.RECOVERY
-    ov = c.step(DT, 0.2, ov.i_d_ref)     # second dip during the ramp
-    assert ov.mode is Mode.FAULT
+        c.step(DT, 0.95, c.i_d_ref)
+    assert c.mode is Mode.RECOVERY
+    c.step(DT, 0.2, c.i_d_ref)           # second dip during the ramp
+    assert c.mode is Mode.FAULT
     assert c.prefault_i_d == 0.9
-    ov = c.step(DT, 0.95, 0.0)
-    assert ov.mode is Mode.RECOVERY      # clears again toward the same target
+    c.step(DT, 0.95, 0.0)
+    assert c.mode is Mode.RECOVERY       # clears again toward the same target
 
 
 def test_block_active_only_in_fault():
     c = make_control(deglitch=0.0)
-    assert not c.step(DT, 1.0, 0.9).block_active
-    assert c.step(DT, 0.3, 0.9).block_active
-    ov = c.step(DT, 0.95, 0.0)
-    assert ov.mode is Mode.RECOVERY and not ov.block_active
+    c.step(DT, 1.0, 0.9)
+    assert not c.block_active
+    c.step(DT, 0.3, 0.9)
+    assert c.block_active
+    c.step(DT, 0.95, 0.0)
+    assert c.mode is Mode.RECOVERY and not c.block_active
 
 
 def test_seed_sets_latch_reference_and_memory():
@@ -139,9 +142,9 @@ def test_seed_sets_latch_reference_and_memory():
     c.seed(0.77)
     assert c.prefault_i_d == 0.77
     assert c.i_d_ref == 0.77
-    ov = c.step(DT, 0.3, 0.1)            # immediate dip on the first step
+    c.step(DT, 0.3, 0.1)                 # immediate dip on the first step
     assert c.prefault_i_d == 0.77
-    assert ov.mode is Mode.FAULT
+    assert c.mode is Mode.FAULT
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.1, allow_nan=False),
@@ -152,9 +155,9 @@ def test_any_voltage_walk_follows_allowed_edges(voltages):
     seen = set()
     for v in voltages:
         prev = c.mode
-        ov = c.step(DT, v, cmd)
-        seen.add((prev, ov.mode))
-        cmd = 0.0 if ov.block_active else ov.i_d_ref
+        c.step(DT, v, cmd)
+        seen.add((prev, c.mode))
+        cmd = 0.0 if c.block_active else c.i_d_ref
     assert seen <= _ALLOWED
 
 

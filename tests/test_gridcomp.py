@@ -6,7 +6,7 @@ import pytest
 from windcosim.converter import ConverterControl, ConverterParams
 from windcosim.cosim import Direction, VarKind
 from windcosim.errors import UnknownVariableError
-from windcosim.frt import FrtControl, FrtParams
+from windcosim.frt import FrtControl, FrtParams, Mode
 from windcosim.gridcomp import GridComponent
 from windcosim.network import FaultEvent, StaticGenerator
 from windcosim.powerflow import solve_power_flow
@@ -135,6 +135,38 @@ def test_monolithic_equals_cosim_bitwise_when_steps_align():
     assert np.array_equal(mono["grid.mode_wpp"][1:], cosim["frt_wpp.mode"][:-1])
 
 
+def test_embedded_converter_sees_the_supervisor_one_micro_step_late():
+    # the converter reads the supervisor's outputs before the supervisor's
+    # own step in the same micro step, as the serial exchange would
+    conv, sup = make_embedded()["wpp"]
+    comp = GridComponent("grid", plant_network(), SETPOINT, pcc_bus=3,
+                         events=[FaultEvent(bus=6, start=2e-3, duration=3e-3)],
+                         embedded={"wpp": (conv, sup)})
+    seen, outputs = [], []
+    conv_step, sup_step = conv.step, sup.step
+
+    def converter_step(dt, v, p, q, *frt):
+        seen.append(frt)
+        return conv_step(dt, v, p, q, *frt)
+
+    def supervisor_step(dt, v, i_d):
+        sup_step(dt, v, i_d)
+        outputs.append((sup.mode, sup.block_active, sup.i_q_boost, sup.i_d_ref))
+
+    conv.step, sup.step = converter_step, supervisor_step
+    comp.equilibrate()
+    seeded = sup.i_d_ref
+    comp.finish_init()
+    for k in range(8):
+        comp.step(k * 1e-3, 1e-3)
+    assert len(seen) == len(outputs) == 8 * 2 - 1      # the first micro step runs no controller
+    assert seen[0] == (Mode.NORMAL, False, 0.0, seeded)
+    assert seen[1:] == outputs[:-1]
+    j = next(i for i, out in enumerate(outputs) if out[0] is Mode.FAULT)
+    assert seen[j][0] is Mode.NORMAL
+    assert seen[j + 1][:2] == (Mode.FAULT, True) and seen[j + 1][2] > 0.0
+
+
 def test_step_outputs_have_declared_kinds_across_a_fault():
     # the step path writes straight into the values; a numpy scalar or an
     # IntEnum there would leak into the exchange and the trace
@@ -189,6 +221,7 @@ def test_column_commands_address_the_right_sgens():
     assert model._s_on.tolist() == [1.0, 1.0, 0.0]
     assert model._s_id[[0, 2]].tolist() == [tripped.get("i_d_a"), tripped.get("i_d_c")]
     assert model._s_iq[[0, 2]].tolist() == [tripped.get("i_q_a"), tripped.get("i_q_c")]
+    assert (model._s_id[1], model._s_iq[1]) == (tripped.get("i_d_emb"), tripped.get("i_q_emb"))
     assert tripped.get("p_c") == 0.0 and tripped.get("q_c") == 0.0
     # the others keep their commands; their power moves only with the grid
     # voltage, which the trip shifts by well under 2 %
