@@ -21,8 +21,8 @@ from .frt import (DEFAULT_ENVELOPE_POINTS, EnvelopeResult, FrtComponent,
                   FrtControl, FrtEnvelope, FrtParams, Mode, envelope_check)
 from .gridcomp import GridComponent
 from .network import (Branch, Bus, FaultEvent, NetworkData, StaticGenerator,
-                      SynchronousMachine, assemble_ybus, fault_shunts,
-                      ybus_with_shunts)
+                      SynchronousMachine, assemble_ybus, branch_stamps,
+                      fault_shunts, ybus_with_shunts)
 from .powerflow import PowerFlowResult, scheduled_injections, solve_power_flow
 from .scenario import (ConnectionSpec, Scenario, WtgSpec, build_large_scale,
                        build_monolithic, build_small_scale, instantiate,

@@ -243,10 +243,9 @@ class Master:
     def __init__(self, config: MasterConfig):
         self.config = config
         self._components: dict[str, SimComponent] = {}
-        self._priorities: dict[str, int] = {}
+        self._by_priority: dict[int, SimComponent] = {}
         self._by_sink: dict[str, list[Connection]] = {}
         self._driven: set[VariableRef] = set()
-        self._order: list[SimComponent] = []
         self._plan: list[tuple] = []
         self._recorded: list[VariableRef] | None = None
         self._initialized = False
@@ -260,11 +259,10 @@ class Master:
         cid = component.component_id
         if cid in self._components:
             raise err.DuplicateComponentError(f"component id '{cid}' already registered")
-        if priority in self._priorities.values():
+        if priority in self._by_priority:
             raise err.DuplicatePriorityError(f"priority {priority} already taken")
         self._components[cid] = component
-        self._priorities[cid] = priority
-        self._order = sorted(self._components.values(), key=lambda c: self._priorities[c.component_id])
+        self._by_priority[priority] = component
         return component
 
     def resolve(self, qualified: str) -> VariableRef:
@@ -312,7 +310,7 @@ class Master:
         return self._components[component_id]
 
     def execution_order(self) -> list[str]:
-        return [c.component_id for c in self._order]
+        return [self._by_priority[p].component_id for p in sorted(self._by_priority)]
 
     # -- value movement ----------------------------------------------------
 
@@ -325,7 +323,7 @@ class Master:
               for c in self._by_sink.get(comp.component_id, ())],
              [r.name for r in comp.variables()
               if r.direction is Direction.OUTPUT and r.kind is VarKind.REAL])
-            for comp in self._order
+            for _, comp in sorted(self._by_priority.items())
         ]
 
     # -- lifecycle ---------------------------------------------------------

@@ -135,9 +135,12 @@ class RmsModel:
         self.pcc_bus = pcc_bus
         self.omega_s = network.omega_s
 
+        # the run's one validation, pi-branch stamps and bus admittance matrix
+        network.validate()
         self._index = network.bus_index()
         self._n = len(network.buses)
-        self._ybus = assemble_ybus(network)
+        self._branches = branch_stamps(network)
+        self.ybus = assemble_ybus(self._branches, self._n)
 
         machines = network.machines
         self.m_bus = np.array([self._index[m.bus] for m in machines], dtype=int)
@@ -167,8 +170,6 @@ class RmsModel:
         self._stiff_slack = self._slack_idx not in self.m_bus
         self._slack_e = complex(network.buses[self._slack_idx].v_set, 0.0)
         self._y_stiff = 1.0 / (1j * _STIFF_SLACK_X)
-
-        self._branches = branch_stamps(network)
 
         self._load_y = np.zeros(self._n, dtype=complex)
         self._y_dyn: sp.csc_matrix | None = None
@@ -223,15 +224,12 @@ class RmsModel:
 
     # -- initialization --------------------------------------------------------
 
-    def init_equilibrium(self, pf: PowerFlowResult,
-                         sgen_pq: dict[str, tuple[float, float]] | None = None) -> None:
+    def init_equilibrium(self, pf: PowerFlowResult) -> None:
         """Back-solve machine states from a solved power flow and freeze loads.
 
-        ``sgen_pq`` must be the same scheduled injections the power flow
-        was run with; static generator commands must already be set to
-        their equilibrium values.  Afterwards a disturbance-free run
-        holds the operating point (machine accelerating power is zero to
-        solver precision).
+        Static generator commands must already be set to their equilibrium
+        values.  Afterwards a disturbance-free run holds the operating
+        point (machine accelerating power is zero to solver precision).
         """
         v = pf.v
         vm2 = np.abs(v) ** 2
@@ -240,16 +238,10 @@ class RmsModel:
         for i, bus in enumerate(self.network.buses):
             self._load_y[i] = complex(bus.p_load, -bus.q_load) / vm2[i]
 
-        # generated power per bus = net injection + load - scheduled sgen share
-        ibus = self._ybus @ v
-        s_net = v * np.conj(ibus)
-        s_gen_bus = s_net + np.array(
-            [complex(b.p_load, b.q_load) for b in self.network.buses])
-        if sgen_pq:
-            for sg in self.network.sgens:
-                if sg.id in sgen_pq:
-                    p, q = sgen_pq[sg.id]
-                    s_gen_bus[self._index[sg.bus]] -= complex(p, q) * sg.mva / self.network.base_mva
+        # machine power per bus = net injection - (schedule - scheduled machine power);
+        # the bracket is exactly 0 at a machine bus with no load and no sgen
+        p_gen = np.array([b.p_gen for b in self.network.buses])
+        s_gen_bus = v * np.conj(self.ybus @ v) - (pf.s_sched - p_gen)
 
         vt = v[self.m_bus]
         e = vt + 1j * self.xd_p * np.conj(s_gen_bus[self.m_bus] / vt)
@@ -267,7 +259,7 @@ class RmsModel:
         np.add.at(diag, self.m_bus, self.y_m)
         if self._stiff_slack:
             diag[self._slack_idx] += self._y_stiff
-        self._y_dyn = (self._ybus + sp.diags(diag)).tocsc()
+        self._y_dyn = (self.ybus + sp.diags(diag)).tocsc()
         self._lu_cache.clear()
         self._initialized = True
 

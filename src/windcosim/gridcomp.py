@@ -8,6 +8,9 @@ the plant active/reactive power in physical units and the active-power
 balance residual of the last network solution.  Additional bus voltage
 magnitudes can be exported by id (``v_bus<k>``).
 
+The component's ``RmsModel`` validates the network and builds its one
+bus admittance matrix; the power flow runs on that matrix.
+
 Initialization follows the staged protocol: ``equilibrate`` runs the
 power flow with the plant setpoints fixed, publishes terminal voltages
 and seeds the embedded controllers at their equilibrium; ``finish_init``
@@ -104,7 +107,7 @@ class GridComponent(SimComponent):
     def equilibrate(self) -> None:
         # p_<id> and q_<id> keep their start values, the setpoints the flow holds;
         # abs per scalar: np.abs over an array can round the last bit differently
-        self._pf = solve_power_flow(self.network, sgen_pq=self.setpoints)
+        self._pf = solve_power_flow(self.network, self.model.ybus, self.setpoints)
         for (v_name, theta, _, _), v in zip(self._sgen_outputs, self._pf.v[self.model.s_bus]):
             self.set(v_name, abs(v))
             self.set(theta, float(np.angle(v)))
@@ -115,7 +118,7 @@ class GridComponent(SimComponent):
 
     def finish_init(self) -> None:
         self._take_commands()
-        self.model.init_equilibrium(self._pf, sgen_pq=self.setpoints)
+        self.model.init_equilibrium(self._pf)
         self._publish_measurements(self.model.last_measurements)
 
     # -- stepping --------------------------------------------------------------

@@ -210,18 +210,17 @@ def branch_stamps(network: NetworkData) -> tuple[np.ndarray, ...]:
             *np.array(stamps, dtype=complex).reshape(-1, 4).T)
 
 
-def assemble_ybus(network: NetworkData) -> sp.csc_matrix:
-    """Bus admittance matrix: validates the network and sums its
-    ``branch_stamps``, entered per branch in the order ff, tt, ft, tf
-    (the order fixes the rounding of the sums)."""
-    network.validate()
-    f, t, y_ff, y_ft, y_tf, y_tt = branch_stamps(network)
-    n = len(network.buses)
+def assemble_ybus(stamps: tuple[np.ndarray, ...], n_bus: int) -> sp.csc_matrix:
+    """Bus admittance matrix of ``n_bus`` buses: the sum of ``branch_stamps``,
+    entered per branch in the order ff, tt, ft, tf (the order fixes the
+    rounding of the sums).  The caller validates the network and owns the
+    stamps; ``RmsModel`` builds the one matrix a run uses."""
+    f, t, y_ff, y_ft, y_tf, y_tt = stamps
     rows = np.column_stack((f, t, f, t)).ravel()
     cols = np.column_stack((f, t, t, f)).ravel()
     vals = np.column_stack((y_ff, y_tt, y_ft, y_tf)).ravel()
     return sp.csc_matrix(
-        sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex)
+        sp.coo_matrix((vals, (rows, cols)), shape=(n_bus, n_bus), dtype=complex)
     )
 
 

@@ -5,6 +5,9 @@ injections at their buses (their setpoints, rescaled to the system
 base), so a converter-dominated plant can be dispatched without a
 voltage-controlled bus.  Convergence is max |mismatch| < ``TOL`` on both
 active and reactive equations.
+
+The flow runs on the bus admittance matrix it is given and validates
+nothing: ``RmsModel`` validates the network and builds that one matrix.
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import PowerFlowDivergedError, SingularNetworkError
-from .network import NetworkData, assemble_ybus
+from .network import NetworkData
 
 TOL = 1e-8          # max |mismatch| in pu on the system base
 MAX_ITER = 20
@@ -26,6 +30,7 @@ class PowerFlowResult:
     iterations: int
     max_mismatch: float
     bus_ids: list[int]
+    s_sched: np.ndarray           # the scheduled injection solved for, pu system base
 
     def voltage(self, bus_id: int) -> complex:
         return self.v[self.bus_ids.index(bus_id)]
@@ -37,11 +42,9 @@ def scheduled_injections(network: NetworkData,
 
     ``sgen_pq`` maps static generator ids to (P, Q) on the *machine* base.
     """
-    index = network.bus_index()
-    s = np.zeros(len(network.buses), dtype=complex)
-    for bus in network.buses:
-        s[index[bus.id]] = complex(bus.p_gen - bus.p_load, -bus.q_load)
+    s = np.array([complex(b.p_gen - b.p_load, -b.q_load) for b in network.buses], dtype=complex)
     if sgen_pq:
+        index = network.bus_index()
         for sg in network.sgens:
             if sg.id in sgen_pq:
                 p, q = sgen_pq[sg.id]
@@ -49,9 +52,8 @@ def scheduled_injections(network: NetworkData,
     return s
 
 
-def solve_power_flow(network: NetworkData,
+def solve_power_flow(network: NetworkData, ybus: sp.csc_matrix,
                      sgen_pq: dict[str, tuple[float, float]] | None = None) -> PowerFlowResult:
-    ybus = assemble_ybus(network)
     n = len(network.buses)
     btypes = [b.btype for b in network.buses]
     pv = [i for i, t in enumerate(btypes) if t == "pv"]
@@ -62,17 +64,14 @@ def solve_power_flow(network: NetworkData,
     va = np.zeros(n)
     s_sched = scheduled_injections(network, sgen_pq)
 
-    def mismatch(v):
-        return v * np.conj(ybus @ v) - s_sched
-
     for it in range(MAX_ITER + 1):
         v = vm * np.exp(1j * va)
-        mis = mismatch(v)
+        mis = v * np.conj(ybus @ v) - s_sched
         f = np.concatenate([mis[pvpq].real, mis[pq].imag])
         max_mis = float(np.max(np.abs(f))) if f.size else 0.0
         if max_mis < TOL:
             return PowerFlowResult(v=v, iterations=it, max_mismatch=max_mis,
-                                   bus_ids=[b.id for b in network.buses])
+                                   bus_ids=[b.id for b in network.buses], s_sched=s_sched)
         if it == MAX_ITER:
             break
 

@@ -94,14 +94,14 @@ class Scenario:
         if self.mode not in ("monolithic", "cosim"):
             raise ScenarioValidationError(f"unknown mode '{self.mode}'")
         self.network.validate()
-        sgen_ids = {sg.id for sg in self.network.sgens}
+        sgen_mva = {sg.id: sg.mva for sg in self.network.sgens}
         wtg_ids = [w.id for w in self.wtgs]
         if len(set(wtg_ids)) != len(wtg_ids):
             raise ScenarioValidationError("duplicate wtg ids")
         for w in self.wtgs:
-            if w.id not in sgen_ids:
+            if w.id not in sgen_mva:
                 raise UnresolvedReferenceError(w.id, "wtg has no static generator")
-        rating = sum(self.network.sgen(w.id).mva for w in self.wtgs)
+        rating = sum(sgen_mva[w.id] for w in self.wtgs)
         if abs(rating - self.wpp_rating_mva) > 1e-9 * max(1.0, self.wpp_rating_mva):
             raise ScenarioValidationError(
                 f"turbine ratings sum to {rating} MVA, plant is rated {self.wpp_rating_mva} MVA")
@@ -290,7 +290,7 @@ def build_large_scale(t_end: float = 2.0, macro_step: float = 1e-3,
 
 def instantiate(scenario: Scenario) -> Master:
     """Build and wire a master from a scenario description."""
-    scenario.validate()
+    scenario.validate()         # again: a parsed scenario may have been changed since
     config = replace(scenario.master, record=list(scenario.master.record))
     master = Master(config)
     setpoints = {w.id: (w.p_ref, w.q_ref) for w in scenario.wtgs}

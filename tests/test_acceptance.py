@@ -21,7 +21,8 @@ from windcosim.cosim import Master, MasterConfig, Scheme, SimComponent, VarKind
 from windcosim.dynamics import RmsModel
 from windcosim.frt import Mode, envelope_check
 from windcosim.network import (Branch, Bus, FaultEvent, NetworkData,
-                               StaticGenerator, SynchronousMachine)
+                               StaticGenerator, SynchronousMachine, assemble_ybus,
+                               branch_stamps)
 from windcosim.powerflow import solve_power_flow
 from windcosim.scenario import (COLLECTOR_BUS, build_large_scale,
                                 build_small_scale, run_scenario)
@@ -29,6 +30,10 @@ from windcosim.scenario_io import parse_scenario
 from windcosim.wscc9 import wscc9_without_g3
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def _ybus(net):
+    return assemble_ybus(branch_stamps(net), len(net.buses))
 
 
 def _verdict(num: int, name: str, checks: dict[str, bool], detail: str,
@@ -163,14 +168,14 @@ def test_c3_power_flow_oracles():
                    Bus(id=2, base_kv=110.0)],
             branches=[Branch(from_bus=1, to_bus=2, r=0.02, x=0.08)],
             sgens=[StaticGenerator(id="inj", bus=2, mva=100.0)])
-        res = solve_power_flow(net, {"inj": (p, q)})
+        res = solve_power_flow(net, _ybus(net), {"inj": (p, q)})
         expected = two_bus_voltage(p, q, r=0.02, x=0.08)
         worst_two_bus = max(worst_two_bus, abs(res.voltage(2) - expected))
         iters_ok &= res.iterations <= 10
 
     net9 = wscc9_without_g3()
     net9.sgens.append(StaticGenerator(id="wpp", bus=3, mva=100.0))
-    res9 = solve_power_flow(net9, {"wpp": (0.85, 0.0)})
+    res9 = solve_power_flow(net9, _ybus(net9), {"wpp": (0.85, 0.0)})
     bus_ids, v_oracle = naive_power_flow(net9, {"wpp": (0.85, 0.0)})
     nine_dev = float(np.max(np.abs(res9.v - v_oracle)))
     checks = {
@@ -348,13 +353,13 @@ def _smib(d=0.0):
 
 
 def _equilibrated(net, sgen_pq, micro_step=5e-4, events=None):
-    pf = solve_power_flow(net, sgen_pq)
     model = RmsModel(net, micro_step=micro_step, events=events or [])
+    pf = solve_power_flow(net, model.ybus, sgen_pq)
     for sg in net.sgens:
         p, q = sgen_pq.get(sg.id, (0.0, 0.0))
         vm = abs(pf.voltage(sg.bus))
         model.set_sgen_command(sg.id, i_d=p / vm, i_q=q / vm, status=True)
-    model.init_equilibrium(pf, sgen_pq)
+    model.init_equilibrium(pf)
     return model
 
 
@@ -451,10 +456,10 @@ def test_c8_collector_lumping():
 
     zc = 0.0045 + 0.0054j
     full = _string_network(8, zc, explicit=True)
-    res_full = solve_power_flow(full, {f"t{k}": (0.9, 0.1) for k in range(1, 9)})
+    res_full = solve_power_flow(full, _ybus(full), {f"t{k}": (0.9, 0.1) for k in range(1, 9)})
     loss_full = _collector_loss(full, res_full)
     lumped = _string_network(8, zc, explicit=False)
-    res_lump = solve_power_flow(lumped, {"agg": (0.9, 0.1)})
+    res_lump = solve_power_flow(lumped, _ybus(lumped), {"agg": (0.9, 0.1)})
     loss_lump = _collector_loss(lumped, res_lump)
     rel = abs(loss_lump - loss_full) / loss_full
 

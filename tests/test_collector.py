@@ -10,10 +10,15 @@ from oracles import branch_loss_pu
 from windcosim.collector import (CableData, CollectorString, WppLayout,
                                  plant_equivalent, string_equivalent)
 from windcosim.errors import TopologyError
-from windcosim.network import Branch, Bus, NetworkData, StaticGenerator
+from windcosim.network import (Branch, Bus, NetworkData, StaticGenerator, assemble_ybus,
+                               branch_stamps)
 from windcosim.powerflow import solve_power_flow
 
 Z = 0.004 + 0.006j
+
+
+def ybus(net):
+    return assemble_ybus(branch_stamps(net), len(net.buses))
 
 
 def test_single_turbine_equivalent_is_the_segment():
@@ -155,11 +160,11 @@ def test_eight_turbine_lumped_loss_within_five_percent():
     z = 0.0045 + 0.0054j                 # 0.7 km of 33 kV cable on 100 MVA
     full = string_network(8, z, explicit=True)
     dispatch = {f"t{k}": (0.9, 0.1) for k in range(1, 9)}
-    res_full = solve_power_flow(full, sgen_pq=dispatch)
+    res_full = solve_power_flow(full, ybus(full), dispatch)
     loss_full = collector_loss(full, res_full)
 
     lumped = string_network(8, z, explicit=False)
-    res_lump = solve_power_flow(lumped, sgen_pq={"agg": (0.9, 0.1)})
+    res_lump = solve_power_flow(lumped, ybus(lumped), {"agg": (0.9, 0.1)})
     loss_lump = collector_loss(lumped, res_lump)
 
     assert loss_full > 0.0

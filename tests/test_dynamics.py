@@ -34,13 +34,13 @@ def nine_bus_with_plant():
 
 
 def equilibrated(net, sgen_pq, micro_step=5e-4, events=None, **kw):
-    pf = solve_power_flow(net, sgen_pq)
     model = RmsModel(net, micro_step=micro_step, events=events or [], **kw)
+    pf = solve_power_flow(net, model.ybus, sgen_pq)
     for sg in net.sgens:
         p, q = sgen_pq.get(sg.id, (0.0, 0.0))
         vm = abs(pf.voltage(sg.bus))
         model.set_sgen_command(sg.id, i_d=p / vm, i_q=q / vm, status=True)
-    model.init_equilibrium(pf, sgen_pq)
+    model.init_equilibrium(pf)
     return model, pf
 
 
@@ -58,11 +58,11 @@ def test_equilibrium_is_flat():
 
 def test_init_requires_matching_power_flow():
     net = nine_bus_with_plant()
-    pf = solve_power_flow(net, {"wpp": (0.85, 0.0)})
     model = RmsModel(net)
+    pf = solve_power_flow(net, model.ybus, {"wpp": (0.85, 0.0)})
     # commands left at zero contradict the scheduled injection
     with pytest.raises(InitializationError):
-        model.init_equilibrium(pf, {"wpp": (0.85, 0.0)})
+        model.init_equilibrium(pf)
 
 
 def test_use_before_init_rejected():

@@ -53,7 +53,7 @@ def test_equilibrate_publishes_power_flow_operating_point():
     net = plant_network()
     comp = GridComponent("grid", net, SETPOINT)
     comp.equilibrate()
-    pf = solve_power_flow(net, sgen_pq=SETPOINT)
+    pf = solve_power_flow(net, comp.model.ybus, SETPOINT)
     v3 = pf.voltage(3)
     assert comp.get("v_wpp") == pytest.approx(abs(v3), abs=1e-12)
     assert comp.get("theta_wpp") == pytest.approx(float(np.angle(v3)), abs=1e-12)

@@ -1,6 +1,7 @@
 """Comparison harness, oscillation metrics, bench table and the CLI."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,3 +324,11 @@ def test_cli_run_failure_exit_code(tmp_path, capsys):
     write_scenario(sc, path)
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "run failed" in capsys.readouterr().err
+
+
+def test_cli_rejects_an_override_past_the_micro_step_cap(tmp_path, capsys):
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "small_scale.scn"
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(path), "--t-end", "1e4", "--out", str(out)]) == 1
+    assert "above the cap" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,19 +1,26 @@
 """Scenario construction, validation and instantiation."""
 
+import collections
 import dataclasses
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from windcosim import network
 from windcosim.cosim import Scheme
 from windcosim.errors import (ScenarioValidationError, SinkAlreadyDrivenError,
                               UnknownVariableError, UnresolvedReferenceError)
-from windcosim.network import FaultEvent
+from windcosim.network import FaultEvent, NetworkData, assemble_ybus, branch_stamps
 from windcosim.powerflow import solve_power_flow
 from windcosim.scenario import (DEFAULT_FAULT, ConnectionSpec, build_large_scale,
                                 build_monolithic, build_small_scale, instantiate,
                                 run_scenario, standard_wiring)
+from windcosim.scenario_io import parse_scenario
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def test_component_counts():
@@ -202,7 +209,8 @@ def test_run_scenario_reports_init_diagnostics():
     assert set(init) == {"iterations", "max_mismatch", "equilibrium_deviation"}
     # the same numbers as a power flow and an equilibrium done by hand
     grid = sc.network
-    pf = solve_power_flow(grid, sgen_pq={w.id: (w.p_ref, w.q_ref) for w in sc.wtgs})
+    pf = solve_power_flow(grid, assemble_ybus(branch_stamps(grid), len(grid.buses)),
+                          {w.id: (w.p_ref, w.q_ref) for w in sc.wtgs})
     assert init["iterations"] == pf.iterations >= 1
     assert init["max_mismatch"] == pf.max_mismatch < 1e-8
     assert 0.0 <= init["equilibrium_deviation"] < 1e-6
@@ -227,3 +235,36 @@ def test_fault_at_time_zero_acts_from_the_first_step(build):
     assert np.all(v[1:10] < 1e-3)
     # ... and the voltage comes back afterwards
     assert v[-1] > 0.95
+
+
+@pytest.mark.parametrize("name", ["monolithic", "small_scale", "large_scale"])
+def test_setup_builds_each_network_artefact_once(name, monkeypatch):
+    sc = parse_scenario(SCENARIO_DIR / f"{name}.scn")
+    calls = collections.Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # every package module that holds the function, under the name it imported
+    for fn in (network.assemble_ybus, network.branch_stamps):
+        wrapped = counted(fn)
+        for module in [m for k, m in sys.modules.items() if k.startswith("windcosim")]:
+            if getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, wrapped)
+    monkeypatch.setattr(NetworkData, "validate", counted(NetworkData.validate))
+    instantiate(sc).initialize()
+    assert calls["assemble_ybus"] == 1
+    assert calls["branch_stamps"] == 1
+    # Scenario.validate's (kept: see the next test) and the grid model's own
+    assert calls["validate"] <= 2
+
+
+def test_instantiate_rejects_overrides_that_break_a_check():
+    # the parser validated the file, but run_scenario's overrides come after it:
+    # 1e4 s at 1 ms macro steps and 0.5 ms micro steps is 2e7 micro steps
+    sc = parse_scenario(SCENARIO_DIR / "small_scale.scn")
+    with pytest.raises(ScenarioValidationError, match="micro steps, above the cap"):
+        run_scenario(sc, t_end=1e4)
