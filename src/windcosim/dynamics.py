@@ -27,10 +27,14 @@ currents ``i_s`` (``w_0``: the stiff slack's response), so no micro step
 solves the network.  Each RK4 stage evaluates the reduced-network swing
 equation ``Pe = Im(e conj(v_m)) / x' = Im(u conj(A u + b))``, with
 ``u = exp(j delta)``, ``A = diag(E/x') z_mm diag(E)`` per factorization
-and ``b = (E/x') w_m`` per micro step (``i_s`` is fixed over it).  The
-stages run over Python numbers: on a few machines NumPy's per-call
-overhead would cost more than the arithmetic.  The sgen angle lag is the
-unit phasor ``v / |v|`` of the previous terminal voltage.
+and ``b = (E/x') w_m = b_s i_s + b_0``.  Stacked, ``r_c = [b_s; z_s]``
+and ``r_0 = [b_0; w_0]`` give ``b`` and the sgen part of ``v`` in one
+``r_c i_s + r_0`` per micro step (``i_s`` is fixed over it).  The stages
+run over Python numbers: on a few machines NumPy's per-call overhead
+would cost more than the arithmetic.  The sgen angle lag is the unit
+phasor ``v / |v|`` of the previous terminal voltage.  The measured power
+balance never uses ``Y``: generation comes from terminal currents, load
+from ``|v|^2`` and the load conductances, loss from the branch currents.
 """
 
 from __future__ import annotations
@@ -94,14 +98,17 @@ class GridMeasurements:
 
 
 class _Factor(NamedTuple):
-    """One factorized ``Y``'s responses and reduced terms, ``b = b_0 + b_s i_s``."""
+    """One factorized ``Y``'s responses and reduced terms, ``[b; v - z_m e] = r_c i_s + r_0``."""
 
     z_m: np.ndarray
-    z_s: np.ndarray
-    w_0: np.ndarray
+    r_c: np.ndarray                 # [b_s; z_s], one array with z_m
+    r_0: np.ndarray                 # [b_0; w_0]
     a: list[list[complex]]
-    b_s: np.ndarray
-    b_0: np.ndarray
+
+    b_s = property(lambda self: self.r_c[:len(self.a)])
+    z_s = property(lambda self: self.r_c[len(self.a):])
+    b_0 = property(lambda self: self.r_0[:len(self.a)])
+    w_0 = property(lambda self: self.r_0[len(self.a):])
 
 
 def micro_grid(duration: float, micro_step: float) -> tuple[int, float]:
@@ -188,9 +195,10 @@ class RmsModel:
         self.last_measurements: GridMeasurements | None = None
         self.init_diagnostics: dict[str, float] = {}   # set by init_equilibrium
 
-        # (branch index, PCC bus on its from side), or None to sum the PCC bus's sgens;
-        # the flow is taken at the PCC end whichever way round the pair is written
+        # (branch index, PCC bus on its from side), or None to sum the power of the sgens
+        # on the PCC bus (1 in _at_pcc); the flow is taken at the PCC end either way round
         self._pcc_br = None
+        self._at_pcc = np.array([sg.bus == pcc_bus for sg in network.sgens], dtype=complex)
         if pcc_branch is not None:
             a, b = pcc_branch
             if pcc_bus not in pcc_branch:
@@ -291,19 +299,17 @@ class RmsModel:
                 z = spla.splu(ybus_with_shunts(self._y_dyn, shunts)).solve(rhs)
             except RuntimeError as exc:
                 raise SingularNetworkError(f"dynamic admittance matrix: {exc}") from exc
-            zr = (self.e_mag / self.xd_p)[:, None] * z[self.m_bus]    # machine rows, E/x'
-            lu = self._lu_cache[key] = _Factor(z[:, :nm], z[:, nm:-1], z[:, -1],
-                                               (zr[:, :nm] * self.e_mag).tolist(),
-                                               zr[:, nm:-1], zr[:, -1])
+            # the machine rows times E/x' stacked above the bus rows
+            r = np.vstack(((self.e_mag / self.xd_p)[:, None] * z[self.m_bus], z))
+            lu = self._lu_cache[key] = _Factor(r[nm:, :nm], r[:, nm:-1], r[:, -1],
+                                               (r[:nm, :nm] * self.e_mag).tolist())
         return lu, shunts
-
-    def _voltages(self, lu: _Factor, cur: np.ndarray) -> np.ndarray:
-        return lu.z_m.dot(self.e_mag * np.exp(1j * self.delta)) + lu.z_s.dot(cur) + lu.w_0
 
     def solve_network(self, t: float = 0.0) -> np.ndarray:
         """The bus voltages at the current states (public, for inspection)."""
         self._require_init()
-        return self._voltages(self._lu_at(t)[0], self._sgen_currents())
+        lu, cur = self._lu_at(t)[0], self._sgen_currents()
+        return lu.z_m.dot(self.e_mag * np.exp(1j * self.delta)) + (lu.z_s.dot(cur) + lu.w_0)
 
     # -- integration ---------------------------------------------------------
 
@@ -322,7 +328,7 @@ class RmsModel:
         self._require_init()
         n, h = micro_grid(duration, self.micro_step)
         nm, hh, h6, w_s = len(self.m_bus), 0.5 * h, h / 6.0, self.omega_s
-        pm, inv_2h, d_2h = self.pm.tolist(), self._inv_2h, self._d_2h
+        pm, inv_2h, d_2h, e_mag = self.pm.tolist(), self._inv_2h, self._d_2h, self.e_mag.tolist()
         y = self.delta.tolist() + self.domega.tolist()       # [delta, domega]
         lu = self._lu_at(t0)[0]
         for m in range(n):
@@ -330,7 +336,8 @@ class RmsModel:
                 on_micro(t0 + m * h, self.last_measurements, h)
             # commands, the angle lag and the topology are fixed over the micro step
             cur = self._sgen_currents()
-            a, b = lu.a, (lu.b_0 + lu.b_s.dot(cur)).tolist()
+            r = lu.r_c.dot(cur) + lu.r_0
+            a, b = lu.a, r[:nm].tolist()
 
             def rates(z):
                 pe, dw = _electrical_power(z[:nm], a, b), z[nm:]
@@ -345,18 +352,21 @@ class RmsModel:
                  for x, r1, r2, r3, r4 in zip(y, k1, k2, k3, k4)]
             self.delta, self.domega = np.array(y[:nm]), np.array(y[nm:])
             tau_next = t0 + (m + 1) * h
-            lu, shunts = self._lu_at(tau_next)
-            v = self._voltages(lu, cur)
+            lu_start, (lu, shunts) = lu, self._lu_at(tau_next)
+            if lu is not lu_start:                  # a fault edge at tau_next
+                r = lu.r_c.dot(cur) + lu.r_0
+            v = lu.z_m.dot([x * cmath.rect(1.0, d) for x, d in zip(e_mag, y)]) + r[nm:]
             # measure with the currents that actually entered the solve, then
             # advance the angle lag for the next step; anything else breaks
             # the energy bookkeeping when the bus angle jumps at an event
+            vb = v[self.s_bus]
+            vm = np.abs(vb)
             if m == n - 1:
-                self._measure(tau_next, v, shunts, cur)
+                self._measure(tau_next, v, shunts, cur, vm)
             elif on_micro is not None:
                 self.last_measurements = GridMeasurements(
-                    tau_next, v, self.sgen_ids, self._sgen_measurements(v, cur)[0])
-            v_s = v[self.s_bus]
-            self._s_unit = v_s / np.abs(v_s)
+                    tau_next, v, self.sgen_ids, self._sgen_measurements(vb, vm, cur))
+            self._s_unit = vb / vm
         return self.last_measurements
 
     def _require_init(self):
@@ -365,12 +375,15 @@ class RmsModel:
 
     # -- measurements --------------------------------------------------------
 
-    def _branch_flows(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Complex power entering each branch at its from and to side."""
+    def _branch_currents(self, v: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Each branch's from and to voltage and the currents entering it there."""
         f, t, y_ff, y_ft, y_tf, y_tt = self._branches
         vf, vt = v[f], v[t]
-        i_f = vf * y_ff + vt * y_ft
-        i_t = vt * y_tt + vf * y_tf
+        return vf, vt, vf * y_ff + vt * y_ft, vt * y_tt + vf * y_tf
+
+    def _branch_flows(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Complex power entering each branch at its from and to side."""
+        vf, vt, i_f, i_t = self._branch_currents(v)
         return vf * np.conj(i_f), vt * np.conj(i_t)
 
     def branch_losses(self, v: np.ndarray | None = None) -> np.ndarray:
@@ -382,42 +395,39 @@ class RmsModel:
         sf, st = self._branch_flows(v)
         return (sf + st).real
 
-    def _sgen_measurements(self, v: np.ndarray, cur: np.ndarray):
-        """The sgens' terminal ``v_mag``, ``theta``, ``p`` and ``q`` (machine base) as
-        ``GridMeasurements.sgen_columns``, and their complex power (system base)."""
-        vb = v[self.s_bus]
-        s_sys = vb * np.conj(cur)
-        s_mach = s_sys / self.s_scale
-        return (np.abs(vb).tolist(), np.angle(vb).tolist(),
-                s_mach.real.tolist(), s_mach.imag.tolist()), s_sys
+    def _sgen_measurements(self, vb: np.ndarray, vm: np.ndarray, cur: np.ndarray):
+        """``GridMeasurements.sgen_columns``: ``v_mag = vm = |vb|``, ``theta``, ``p``, ``q``."""
+        s_mach = vb * np.conj(cur) / self.s_scale
+        return (vm.tolist(), np.arctan2(vb.imag, vb.real).tolist(),
+                s_mach.real.tolist(), s_mach.imag.tolist())
 
     def _measure(self, t: float, v: np.ndarray, shunts: dict[int, complex],
-                 cur: np.ndarray) -> GridMeasurements:
-        sgen_columns, s_sys = self._sgen_measurements(v, cur)
+                 cur: np.ndarray, vm: np.ndarray | None = None) -> GridMeasurements:
+        vb = v[self.s_bus]
+        sgen_columns = self._sgen_measurements(vb, np.abs(vb) if vm is None else vm, cur)
 
-        sf, st = self._branch_flows(v)
-        pcc_v = pcc_theta = 0.0
-        p_wpp = q_wpp = 0.0
+        vf, vt, i_f, i_t = self._branch_currents(v)
+        pcc_v = pcc_theta = p_wpp = q_wpp = 0.0
         if self.pcc_bus is not None:
             vp = complex(v[self._index[self.pcc_bus]])
             pcc_v, pcc_theta = abs(vp), cmath.phase(vp)
             if self._pcc_br is not None:
                 i, from_side = self._pcc_br
-                s_into_pcc = -complex(sf[i] if from_side else st[i])
+                s_pcc = -vp * complex(i_f[i] if from_side else i_t[i]).conjugate()
             else:
-                s_into_pcc = complex(s_sys[self.s_bus == self._index[self.pcc_bus]].sum())
-            p_wpp = s_into_pcc.real * self.network.base_mva
-            q_wpp = s_into_pcc.imag * self.network.base_mva
+                s_pcc = complex(np.vdot(cur * self._at_pcc, vb))
+            p_wpp, q_wpp = s_pcc.real * self.network.base_mva, s_pcc.imag * self.network.base_mva
 
-        # independent balance bookkeeping: terminal currents, branch flows, loads
+        # independent balance bookkeeping: terminal currents, branch currents, loads
         v_m = v[self.m_bus]
-        i_m = (self.e_mag * np.exp(1j * self.delta) - v_m) * self.y_m
-        gen = float(s_sys.real.sum()) + float((v_m * i_m.conj()).real.sum())
+        e = [x * cmath.rect(1.0, d) for x, d in zip(self.e_mag.tolist(), self.delta.tolist())]
+        i_m = (e - v_m) * self.y_m
+        gen = float((np.vdot(i_m, v_m) + np.vdot(cur, vb)).real)
         if self._stiff_slack:
             v_s = complex(v[self._slack_idx])
             gen += (v_s * ((self._slack_e - v_s) * self._y_stiff).conjugate()).real
-        load = float((np.abs(v) ** 2 * self._load_y.real).sum())
-        loss = float((sf.real + st.real).sum())
+        load = float(np.vdot(v * self._load_y.real, v).real)
+        loss = float((np.vdot(i_f, vf) + np.vdot(i_t, vt)).real)
         for i, y in shunts.items():
             loss += abs(complex(v[i])) ** 2 * y.real
 

@@ -65,13 +65,13 @@ class GridComponent(SimComponent):
                 raise UnknownVariableError(f"no static generator '{sid}' in network")
         # resolved once for the step path; each getter reads one input column of the
         # commanded sgens (a tuple, or the bare value when only one sgen is commanded)
-        ids = self.model.sgen_ids
+        ids, k_of = self.model.sgen_ids, self.model._sgen_k
         commanded = [sid for sid in ids if sid not in self.embedded]
-        self._command_k = np.array([ids.index(sid) for sid in commanded], dtype=int)
+        self._command_k = np.array([k_of[sid] for sid in commanded], dtype=int)
         self._command_get = [itemgetter(*[f"{kind}_{sid}" for sid in commanded])
                              for kind in ("i_d", "i_q", "status")] if commanded else None
         self._sgen_outputs = [(f"v_{sid}", f"theta_{sid}", f"p_{sid}", f"q_{sid}") for sid in ids]
-        self._embedded_at = [(ids.index(sid), conv, sup, f"i_d_{sid}", f"i_q_{sid}", f"mode_{sid}")
+        self._embedded_at = [(k_of[sid], conv, sup, f"i_d_{sid}", f"i_q_{sid}", f"mode_{sid}")
                              for sid, (conv, sup) in self.embedded.items()]
 
         index = network.bus_index()

@@ -492,6 +492,44 @@ def test_stage_power_matches_a_full_network_solve(monkeypatch, net, sgen_pq, fau
             assert np.all(np.abs(pe_stage - pe_full) <= 1e-12), (t, pe_stage, pe_full)
 
 
+@NETWORKS
+@pytest.mark.parametrize("flip", [False, True], ids=["from_to", "to_from"])
+def test_measure_matches_per_branch_bookkeeping(net, sgen_pq, fault_bus, flip):
+    # the committed loss and PCC flow against the per-branch flows, with a
+    # fault shunt active; the PCC sits at the to side of the first branch
+    events = [FaultEvent(bus=fault_bus, start=0.0025, duration=0.003, admittance=50.0)]
+    br = net.branches[0]
+    pcc_branch = (br.to_bus, br.from_bus) if flip else (br.from_bus, br.to_bus)
+    model, _ = equilibrated(net, sgen_pq, events=events, pcc_bus=br.to_bus, pcc_branch=pcc_branch)
+    faulted = 0
+    for k in range(8):
+        meas = model.advance(k * 1e-3, 1e-3)
+        v, shunts = meas.v, fault_shunts(net, events, meas.t)
+        faulted += bool(shunts)
+        # relative to the flows a sum or product cancels down from: a loss is the
+        # difference of two branch-end flows, a PCC flow's part the difference of products
+        sf, st = model._branch_flows(v)
+        loss = model.branch_losses(v).sum() + sum(abs(v[i]) ** 2 * y.real
+                                                  for i, y in shunts.items())
+        gross = np.abs(sf).sum() + np.abs(st).sum()
+        assert meas.balance.loss == pytest.approx(loss, rel=1e-13, abs=1e-13 * gross), k
+        s_into_pcc = -st[0] * net.base_mva
+        for got, want in ((meas.p_wpp_mw, s_into_pcc.real), (meas.q_wpp_mvar, s_into_pcc.imag)):
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-13 * abs(s_into_pcc)), k
+    assert faulted == 3
+    # each factorization holds its responses once: every term is a view of one array
+    n, nm, ns = len(net.buses), len(net.machines), len(net.sgens)
+    assert len(model._lu_cache) == 2
+    for lu in model._lu_cache.values():
+        base = lu.r_c.base
+        assert base.shape == (nm + n, nm + ns + 1)
+        for view in (lu.z_m, lu.r_0, lu.b_s, lu.z_s, lu.b_0, lu.w_0):
+            assert view.base is base
+        assert ns == 0 or np.shares_memory(lu.z_s, lu.r_c)
+        assert lu.z_s.shape == (n, ns) and lu.b_s.shape == (nm, ns)
+        assert lu.w_0.shape == (n,) and lu.b_0.shape == (nm,)
+
+
 def array_rk4_step(model, lu, cur, h):
     """One micro step of the swing equation in NumPy arrays: the same RK4 with
     ``y = [delta, domega]``, ``dy/dt = rate_lin y + rate_acc (Pm - Pe)``."""
