@@ -74,6 +74,10 @@ class VariableRef:
     direction: Direction
     kind: VarKind
 
+    def __hash__(self) -> int:
+        # a component declares each name once, so equal refs share this pair
+        return hash((self.component_id, self.name))
+
     def __str__(self) -> str:
         return f"{self.component_id}.{self.name}"
 

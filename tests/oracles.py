@@ -32,16 +32,14 @@ def dense_ybus(network) -> np.ndarray:
     return y
 
 
-def _bus_power(y: np.ndarray, vm: np.ndarray, va: np.ndarray, k: int) -> complex:
-    """Injected complex power at bus k from the polar power equations."""
-    n = len(vm)
-    p = q = 0.0
-    for m in range(n):
-        g, b = y[k, m].real, y[k, m].imag
-        d = va[k] - va[m]
-        p += vm[k] * vm[m] * (g * math.cos(d) + b * math.sin(d))
-        q += vm[k] * vm[m] * (g * math.sin(d) - b * math.cos(d))
-    return complex(p, q)
+def _bus_powers(y: np.ndarray, vm: np.ndarray, va: np.ndarray) -> np.ndarray:
+    """Injected complex power at every bus from the polar power equations."""
+    d = va[:, None] - va[None, :]
+    vv = vm[:, None] * vm[None, :]
+    cos, sin = np.cos(d), np.sin(d)
+    p = np.sum(vv * (y.real * cos + y.imag * sin), axis=1)
+    q = np.sum(vv * (y.real * sin - y.imag * cos), axis=1)
+    return p + 1j * q
 
 
 def naive_power_flow(network, sgen_pq: dict | None = None,
@@ -49,7 +47,8 @@ def naive_power_flow(network, sgen_pq: dict | None = None,
     """Newton power flow with a finite-difference Jacobian.
 
     Returns (bus_ids, complex voltages).  Converges slowly and scales
-    terribly; used as an oracle on small systems only.
+    terribly (dense power equations once per Jacobian column); an oracle
+    for networks of up to a few hundred buses.
     """
     sgen_pq = sgen_pq or {}
     buses = network.buses
@@ -87,12 +86,9 @@ def naive_power_flow(network, sgen_pq: dict | None = None,
     mag_vars = list(pq_set)
 
     def residual(vm, va):
-        r = []
-        for k in angle_vars:
-            r.append(_bus_power(y, vm, va, k).real - p_sched[k])
-        for k in mag_vars:
-            r.append(_bus_power(y, vm, va, k).imag - q_sched[k])
-        return np.array(r)
+        s = _bus_powers(y, vm, va)
+        return np.concatenate([s.real[angle_vars] - p_sched[angle_vars],
+                               s.imag[mag_vars] - q_sched[mag_vars]])
 
     for _ in range(max_iter):
         f0 = residual(vm, va)

@@ -10,6 +10,7 @@ from windcosim.cosim import (
     MasterConfig,
     Scheme,
     SimComponent,
+    VariableRef,
     VarKind,
 )
 from windcosim.errors import (
@@ -139,6 +140,15 @@ def test_duplicate_declaration_rejected():
     c = Counter("c")
     with pytest.raises(WiringError):
         c.declare_output("idx", VarKind.INT)
+
+
+def test_equal_variable_refs_hash_equal_and_deduplicate():
+    c = Counter("c")
+    a, b = c.ref("idx"), VariableRef("c", "idx", Direction.OUTPUT, VarKind.INT)
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert {a, b, c.ref("seen")} == {a, c.ref("seen")}
+    assert len({a, b, c.ref("seen"), c.ref("inp")}) == 3
 
 
 def test_unknown_variable():

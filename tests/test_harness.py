@@ -1,5 +1,6 @@
-"""Comparison harness, oscillation metrics, bench table and the CLI."""
+"""Comparison harness, oscillation metrics, bench table, the CLI and the scripts."""
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -332,3 +333,19 @@ def test_cli_rejects_an_override_past_the_micro_step_cap(tmp_path, capsys):
     assert main(["run", "--scenario", str(path), "--t-end", "1e4", "--out", str(out)]) == 1
     assert "above the cap" in capsys.readouterr().err
     assert not out.exists()
+
+
+# -- scripts ----------------------------------------------------------------------
+
+
+def test_setup_scaling_script_times_a_small_plant(monkeypatch):
+    # the script pins OPENBLAS_NUM_THREADS on import; monkeypatch restores it afterwards
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    path = Path(__file__).resolve().parents[1] / "scripts" / "setup_scaling.py"
+    spec = importlib.util.spec_from_file_location("setup_scaling", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    row = script.time_setup(8)
+    assert set(row) == {"instantiate", "initialize", "setup", "power_flow", "buses"}
+    assert all(np.isfinite(value) for value in row.values())
+    assert row["buses"] == 18

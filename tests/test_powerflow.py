@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg
 
-from windcosim.errors import PowerFlowDivergedError
+from windcosim.collector import WppLayout
+from windcosim.errors import PowerFlowDivergedError, SingularNetworkError
 from windcosim.network import (Branch, Bus, NetworkData, StaticGenerator, assemble_ybus,
                                branch_stamps)
 from windcosim.powerflow import scheduled_injections, solve_power_flow
+from windcosim.scenario import build_large_scale
 from windcosim.wscc9 import wscc9_without_g3
 
 from oracles import naive_power_flow, two_bus_voltage
@@ -43,6 +47,70 @@ def test_nine_bus_against_naive_oracle():
     assert np.max(np.abs(res.v - v_oracle)) < 1e-6
     assert res.iterations <= 10
     assert res.max_mismatch < 1e-8
+
+
+def plant(n_strings):
+    """The large-scale plant's network with strings of eight turbines, and its dispatch."""
+    sc = build_large_scale(t_end=0.0, layout=WppLayout(n_strings=n_strings,
+                                                        turbines_per_string=8))
+    return sc.network, {w.id: (w.p_ref, w.q_ref) for w in sc.wtgs}
+
+
+@pytest.mark.parametrize("n_strings, n_bus", [(4, 42), (16, 138)])
+def test_plant_against_naive_oracle(n_strings, n_bus):
+    net, pq = plant(n_strings)
+    assert len(net.buses) == n_bus
+    res = solve_power_flow(net, ybus(net), pq)
+    bus_ids, v_oracle = naive_power_flow(net, pq)
+    assert bus_ids == res.bus_ids
+    assert np.max(np.abs(res.v - v_oracle)) < 1e-8
+    assert res.iterations == 4
+
+
+def test_newton_step_factorizes_a_sparse_jacobian(monkeypatch):
+    net, pq = plant(16)
+    y = ybus(net)
+    factored, splu = [], scipy.sparse.linalg.splu
+
+    def recording_splu(a, *args, **kwargs):
+        factored.append((sp.issparse(a), a.shape, a.nnz))
+        return splu(a, *args, **kwargs)
+
+    def no_dense_solve(*args, **kwargs):
+        raise AssertionError("the power flow solved a dense system")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+    monkeypatch.setattr(np.linalg, "solve", no_dense_solve)
+    res = solve_power_flow(net, y, pq)
+    # angles at every bus but the slack, magnitudes at the PQ buses
+    n_unknowns = 2 * (len(net.buses) - 1) - sum(b.btype == "pv" for b in net.buses)
+    assert len(factored) == res.iterations == 4
+    for is_sparse, shape, nnz in factored:
+        assert is_sparse and shape == (n_unknowns, n_unknowns)
+        assert nnz <= 4 * y.nnz
+
+
+def test_unsorted_admittance_indices_give_the_same_flow():
+    net = wscc9_without_g3()
+    y = ybus(net)
+    # the same matrix with each column's row indices reversed
+    rev = np.concatenate([np.arange(a, b)[::-1] for a, b in zip(y.indptr[:-1], y.indptr[1:])])
+    shuffled = sp.csc_matrix((y.data[rev], y.indices[rev], y.indptr), shape=y.shape)
+    assert not shuffled.has_sorted_indices
+    a, b = solve_power_flow(net, y), solve_power_flow(net, shuffled)
+    assert a.iterations == b.iterations
+    assert np.max(np.abs(a.v - b.v)) < 1e-14
+
+
+def test_zero_admittance_matrix_is_singular():
+    # a zero Y stores no entry at all, not even a diagonal: the Jacobian is zero
+    net = NetworkData(
+        buses=[Bus(id=1, base_kv=110.0, btype="slack"),
+               Bus(id=2, base_kv=110.0, p_load=0.5)],
+        branches=[Branch(1, 2, 0.01, 0.1)],
+    )
+    with pytest.raises(SingularNetworkError):
+        solve_power_flow(net, sp.csc_matrix((2, 2), dtype=complex))
 
 
 def test_pv_and_slack_magnitudes_held():
