@@ -15,7 +15,7 @@ from .converter import (ConverterComponent, ConverterControl, ConverterParams,
                         Priority, QMode, current_limit)
 from .cosim import (Connection, Direction, Master, MasterConfig, RunMetadata,
                     Scheme, SimComponent, VariableRef, VarKind)
-from .dynamics import GridMeasurements, PowerBalance, RmsModel, SgenMeasurement
+from .dynamics import GridMeasurements, PowerBalance, RmsModel
 from .errors import *  # noqa: F401,F403 -- the error hierarchy is public API
 from .frt import (DEFAULT_ENVELOPE_POINTS, EnvelopeResult, FrtComponent,
                   FrtControl, FrtEnvelope, FrtParams, Mode, envelope_check)

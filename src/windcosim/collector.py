@@ -42,25 +42,17 @@ class CableData:
 class CollectorString:
     """One radial feeder: ``segments[k]`` connects turbine k+1, listed
     from the collector bus outward, one turbine at the end of each
-    segment.  ``turbines_fed`` may be given explicitly and must then
-    describe exactly that radial chain."""
+    segment."""
 
     segments: tuple[complex, ...]
-    turbines_fed: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        n = len(self.segments)
-        if n == 0:
+        if not self.segments:
             raise TopologyError("string has no segments")
         if any(z.real < 0.0 for z in self.segments):
             raise TopologyError("segment resistance must be non-negative")
         if any(z == 0.0 for z in self.segments):
             raise TopologyError("segment impedance must be non-zero")
-        expected = tuple(range(n, 0, -1))
-        if self.turbines_fed is not None and tuple(self.turbines_fed) != expected:
-            raise TopologyError(
-                f"turbines_fed {self.turbines_fed} does not describe a radial "
-                f"string of {n} turbines (expected {expected})")
 
     @property
     def size(self) -> int:

@@ -63,8 +63,11 @@ class ConverterParams:
     q_mode: QMode = QMode.VOLTAGE
 
     def __post_init__(self):
-        if self.i_max <= 0.0:
-            raise ValueError(f"i_max must be positive, got {self.i_max}")
+        if not 0.0 < self.i_max < math.inf:
+            raise ValueError(f"i_max must be finite and positive, got {self.i_max}")
+        for name in ("kp_d", "ki_d", "kp_q", "ki_q"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if isinstance(self.q_mode, str):
             object.__setattr__(self, "q_mode", QMode(self.q_mode))
 

@@ -56,6 +56,9 @@ class VarKind(enum.Enum):
     INT = "int"
     BOOL = "bool"
 
+    # members are singletons: hash by identity in C, not by name in Enum.__hash__
+    __hash__ = object.__hash__
+
 
 _CASTS = {VarKind.REAL: float, VarKind.INT: int, VarKind.BOOL: bool}
 

@@ -32,9 +32,13 @@ and ``r_0 = [b_0; w_0]`` give ``b`` and the sgen part of ``v`` in one
 ``r_c i_s + r_0`` per micro step (``i_s`` is fixed over it).  The stages
 run over Python numbers: on a few machines NumPy's per-call overhead
 would cost more than the arithmetic.  The sgen angle lag is the unit
-phasor ``v / |v|`` of the previous terminal voltage.  The measured power
-balance never uses ``Y``: generation comes from terminal currents, load
-from ``|v|^2`` and the load conductances, loss from the branch currents.
+phasor ``v / |v|`` of the previous terminal voltage.
+
+A ``GridMeasurements`` is committed only at a macro-step boundary; inside
+a macro step the embedded controllers' callback gets the sgens' ``v_mag``,
+``p`` and ``q`` lists alone.  The measured power balance never uses
+``Y``: generation comes from terminal currents, load from ``|v|^2`` and
+the load conductances, loss from the branch currents.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import mul
 from typing import NamedTuple
 
@@ -56,14 +60,6 @@ from .network import (FaultEvent, NetworkData, assemble_ybus, branch_stamps,
 from .powerflow import PowerFlowResult
 
 _STIFF_SLACK_X = 1e-6
-
-
-@dataclass
-class SgenMeasurement:
-    v_mag: float
-    theta: float
-    p: float        # machine base
-    q: float        # machine base
 
 
 @dataclass
@@ -81,20 +77,16 @@ class PowerBalance:
 
 @dataclass
 class GridMeasurements:
+    """The network solution committed at a macro-step boundary."""
+
     t: float
     v: np.ndarray
-    sgen_ids: list[str] = field(default_factory=list)
-    sgen_columns: tuple[list[float], ...] = ()     # v_mag, theta, p, q lists, as sgen_ids
-    pcc_v: float = 0.0
-    pcc_theta: float = 0.0
-    p_wpp_mw: float = 0.0
-    q_wpp_mvar: float = 0.0
-    balance: PowerBalance | None = None
-
-    @property
-    def sgen(self) -> dict[str, SgenMeasurement]:
-        """The ``sgen_columns`` by sgen id."""
-        return {sid: SgenMeasurement(*m) for sid, *m in zip(self.sgen_ids, *self.sgen_columns)}
+    sgen_columns: tuple[list[float], ...]       # v_mag, theta, p, q lists, as sgen_ids
+    pcc_v: float
+    pcc_theta: float
+    p_wpp_mw: float
+    q_wpp_mvar: float
+    balance: PowerBalance
 
 
 class _Factor(NamedTuple):
@@ -104,11 +96,6 @@ class _Factor(NamedTuple):
     r_c: np.ndarray                 # [b_s; z_s], one array with z_m
     r_0: np.ndarray                 # [b_0; w_0]
     a: list[list[complex]]
-
-    b_s = property(lambda self: self.r_c[:len(self.a)])
-    z_s = property(lambda self: self.r_c[len(self.a):])
-    b_0 = property(lambda self: self.r_0[:len(self.a)])
-    w_0 = property(lambda self: self.r_0[len(self.a):])
 
 
 def micro_grid(duration: float, micro_step: float) -> tuple[int, float]:
@@ -308,22 +295,22 @@ class RmsModel:
     def solve_network(self, t: float = 0.0) -> np.ndarray:
         """The bus voltages at the current states (public, for inspection)."""
         self._require_init()
-        lu, cur = self._lu_at(t)[0], self._sgen_currents()
-        return lu.z_m.dot(self.e_mag * np.exp(1j * self.delta)) + (lu.z_s.dot(cur) + lu.w_0)
+        lu, cur, nm = self._lu_at(t)[0], self._sgen_currents(), len(self.m_bus)
+        return lu.z_m.dot(self.e_mag * np.exp(1j * self.delta)) + (
+            lu.r_c[nm:].dot(cur) + lu.r_0[nm:])
 
     # -- integration ---------------------------------------------------------
 
     def advance(self, t0: float, duration: float, on_micro=None) -> GridMeasurements:
-        """Integrate ``[t0, t0+duration]`` in micro steps.
+        """Integrate ``[t0, t0+duration]`` in micro steps and return the
+        measurement committed at its end, which ``last_measurements`` holds.
 
-        ``on_micro(t, measurements, h)`` runs before each micro step with
-        the measurements committed at its start; it may update static
-        generator commands (used by embedded plant controllers), not the
-        machine states, which the interval carries as numbers.  Inside
-        the interval those measurements hold only ``t``, ``v`` and
-        ``sgen`` (``balance`` is None and the PCC fields keep their
-        defaults); the full set is committed only at ``t0 + duration``
-        and returned.
+        ``on_micro(t, (v_mag, p, q), h)`` runs before each micro step with
+        the sgens' terminal voltage magnitudes and machine-base powers
+        committed at its start, as lists in ``sgen_ids`` order; it may
+        update static generator commands (used by embedded plant
+        controllers), not the machine states, which the interval carries
+        as numbers.
         """
         self._require_init()
         n, h = micro_grid(duration, self.micro_step)
@@ -331,9 +318,12 @@ class RmsModel:
         pm, inv_2h, d_2h, e_mag = self.pm.tolist(), self._inv_2h, self._d_2h, self.e_mag.tolist()
         y = self.delta.tolist() + self.domega.tolist()       # [delta, domega]
         lu = self._lu_at(t0)[0]
+        if on_micro is not None:
+            v_mag, _, p, q = self.last_measurements.sgen_columns
+            columns = v_mag, p, q
         for m in range(n):
             if on_micro is not None:
-                on_micro(t0 + m * h, self.last_measurements, h)
+                on_micro(t0 + m * h, columns, h)
             # commands, the angle lag and the topology are fixed over the micro step
             cur = self._sgen_currents()
             r = lu.r_c.dot(cur) + lu.r_0
@@ -364,8 +354,7 @@ class RmsModel:
             if m == n - 1:
                 self._measure(tau_next, v, shunts, cur, vm)
             elif on_micro is not None:
-                self.last_measurements = GridMeasurements(
-                    tau_next, v, self.sgen_ids, self._sgen_measurements(vb, vm, cur))
+                columns = self._sgen_columns(vb, vm, cur)
             self._s_unit = vb / vm
         return self.last_measurements
 
@@ -395,16 +384,15 @@ class RmsModel:
         sf, st = self._branch_flows(v)
         return (sf + st).real
 
-    def _sgen_measurements(self, vb: np.ndarray, vm: np.ndarray, cur: np.ndarray):
-        """``GridMeasurements.sgen_columns``: ``v_mag = vm = |vb|``, ``theta``, ``p``, ``q``."""
+    def _sgen_columns(self, vb: np.ndarray, vm: np.ndarray, cur: np.ndarray):
+        """The sgens' ``v_mag = vm = |vb|``, ``p`` and ``q`` lists, machine base."""
         s_mach = vb * np.conj(cur) / self.s_scale
-        return (vm.tolist(), np.arctan2(vb.imag, vb.real).tolist(),
-                s_mach.real.tolist(), s_mach.imag.tolist())
+        return vm.tolist(), s_mach.real.tolist(), s_mach.imag.tolist()
 
     def _measure(self, t: float, v: np.ndarray, shunts: dict[int, complex],
                  cur: np.ndarray, vm: np.ndarray | None = None) -> GridMeasurements:
         vb = v[self.s_bus]
-        sgen_columns = self._sgen_measurements(vb, np.abs(vb) if vm is None else vm, cur)
+        v_mag, p, q = self._sgen_columns(vb, np.abs(vb) if vm is None else vm, cur)
 
         vf, vt, i_f, i_t = self._branch_currents(v)
         pcc_v = pcc_theta = p_wpp = q_wpp = 0.0
@@ -432,8 +420,8 @@ class RmsModel:
             loss += abs(complex(v[i])) ** 2 * y.real
 
         meas = GridMeasurements(
-            t, v, self.sgen_ids, sgen_columns, pcc_v=pcc_v, pcc_theta=pcc_theta,
-            p_wpp_mw=p_wpp, q_wpp_mvar=q_wpp,
+            t, v, (v_mag, np.arctan2(vb.imag, vb.real).tolist(), p, q), pcc_v=pcc_v,
+            pcc_theta=pcc_theta, p_wpp_mw=p_wpp, q_wpp_mvar=q_wpp,
             balance=PowerBalance(generation=gen, load=load, loss=loss))
         self.last_measurements = meas
         return meas

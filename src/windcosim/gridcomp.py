@@ -20,7 +20,7 @@ disturbance-free run stays flat.
 
 For the single-component (monolithic) configuration, controller pairs
 can be embedded per turbine.  They are then stepped at every micro
-step with the measurement committed at its start, reproducing the
+step with the sgen measurements committed at its start, reproducing the
 serial exchange pattern with the macro step shrunk to the micro step:
 the converter consumes the supervisor's outputs of its previous step,
 the supervisor sees the fresh converter command.
@@ -59,13 +59,12 @@ class GridComponent(SimComponent):
         self._ran_micro = False
         self._pf = None
 
-        known = {sg.id for sg in network.sgens}
+        ids, k_of = self.model.sgen_ids, self.model._sgen_k
         for sid in list(self.setpoints) + list(self.embedded):
-            if sid not in known:
+            if sid not in k_of:
                 raise UnknownVariableError(f"no static generator '{sid}' in network")
         # resolved once for the step path; each getter reads one input column of the
         # commanded sgens (a tuple, or the bare value when only one sgen is commanded)
-        ids, k_of = self.model.sgen_ids, self.model._sgen_k
         commanded = [sid for sid in ids if sid not in self.embedded]
         self._command_k = np.array([k_of[sid] for sid in commanded], dtype=int)
         self._command_get = [itemgetter(*[f"{kind}_{sid}" for sid in commanded])
@@ -74,7 +73,7 @@ class GridComponent(SimComponent):
         self._embedded_at = [(k_of[sid], conv, sup, f"i_d_{sid}", f"i_q_{sid}", f"mode_{sid}")
                              for sid, (conv, sup) in self.embedded.items()]
 
-        index = network.bus_index()
+        index = self.model._index
         for bid in extra_bus_voltages:
             if bid not in index:
                 raise UnknownVariableError(f"cannot export v_bus{bid}: no bus {bid}")
@@ -130,14 +129,14 @@ class GridComponent(SimComponent):
             values = self._values
             self.model.set_sgen_commands(self._command_k, i_d(values), i_q(values), status(values))
 
-    def _on_micro(self, tau: float, meas: GridMeasurements, h: float) -> None:
+    def _on_micro(self, tau: float, columns: tuple[list[float], ...], h: float) -> None:
         if not self._ran_micro:
             # the first micro step still sees the exchanged equilibrium; the
             # controllers' first update consumes the first committed
             # measurement, mirroring the co-simulated exchange sequence
             self._ran_micro = True
             return
-        v_mag, _, p, q = meas.sgen_columns
+        v_mag, p, q = columns
         for k, conv, sup, _, _, _ in self._embedded_at:
             i_d, i_q = conv.step(h, v_mag[k], p[k], q[k], sup.mode, sup.block_active,
                                  sup.i_q_boost, sup.i_d_ref)

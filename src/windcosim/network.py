@@ -133,6 +133,9 @@ class NetworkData:
         return None
 
     def validate(self) -> None:
+        for name, value in (("base_mva", self.base_mva), ("frequency_hz", self.frequency_hz)):
+            if not 0.0 < value < math.inf:
+                raise TopologyError(f"{name} must be finite and positive, got {value}")
         ids = [b.id for b in self.buses]
         if len(set(ids)) != len(ids):
             raise TopologyError("duplicate bus ids")

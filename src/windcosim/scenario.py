@@ -102,7 +102,9 @@ class Scenario:
             if w.id not in sgen_mva:
                 raise UnresolvedReferenceError(w.id, "wtg has no static generator")
         rating = sum(sgen_mva[w.id] for w in self.wtgs)
-        if abs(rating - self.wpp_rating_mva) > 1e-9 * max(1.0, self.wpp_rating_mva):
+        # written so that a nan or infinite rating on either side fails it
+        if not (math.isfinite(self.wpp_rating_mva) and abs(rating - self.wpp_rating_mva)
+                <= 1e-9 * max(1.0, self.wpp_rating_mva)):
             raise ScenarioValidationError(
                 f"turbine ratings sum to {rating} MVA, plant is rated {self.wpp_rating_mva} MVA")
         ids = {b.id for b in self.network.buses}

@@ -57,9 +57,7 @@ def test_string_validation():
         CollectorString(segments=(0j,))
     with pytest.raises(TopologyError):
         CollectorString(segments=(-0.01 + 0.02j,))
-    with pytest.raises(TopologyError):
-        CollectorString(segments=(Z, Z), turbines_fed=(1, 2))
-    ok = CollectorString(segments=(Z, Z), turbines_fed=(2, 1))
+    ok = CollectorString(segments=(Z, Z))
     assert ok.size == 2
 
 

@@ -199,6 +199,11 @@ def test_recovery_tracks_reference_bumplessly():
 def test_params_validation():
     with pytest.raises(ValueError):
         ConverterParams(i_max=0.0)
+    for bad in ({"i_max": math.nan}, {"i_max": math.inf}, {"kp_d": -1.0}, {"ki_d": math.nan},
+                {"kp_q": -math.inf}, {"ki_q": math.inf}):
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be finite"):
+            ConverterParams(**bad)
+    assert ConverterParams(kp_d=0.0, ki_d=0.0, kp_q=0.0, ki_q=0.0).ki_q == 0.0
     assert ConverterParams(q_mode="voltage").q_mode is QMode.VOLTAGE
     assert ConverterParams(q_mode="reactive_power").q_mode is QMode.REACTIVE_POWER
     with pytest.raises(ValueError):

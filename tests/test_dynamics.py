@@ -198,8 +198,8 @@ def test_disconnected_sgen_injects_nothing():
     model, _ = equilibrated(net, {"wpp": (0.85, 0.0)})
     model.set_sgen_command("wpp", status=False)
     model.advance(0.0, 5e-4)
-    meas = model.last_measurements.sgen["wpp"]
-    assert meas.p == 0.0 and meas.q == 0.0
+    _, _, p, q = model.last_measurements.sgen_columns
+    assert p == [0.0] and q == [0.0]
 
 
 def test_on_micro_callback_drives_commands():
@@ -215,7 +215,7 @@ def test_on_micro_callback_drives_commands():
     assert len(calls) == 4
     assert calls[0] == (0.0, pytest.approx(5e-4))
     # the command issued at the first micro step is live immediately
-    assert model.last_measurements.sgen["wpp"].p == 0.0
+    assert model.last_measurements.sgen_columns[2] == [0.0]
 
 
 def test_measurement_without_callback_matches_per_micro_step_commit():
@@ -233,7 +233,7 @@ def test_measurement_without_callback_matches_per_micro_step_commit():
         assert a is lazy.last_measurements and b is eager.last_measurements
         assert a.t == b.t
         assert np.array_equal(a.v, b.v)
-        assert a.sgen == b.sgen
+        assert a.sgen_columns == b.sgen_columns
         assert (a.pcc_v, a.pcc_theta, a.p_wpp_mw, a.q_wpp_mvar) == \
             (b.pcc_v, b.pcc_theta, b.p_wpp_mw, b.q_wpp_mvar)
         assert a.balance == b.balance
@@ -270,7 +270,7 @@ def test_pcc_branch_measurement_consistent_with_losses():
     model, _ = equilibrated(net, sgen_pq, pcc_bus=1, pcc_branch=(1, 2))
     meas = model.last_measurements
     loss = float(model.branch_losses().sum())
-    p_sgen_sys = meas.sgen["w"].p   # machine base == system base here
+    p_sgen_sys = meas.sgen_columns[2][0]    # machine base == system base here
     assert meas.p_wpp_mw == pytest.approx((p_sgen_sys - loss) * net.base_mva, abs=1e-9)
 
 
@@ -313,12 +313,12 @@ def test_sgen_dq_frame_round_trip(p, q):
     )
     sgen_pq = {"w": (p, q)}
     model, pf = equilibrated(net, sgen_pq)
-    meas = model.last_measurements.sgen["w"]
-    assert meas.p == pytest.approx(p, abs=2e-6)
-    assert meas.q == pytest.approx(q, abs=2e-6)
+    _, _, (p_meas,), (q_meas,) = model.last_measurements.sgen_columns
+    assert p_meas == pytest.approx(p, abs=2e-6)
+    assert q_meas == pytest.approx(q, abs=2e-6)
     # and the d/q projections recover the commands
     vm = abs(pf.voltage(2))
-    assert meas.p / max(vm, 1e-9) == pytest.approx(p / vm, abs=2e-6)
+    assert p_meas / max(vm, 1e-9) == pytest.approx(p / vm, abs=2e-6)
 
 
 def test_fault_schedule_matches_fault_shunts(monkeypatch):
@@ -436,9 +436,14 @@ def test_committed_voltages_match_a_direct_solve(monkeypatch, net, sgen_pq, faul
         worst = max(worst, float(np.max(np.abs(v - direct_solve(model, t, cur)))))
         checked += 1
 
-    def on_micro(t, meas, h):
-        nonlocal cur
-        check(t, meas.v)
+    def on_micro(t, columns, h):
+        # the sgen columns committed at t against those of a direct solve
+        nonlocal worst, checked, cur
+        vb = direct_solve(model, t, cur)[model.s_bus]
+        s_mach = vb * np.conj(cur) / model.s_scale
+        for got, want in zip(columns, (np.abs(vb), s_mach.real, s_mach.imag)):
+            worst = max(worst, float(np.max(np.abs(np.array(got) - want), initial=0.0)))
+        checked += 1
         for sid in sgen_pq:
             model.set_sgen_command(sid, i_q=0.1 + 0.05 * math.sin(2e3 * t))
         cur = model._sgen_currents()       # what enters this micro step's network
@@ -523,11 +528,10 @@ def test_measure_matches_per_branch_bookkeeping(net, sgen_pq, fault_bus, flip):
     for lu in model._lu_cache.values():
         base = lu.r_c.base
         assert base.shape == (nm + n, nm + ns + 1)
-        for view in (lu.z_m, lu.r_0, lu.b_s, lu.z_s, lu.b_0, lu.w_0):
+        for view in (lu.z_m, lu.r_0):
             assert view.base is base
-        assert ns == 0 or np.shares_memory(lu.z_s, lu.r_c)
-        assert lu.z_s.shape == (n, ns) and lu.b_s.shape == (nm, ns)
-        assert lu.w_0.shape == (n,) and lu.b_0.shape == (nm,)
+        assert lu.z_m.shape == (n, nm) and lu.r_c.shape == (nm + n, ns)
+        assert lu.r_0.shape == (nm + n,)
 
 
 def array_rk4_step(model, lu, cur, h):
@@ -535,7 +539,7 @@ def array_rk4_step(model, lu, cur, h):
     ``y = [delta, domega]``, ``dy/dt = rate_lin y + rate_acc (Pm - Pe)``."""
     nm = len(model.pm)
     a = np.array(lu.a, dtype=complex).reshape(nm, nm)
-    b = lu.b_0 + lu.b_s @ cur
+    b = lu.r_0[:nm] + lu.r_c[:nm] @ cur
     rate_acc = np.vstack([np.zeros((nm, nm)), np.diag(0.5 / model.h)])
     rate_lin = np.hstack([np.zeros((2 * nm, nm)), np.vstack(
         [model.omega_s * np.eye(nm), -model.d * rate_acc[nm:]])])
@@ -576,27 +580,34 @@ def test_micro_step_matches_an_array_rk4(net, sgen_pq, fault_bus):
 
 
 def test_sgen_measurements_inside_a_macro_step_match_a_full_measure():
+    # the columns handed to on_micro against a twin that commits a full
+    # measurement after every micro step; the fault switches inside macro steps
     events = [FaultEvent(bus=6, start=0.0035, duration=0.003)]
-    model, _ = equilibrated(nine_bus_with_plant(), {"wpp": (0.85, 0.0)},
-                            events=events, pcc_bus=3, pcc_branch=(3, 9))
-    seen, curs = [], []
+    kw = dict(events=events, pcc_bus=3, pcc_branch=(3, 9))
+    model, _ = equilibrated(nine_bus_with_plant(), {"wpp": (0.85, 0.0)}, **kw)
+    fine, _ = equilibrated(nine_bus_with_plant(), {"wpp": (0.85, 0.0)}, **kw)
+    seen = []
 
-    def on_micro(t, meas, h):
-        seen.append(meas)
-        curs.append(model._sgen_currents())
+    def bits(columns):
+        return [[x.hex() for x in column] for column in columns]
+
+    def on_micro(t, columns, h):
+        v_mag, _, p, q = fine.last_measurements.sgen_columns
+        assert fine.last_measurements.t == pytest.approx(t, abs=1e-15)
+        assert len(columns) == 3 and bits(columns) == bits((v_mag, p, q)), t
+        seen.append(t)
+        fine.advance(t, h)
 
     for k in range(5):
-        full = model.advance(k * 2e-3, 2e-3, on_micro=on_micro)
-        assert full.balance is not None and full.p_wpp_mw != 0.0 and full.pcc_v != 0.0
-    # seen[j + 1] was committed with the currents of the micro step that
-    # started at seen[j]; inside a macro step only t, v and sgen are set
-    inside = [(meas, cur) for meas, cur in zip(seen[1:], curs) if meas.balance is None]
-    assert len(inside) == 5 * 3
+        model.advance(k * 2e-3, 2e-3, on_micro=on_micro)
+    assert len(seen) == 5 * 4
 
-    def bits(sgen):
-        return {sid: [x.hex() for x in dataclasses.astuple(m)] for sid, m in sgen.items()}
 
-    for meas, cur in inside:
-        assert (meas.pcc_v, meas.pcc_theta, meas.p_wpp_mw, meas.q_wpp_mvar) == (0.0,) * 4
-        reference = model._measure(meas.t, meas.v, {}, cur)
-        assert bits(meas.sgen) == bits(reference.sgen)
+def test_last_measurements_stays_the_boundary_measurement_inside_a_macro_step():
+    model, _ = equilibrated(nine_bus_with_plant(), {"wpp": (0.85, 0.0)},
+                            pcc_bus=3, pcc_branch=(3, 9))
+    boundary, held = model.last_measurements, []
+    model.advance(0.0, 2e-3, on_micro=lambda t, columns, h: held.append(model.last_measurements))
+    assert len(held) == 4 and all(meas is boundary for meas in held)
+    assert model.last_measurements is not boundary
+    assert model.last_measurements.t == pytest.approx(2e-3)

@@ -300,6 +300,11 @@ def test_cli_usage_and_input_errors(tmp_path, capsys):
     ("pcc_bus = 3", "pcc_bus = 3\npcc_branch = 3 99"),
     ("pcc_bus = 3", "pcc_bus = 3\npcc_branch = 4 5"),
     ("t_end = 0.02", "t_end = 1e300"),
+    ("base_mva = 100.0", "base_mva = 0"),
+    ("frequency_hz = 60.0", "frequency_hz = -1"),
+    ("rating_mva = 85.0", "rating_mva = nan"),
+    ("i_max=1.1", "i_max=inf"),
+    ("kp_d=0.1", "kp_d=-1"),
     # wiring that only the built components can check
     ("connect grid.v_wpp frt_wpp.v_meas",
      "connect grid.v_wpp frt_wpp.v_meas\nconnect grid.v_pcc frt_wpp.v_meas"),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,11 @@ def _invalid_cases():
         "disconnected": split, "ghost-machine-bus": ghost_machine,
         "bad-machine-params": bad_machine, "ghost-sgen-bus": ghost_sgen,
         "bad-sgen-mva": bad_mva, "duplicate-sgen-id": dup_sgen,
+        "zero-base-mva": replace(base, base_mva=0.0),
+        "nan-base-mva": replace(base, base_mva=float("nan")),
+        "zero-frequency": replace(base, frequency_hz=0.0),
+        "negative-frequency": replace(base, frequency_hz=-1.0),
+        "infinite-frequency": replace(base, frequency_hz=float("inf")),
     }
 
 
@@ -178,6 +185,11 @@ def _invalid_cases():
 def test_validate_rejects(label):
     with pytest.raises(TopologyError):
         _invalid_cases()[label].validate()
+
+
+def test_model_rejects_a_zero_base_before_dividing_by_it():
+    with pytest.raises(TopologyError, match="base_mva must be finite and positive"):
+        RmsModel(replace(wscc9_without_g3(), base_mva=0.0))
 
 
 def test_bus_and_sgen_lookup():

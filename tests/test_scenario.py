@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -97,9 +98,10 @@ def test_validate_rejects_wtg_without_generator():
 
 def test_validate_rejects_rating_mismatch():
     sc = build_small_scale()
-    sc.wpp_rating_mva = 90.0
-    with pytest.raises(ScenarioValidationError, match="rated"):
-        sc.validate()
+    for rating in (90.0, math.nan, math.inf):
+        sc.wpp_rating_mva = rating
+        with pytest.raises(ScenarioValidationError, match="rated"):
+            sc.validate()
 
 
 def test_validate_rejects_fault_at_unknown_bus():

@@ -317,6 +317,40 @@ def test_invalid_network_surfaces_as_validation_error(old, new, fragment):
     assert isinstance(exc.value.__cause__, TopologyError)
 
 
+@pytest.mark.parametrize("old, new", [
+    ("base_mva = 100.0", "base_mva = 0"),
+    ("base_mva = 100.0", "base_mva = nan"),
+    ("base_mva = 100.0", "base_mva = -inf"),
+    ("frequency_hz = 60.0", "frequency_hz = 0"),
+    ("frequency_hz = 60.0", "frequency_hz = -1"),
+    ("frequency_hz = 60.0", "frequency_hz = inf"),
+])
+def test_rejects_a_network_base_or_frequency_that_is_not_finite_and_positive(old, new):
+    assert old in SMALL_SCALE
+    with pytest.raises(ScenarioValidationError, match="must be finite and positive") as exc:
+        parse_scenario_text(SMALL_SCALE.replace(old, new, 1))
+    assert isinstance(exc.value.__cause__, TopologyError)
+
+
+@pytest.mark.parametrize("rating", ["nan", "inf", "-inf"])
+def test_rejects_a_plant_rating_that_is_not_finite(rating):
+    with pytest.raises(ScenarioValidationError, match="plant is rated"):
+        parse_scenario_text(SMALL_SCALE.replace("rating_mva = 85.0", f"rating_mva = {rating}"))
+
+
+@pytest.mark.parametrize("old, new", [
+    ("i_max=1.1", "i_max=nan"),
+    ("i_max=1.1", "i_max=inf"),
+    ("kp_d=0.1", "kp_d=-1"),
+    ("ki_d=60.0", "ki_d=nan"),
+    ("kp_q=0.1", "kp_q=-inf"),
+    ("ki_q=120.0", "ki_q=inf"),
+])
+def test_rejects_converter_gains_and_limit_out_of_domain(old, new):
+    assert old in SMALL_SCALE
+    reject(SMALL_SCALE.replace(old, new, 1), new.partition("=")[0] + " must be finite")
+
+
 LARGE_SCALE = (SCENARIO_DIR / "large_scale.scn").read_text()
 
 
