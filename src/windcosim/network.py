@@ -171,8 +171,8 @@ class NetworkData:
         for sg in self.sgens:
             if sg.bus not in index:
                 raise TopologyError(f"static generator '{sg.id}' at unknown bus {sg.bus}")
-            if sg.mva <= 0.0:
-                raise TopologyError(f"static generator '{sg.id}': mva must be positive")
+            if not 0.0 < sg.mva < math.inf:
+                raise TopologyError(f"static generator '{sg.id}': mva must be finite and positive")
             if sg.id in seen:
                 raise TopologyError(f"duplicate static generator id '{sg.id}'")
             seen.add(sg.id)

@@ -258,7 +258,7 @@ def parse_scenario_text(text: str) -> Scenario:
             params[keyword] = {wid: cls(**{**default, **over[wid]}) if wid in over else shared
                                for wid in wtg_ids}
     except ValueError as exc:
-        raise ScenarioParseError(0, str(exc)) from exc
+        raise ScenarioValidationError(str(exc)) from exc
     top["wtgs"] = [WtgSpec(**row, **{kw: params[kw][row["id"]] for kw in _CONTROLLERS})
                    for row in top["wtgs"]]
     try:

@@ -173,6 +173,8 @@ def _invalid_cases():
         "disconnected": split, "ghost-machine-bus": ghost_machine,
         "bad-machine-params": bad_machine, "ghost-sgen-bus": ghost_sgen,
         "bad-sgen-mva": bad_mva, "duplicate-sgen-id": dup_sgen,
+        "inf-sgen-mva": replace(bad_mva, sgens=[StaticGenerator(id="w", bus=3, mva=float("inf"))]),
+        "nan-sgen-mva": replace(bad_mva, sgens=[StaticGenerator(id="w", bus=3, mva=float("nan"))]),
         "zero-base-mva": replace(base, base_mva=0.0),
         "nan-base-mva": replace(base, base_mva=float("nan")),
         "zero-frequency": replace(base, frequency_hz=0.0),

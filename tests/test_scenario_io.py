@@ -217,7 +217,12 @@ def test_rejects_override_for_unknown_turbine():
 def test_wraps_invalid_controller_parameters():
     bad = BASE.replace("[master]",
                        "[controller]\nconverter default i_max=0.0\n\n[master]")
-    reject(bad, "i_max")
+    with pytest.raises(ScenarioValidationError, match="i_max"):
+        parse_scenario_text(bad)
+    bad = BASE.replace("[master]",
+                       "[controller]\nfrt default v_enter=0.95 v_exit=0.9\n\n[master]")
+    with pytest.raises(ScenarioValidationError, match="v_enter"):
+        parse_scenario_text(bad)
     bad = BASE.replace("[master]",
                        "[controller]\nconverter default q_mode=volts\n\n[master]")
     with pytest.raises(ScenarioParseError):
@@ -348,7 +353,8 @@ def test_rejects_a_plant_rating_that_is_not_finite(rating):
 ])
 def test_rejects_converter_gains_and_limit_out_of_domain(old, new):
     assert old in SMALL_SCALE
-    reject(SMALL_SCALE.replace(old, new, 1), new.partition("=")[0] + " must be finite")
+    with pytest.raises(ScenarioValidationError, match=new.partition("=")[0] + " must be finite"):
+        parse_scenario_text(SMALL_SCALE.replace(old, new, 1))
 
 
 LARGE_SCALE = (SCENARIO_DIR / "large_scale.scn").read_text()
