@@ -2,12 +2,14 @@
 
 Components expose scalar variables (real, integer, boolean) through a
 get/set interface and advance in fixed macro steps.  ``initialize``
-compiles the wiring into a plan of input edges per component: a refresh
-copies along them into the sink's values, and every hook's real outputs
-are checked finite right after the hook, so a failing macro step names
-the first component in priority order.  No re-wiring follows, and a
-master that has stepped is not initialized or run again.  Two coupling
-schemes are supported:
+compiles the wiring into a plan of input edges per component: plain
+copies (gain 1, offset 0: every integer and boolean edge and each
+identity real one, so ``-0.0`` passes as ``-0.0`` where ``1.0 * x + 0.0``
+gives ``+0.0``) and affine real edges.  A refresh moves values along them
+into the sink's values, and every hook's real outputs are checked finite
+right after the hook, so a failing macro step names the first component
+in priority order.  No re-wiring follows, and a master that has stepped
+is not initialized or run again.  Two coupling schemes are supported:
 
 ``serial``
     Components step once per macro step in ascending priority order.
@@ -230,11 +232,14 @@ class RunMetadata:
     init: dict = field(default_factory=dict)
 
 
-def _refresh(values: dict, edges: list[tuple]) -> None:
+def _refresh(values: dict, copies: list[tuple], affine: list[tuple]) -> None:
     """Set each input from its source's current output, as ``Connection.apply``
-    (without a cast: connected kinds match, and values keep their kind)."""
-    for src, src_name, name, real, gain, offset in edges:
-        values[name] = gain * src[src_name] + offset if real else src[src_name]
+    (without a cast: connected kinds match, and values keep their kind),
+    except that a copy passes ``-0.0`` on where ``apply`` gives ``+0.0``."""
+    for src, src_name, name in copies:
+        values[name] = src[src_name]
+    for src, src_name, name, gain, offset in affine:
+        values[name] = gain * src[src_name] + offset
 
 
 def _check_finite(comp: SimComponent, values: dict, outputs: list[str], t: float) -> None:
@@ -322,16 +327,19 @@ class Master:
     # -- value movement ----------------------------------------------------
 
     def _compile(self) -> None:
-        """Per component in priority order: (component, values, input edges, real outputs)."""
-        self._plan = [
-            (comp, comp._values,
-             [(self._components[c.source.component_id]._values, c.source.name, c.sink.name,
-               c.source.kind is VarKind.REAL, c.gain, c.offset)
-              for c in self._by_sink.get(comp.component_id, ())],
-             [r.name for r in comp.variables()
-              if r.direction is Direction.OUTPUT and r.kind is VarKind.REAL])
-            for _, comp in sorted(self._by_priority.items())
-        ]
+        """Per component in priority order: (component, values, copies, affine, real outputs)."""
+        self._plan = []
+        for _, comp in sorted(self._by_priority.items()):
+            copies, affine = [], []
+            for c in self._by_sink.get(comp.component_id, ()):
+                src = self._components[c.source.component_id]._values
+                if c.gain == 1.0 and c.offset == 0.0:      # every int and bool edge
+                    copies.append((src, c.source.name, c.sink.name))
+                else:
+                    affine.append((src, c.source.name, c.sink.name, c.gain, c.offset))
+            outputs = [r.name for r in comp.variables()
+                       if r.direction is Direction.OUTPUT and r.kind is VarKind.REAL]
+            self._plan.append((comp, comp._values, copies, affine, outputs))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -341,15 +349,15 @@ class Master:
         if self.current_step:
             raise err.InitializationError("master has already stepped; build a new Master")
         self._compile()
-        for comp, values, _, outputs in self._plan:      # the declared start values
+        for comp, values, _, _, outputs in self._plan:      # the declared start values
             _check_finite(comp, values, outputs, 0.0)
         for stage in ("equilibrate", "finish_init"):
-            for comp, values, edges, outputs in self._plan:
-                _refresh(values, edges)
+            for comp, values, copies, affine, outputs in self._plan:
+                _refresh(values, copies, affine)
                 getattr(comp, stage)()
                 _check_finite(comp, values, outputs, 0.0)
-        for _, values, edges, _ in self._plan:
-            _refresh(values, edges)
+        for _, values, copies, affine, _ in self._plan:
+            _refresh(values, copies, affine)
         self._initialized = True
 
     def step_macro(self) -> None:
@@ -361,13 +369,17 @@ class Master:
         serial = self.config.scheme is Scheme.SERIAL
         # _refresh and _check_finite inline; the check is called only to name a failure
         if not serial:              # latch every input before any component steps
-            for _, values, edges, _ in self._plan:
-                for src, src_name, name, real, gain, offset in edges:
-                    values[name] = gain * src[src_name] + offset if real else src[src_name]
-        for comp, values, edges, outputs in self._plan:
+            for _, values, copies, affine, _ in self._plan:
+                for src, src_name, name in copies:
+                    values[name] = src[src_name]
+                for src, src_name, name, gain, offset in affine:
+                    values[name] = gain * src[src_name] + offset
+        for comp, values, copies, affine, outputs in self._plan:
             if serial:
-                for src, src_name, name, real, gain, offset in edges:
-                    values[name] = gain * src[src_name] + offset if real else src[src_name]
+                for src, src_name, name in copies:
+                    values[name] = src[src_name]
+                for src, src_name, name, gain, offset in affine:
+                    values[name] = gain * src[src_name] + offset
             comp.step(t, dt)
             for name in outputs:
                 if not isfinite(values[name]):

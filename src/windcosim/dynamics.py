@@ -31,14 +31,17 @@ and ``b = (E/x') w_m = b_s i_s + b_0``.  Stacked, ``r_c = [b_s; z_s]``
 and ``r_0 = [b_0; w_0]`` give ``b`` and the sgen part of ``v`` in one
 ``r_c i_s + r_0`` per micro step (``i_s`` is fixed over it).  The stages
 run over Python numbers: on a few machines NumPy's per-call overhead
-would cost more than the arithmetic.  The sgen angle lag is the unit
+would cost more than the arithmetic: each stage is one comprehension for
+the accelerations, with ``Pe`` inline.  The sgen angle lag is the unit
 phasor ``v / |v|`` of the previous terminal voltage.
 
 A ``GridMeasurements`` is committed only at a macro-step boundary; inside
 a macro step the embedded controllers' callback gets the sgens' ``v_mag``,
 ``p`` and ``q`` lists alone.  The measured power balance never uses
 ``Y``: generation comes from terminal currents, load from ``|v|^2`` and
-the load conductances, loss from the branch currents.
+the load conductances, loss from one sum over the currents entering the
+branches at both ends, stacked.  The boundary measurement reuses the
+final micro step's sgen voltages and machine EMFs.
 """
 
 from __future__ import annotations
@@ -107,13 +110,6 @@ def micro_grid(duration: float, micro_step: float) -> tuple[int, float]:
     return n, duration / n
 
 
-def _electrical_power(delta: list[float], a: list[list[complex]], b: list[complex]) -> list[float]:
-    """The machines' ``Pe_i = Im(u_i conj(sum_j a_ij u_j + b_i))``, ``u = exp(j delta)``."""
-    u = [cmath.rect(1.0, d) for d in delta]          # cos(d) + j sin(d)
-    return [(ui * (sum(map(mul, row, u)) + bi).conjugate()).imag
-            for ui, row, bi in zip(u, a, b)]
-
-
 class RmsModel:
     """Time-domain network model stepping machines and injections together."""
 
@@ -133,8 +129,11 @@ class RmsModel:
         network.validate()
         self._index = network.bus_index()
         self._n = len(network.buses)
-        self._branches = branch_stamps(network)
-        self.ybus = assemble_ybus(self._branches, self._n)
+        f, t, y_ff, y_ft, y_tf, y_tt = branches = branch_stamps(network)
+        self.ybus = assemble_ybus(branches, self._n)
+        # from then to sides stacked: end bus, other bus, y_self, y_mutual of the current
+        self._ends = (np.concatenate((f, t)), np.concatenate((t, f)),
+                      np.concatenate((y_ff, y_tt)), np.concatenate((y_ft, y_tf)))
 
         machines = network.machines
         self.m_bus = np.array([self._index[m.bus] for m in machines], dtype=int)
@@ -165,7 +164,7 @@ class RmsModel:
         self._slack_e = complex(network.buses[self._slack_idx].v_set, 0.0)
         self._y_stiff = 1.0 / (1j * _STIFF_SLACK_X)
 
-        self._load_y = np.zeros(self._n, dtype=complex)
+        self._load_g = np.zeros(self._n)         # load conductances, set by init_equilibrium
         self._y_dyn: sp.csc_matrix | None = None
         self._lu_cache: dict[tuple, _Factor] = {}
         # fault schedule: the shunts, and their factorization cache key, on
@@ -182,17 +181,18 @@ class RmsModel:
         self.last_measurements: GridMeasurements | None = None
         self.init_diagnostics: dict[str, float] = {}   # set by init_equilibrium
 
-        # (branch index, PCC bus on its from side), or None to sum the power of the sgens
-        # on the PCC bus (1 in _at_pcc); the flow is taken at the PCC end either way round
-        self._pcc_br = None
+        # the PCC end's position in the stacked branch ends, or None to sum the power of
+        # the sgens on the PCC bus (1 in _at_pcc); the flow is taken at the PCC end
+        self._pcc_end = None
         self._at_pcc = np.array([sg.bus == pcc_bus for sg in network.sgens], dtype=complex)
         if pcc_branch is not None:
             a, b = pcc_branch
             if pcc_bus not in pcc_branch:
                 raise InitializationError(f"pcc branch {a}-{b} does not touch pcc bus {pcc_bus}")
-            self._pcc_br = network.branch_between(pcc_bus, b if a == pcc_bus else a)
-            if self._pcc_br is None:
+            found = network.branch_between(pcc_bus, b if a == pcc_bus else a)
+            if found is None:
                 raise InitializationError(f"pcc branch {a}-{b} not found in network")
+            self._pcc_end = found[0] + (0 if found[1] else len(network.branches))
 
     # -- commands ------------------------------------------------------------
 
@@ -230,8 +230,9 @@ class RmsModel:
         vm2 = np.abs(v) ** 2
         if np.any(vm2 < 1e-12):
             raise InitializationError("power-flow voltage collapsed at some bus")
-        for i, bus in enumerate(self.network.buses):
-            self._load_y[i] = complex(bus.p_load, -bus.q_load) / vm2[i]
+        load_y = np.array([complex(bus.p_load, -bus.q_load) / x
+                           for bus, x in zip(self.network.buses, vm2.tolist())])
+        self._load_g = load_y.real.copy()
 
         # machine power per bus = net injection - (schedule - scheduled machine power);
         # the bracket is exactly 0 at a machine bus with no load and no sgen
@@ -250,7 +251,7 @@ class RmsModel:
         v_s = v[self.s_bus]
         self._s_unit = v_s / np.abs(v_s)
 
-        diag = self._load_y.copy()
+        diag = load_y
         np.add.at(diag, self.m_bus, self.y_m)
         if self._stiff_slack:
             diag[self._slack_idx] += self._y_stiff
@@ -269,7 +270,9 @@ class RmsModel:
         self.init_diagnostics = {"iterations": pf.iterations, "max_mismatch":
                                  float(pf.max_mismatch), "equilibrium_deviation": deviation}
         self.pm = (e * v_dyn[self.m_bus].conj()).imag / self.xd_p
-        self._measure(0.0, v_dyn, {}, self._sgen_currents())
+        vb = v_dyn[self.s_bus]
+        self._measure(0.0, v_dyn, {}, self._sgen_currents(), vb, np.abs(vb), [
+            x * cmath.rect(1.0, d) for x, d in zip(self.e_mag.tolist(), self.delta.tolist())])
 
     # -- network solution --------------------------------------------------
 
@@ -330,9 +333,11 @@ class RmsModel:
             a, b = lu.a, r[:nm].tolist()
 
             def rates(z):
-                pe, dw = _electrical_power(z[:nm], a, b), z[nm:]
+                # Pe_i = Im(u_i conj(sum_j a_ij u_j + b_i)), u = exp(j delta), inline
+                u, dw = [cmath.rect(1.0, d) for d in z[:nm]], z[nm:]
                 return [w_s * x for x in dw] + [
-                    c * (p - e) - k * x for c, k, p, e, x in zip(inv_2h, d_2h, pm, pe, dw)]
+                    c * (p - (ui * (sum(map(mul, row, u)) + bi).conjugate()).imag) - k * x
+                    for c, k, p, ui, row, bi, x in zip(inv_2h, d_2h, pm, u, a, b, dw)]
 
             k1 = rates(y)
             k2 = rates([x + hh * k for x, k in zip(y, k1)])
@@ -345,14 +350,15 @@ class RmsModel:
             lu_start, (lu, shunts) = lu, self._lu_at(tau_next)
             if lu is not lu_start:                  # a fault edge at tau_next
                 r = lu.r_c.dot(cur) + lu.r_0
-            v = lu.z_m.dot([x * cmath.rect(1.0, d) for x, d in zip(e_mag, y)]) + r[nm:]
+            e = [x * cmath.rect(1.0, d) for x, d in zip(e_mag, y)]
+            v = lu.z_m.dot(e) + r[nm:]
             # measure with the currents that actually entered the solve, then
             # advance the angle lag for the next step; anything else breaks
             # the energy bookkeeping when the bus angle jumps at an event
             vb = v[self.s_bus]
             vm = np.abs(vb)
             if m == n - 1:
-                self._measure(tau_next, v, shunts, cur, vm)
+                self._measure(tau_next, v, shunts, cur, vb, vm, e)
             elif on_micro is not None:
                 columns = self._sgen_columns(vb, vm, cur)
             self._s_unit = vb / vm
@@ -364,16 +370,16 @@ class RmsModel:
 
     # -- measurements --------------------------------------------------------
 
-    def _branch_currents(self, v: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Each branch's from and to voltage and the currents entering it there."""
-        f, t, y_ff, y_ft, y_tf, y_tt = self._branches
-        vf, vt = v[f], v[t]
-        return vf, vt, vf * y_ff + vt * y_ft, vt * y_tt + vf * y_tf
+    def _end_currents(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The voltage at each stacked branch end and the current entering the branch there."""
+        end, other, y_self, y_mutual = self._ends
+        v_end = v[end]
+        return v_end, v_end * y_self + v[other] * y_mutual
 
-    def _branch_flows(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _branch_flows(self, v: np.ndarray) -> list[np.ndarray]:
         """Complex power entering each branch at its from and to side."""
-        vf, vt, i_f, i_t = self._branch_currents(v)
-        return vf * np.conj(i_f), vt * np.conj(i_t)
+        v_end, i_end = self._end_currents(v)
+        return np.split(v_end * np.conj(i_end), 2)
 
     def branch_losses(self, v: np.ndarray | None = None) -> np.ndarray:
         """Active power dissipated per branch (pu), aligned with
@@ -389,33 +395,31 @@ class RmsModel:
         s_mach = vb * np.conj(cur) / self.s_scale
         return vm.tolist(), s_mach.real.tolist(), s_mach.imag.tolist()
 
-    def _measure(self, t: float, v: np.ndarray, shunts: dict[int, complex],
-                 cur: np.ndarray, vm: np.ndarray | None = None) -> GridMeasurements:
-        vb = v[self.s_bus]
-        v_mag, p, q = self._sgen_columns(vb, np.abs(vb) if vm is None else vm, cur)
-
-        vf, vt, i_f, i_t = self._branch_currents(v)
+    def _measure(self, t: float, v: np.ndarray, shunts: dict[int, complex], cur: np.ndarray,
+                 vb: np.ndarray, vm: np.ndarray, e: list[complex]) -> GridMeasurements:
+        """Commit the measurement of the solve ``v`` from the sgen currents ``cur``
+        in it, with ``vb = v[s_bus]``, ``vm = |vb|`` and the machine EMFs ``e``."""
+        v_mag, p, q = self._sgen_columns(vb, vm, cur)
+        v_end, i_end = self._end_currents(v)
         pcc_v = pcc_theta = p_wpp = q_wpp = 0.0
         if self.pcc_bus is not None:
             vp = complex(v[self._index[self.pcc_bus]])
             pcc_v, pcc_theta = abs(vp), cmath.phase(vp)
-            if self._pcc_br is not None:
-                i, from_side = self._pcc_br
-                s_pcc = -vp * complex(i_f[i] if from_side else i_t[i]).conjugate()
+            if self._pcc_end is not None:
+                s_pcc = -vp * complex(i_end[self._pcc_end]).conjugate()
             else:
                 s_pcc = complex(np.vdot(cur * self._at_pcc, vb))
             p_wpp, q_wpp = s_pcc.real * self.network.base_mva, s_pcc.imag * self.network.base_mva
 
         # independent balance bookkeeping: terminal currents, branch currents, loads
-        v_m = v[self.m_bus]
-        e = [x * cmath.rect(1.0, d) for x, d in zip(self.e_mag.tolist(), self.delta.tolist())]
-        i_m = (e - v_m) * self.y_m
-        gen = float((np.vdot(i_m, v_m) + np.vdot(cur, vb)).real)
+        gen = float(np.vdot(cur, vb).real) + sum(
+            (vx * ((ex - vx) * y).conjugate()).real
+            for ex, vx, y in zip(e, v[self.m_bus].tolist(), self.y_m.tolist()))
         if self._stiff_slack:
             v_s = complex(v[self._slack_idx])
             gen += (v_s * ((self._slack_e - v_s) * self._y_stiff).conjugate()).real
-        load = float(np.vdot(v * self._load_y.real, v).real)
-        loss = float((np.vdot(i_f, vf) + np.vdot(i_t, vt)).real)
+        load = float(np.vdot(v * self._load_g, v).real)
+        loss = float(np.vdot(i_end, v_end).real)
         for i, y in shunts.items():
             loss += abs(complex(v[i])) ** 2 * y.real
 

@@ -61,8 +61,9 @@ class FrtParams:
         if not (0.0 < self.v_enter <= self.v_exit < 1.0):
             raise ValueError(
                 f"need 0 < v_enter <= v_exit < 1, got {self.v_enter}, {self.v_exit}")
-        if self.deglitch < 0.0 or self.k_boost < 0.0 or self.ramp_rate <= 0.0:
-            raise ValueError("deglitch and k_boost must be >= 0, ramp_rate > 0")
+        if not (0.0 <= self.deglitch < np.inf and 0.0 <= self.k_boost < np.inf
+                and 0.0 < self.ramp_rate < np.inf):           # a nan fails too
+            raise ValueError("deglitch and k_boost must be finite and >= 0, ramp_rate > 0 finite")
 
 
 class FrtControl:

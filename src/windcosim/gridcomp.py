@@ -35,7 +35,7 @@ import numpy as np
 from .converter import ConverterControl
 from .cosim import SimComponent, VarKind
 from .dynamics import GridMeasurements, RmsModel
-from .errors import UnknownVariableError
+from .errors import ComponentStepError, UnknownVariableError
 from .frt import FrtControl
 from .network import FaultEvent, NetworkData
 from .powerflow import solve_power_flow
@@ -145,7 +145,10 @@ class GridComponent(SimComponent):
 
     def _do_step(self, t: float, dt: float) -> None:
         self._take_commands()
-        meas = self.model.advance(t, dt, on_micro=self._on_micro if self.embedded else None)
+        try:
+            meas = self.model.advance(t, dt, on_micro=self._on_micro if self.embedded else None)
+        except ValueError as exc:          # cmath.rect of an infinite machine angle
+            raise ComponentStepError(self.component_id, t, f"machine states diverged ({exc})")
         self._publish_measurements(meas)
 
     # -- publishing ----------------------------------------------------------

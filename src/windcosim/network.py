@@ -165,8 +165,8 @@ class NetworkData:
         for m in self.machines:
             if m.bus not in index:
                 raise TopologyError(f"machine at unknown bus {m.bus}")
-            if m.h <= 0.0 or m.xd_p <= 0.0:
-                raise TopologyError(f"machine at bus {m.bus}: h and xd_p must be positive")
+            if not (0.0 < m.h < math.inf and 0.0 < m.xd_p < math.inf and 0.0 <= m.d < math.inf):
+                raise TopologyError(f"machine at bus {m.bus}: need finite h, xd_p > 0 and d >= 0")
         seen = set()
         for sg in self.sgens:
             if sg.bus not in index:

@@ -452,6 +452,66 @@ def test_exchange_casts_to_sink_kind(scheme):
         master.step_macro()
 
 
+class Emitter(SimComponent):
+    """Publishes row k of ``ROWS`` at its k-th step; row 0 holds the start values."""
+
+    ROWS = [(0.25, 3, False), (-0.0, -4, True), (1e-310, 7, False), (-2.5, 0, True)]
+
+    def __init__(self, cid):
+        super().__init__(cid)
+        x, n, flag = self.ROWS[0]
+        self.declare_output("x", start=x)
+        self.declare_output("n", VarKind.INT, start=n)
+        self.declare_output("flag", VarKind.BOOL, start=flag)
+        self.k = 0
+
+    def _do_step(self, t, dt):
+        self.k += 1
+        self._values["x"], self._values["n"], self._values["flag"] = self.ROWS[self.k]
+
+
+class Receiver(SimComponent):
+    """Records the inputs it sees at each step."""
+
+    INPUTS = (("copy", VarKind.REAL), ("affine", VarKind.REAL),
+              ("n_in", VarKind.INT), ("flag_in", VarKind.BOOL))
+
+    def __init__(self, cid):
+        super().__init__(cid)
+        for name, kind in self.INPUTS:
+            self.declare_input(name, kind)
+        self.seen = []
+
+    def _do_step(self, t, dt):
+        self.seen.append(tuple(self._values[name] for name, _ in self.INPUTS))
+
+
+@pytest.mark.parametrize("scheme", [Scheme.SERIAL, Scheme.PARALLEL])
+def test_identity_edges_are_copies_and_affine_edges_transform(scheme):
+    master = Master(MasterConfig(macro_step=1e-3, t_end=3e-3, scheme=scheme))
+    master.register(Emitter("src"), priority=0)
+    dst = master.register(Receiver("dst"), priority=1)
+    master.connect("src.x", "dst.copy", gain=1.0, offset=0.0)
+    master.connect("src.x", "dst.affine", gain=2.0, offset=0.5)
+    master.connect("src.n", "dst.n_in")
+    master.connect("src.flag", "dst.flag_in")
+    master.initialize()
+    # the identity connections, the real one included, compile to copies only
+    (_, _, copies, affine, _), = [entry for entry in master._plan if entry[0] is dst]
+    assert [name for _, _, name in copies] == ["copy", "n_in", "flag_in"]
+    assert [edge[2:] for edge in affine] == [("affine", 2.0, 0.5)]
+    for _ in range(3):
+        master.step_macro()
+    lag = 0 if scheme is Scheme.SERIAL else 1
+    assert len(dst.seen) == 3
+    for k, (copy, transformed, n, flag) in enumerate(dst.seen, start=1):
+        x, n_src, flag_src = Emitter.ROWS[k - lag]
+        assert copy.hex() == x.hex(), k          # -0.0 arrives as -0.0, not 1.0 * x + 0.0
+        assert transformed == 2.0 * x + 0.5, k
+        assert type(n) is int and n == n_src, k
+        assert type(flag) is bool and flag is flag_src, k
+
+
 class EquilibriumExploder(RealRelay):
     def equilibrate(self):
         self.set("out", math.nan)

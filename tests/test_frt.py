@@ -1,5 +1,7 @@
 """Ride-through supervisor: state machine, latch, ramp, envelope."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -172,6 +174,12 @@ def test_params_validation():
         FrtParams(deglitch=-1e-3)
     with pytest.raises(ValueError):
         FrtParams(ramp_rate=0.0)
+    # every comparison with nan is False: each check must fail on it too
+    for bad in ({"deglitch": math.nan}, {"deglitch": math.inf}, {"k_boost": math.nan},
+                {"k_boost": math.inf}, {"k_boost": -1.0}, {"ramp_rate": math.nan},
+                {"ramp_rate": math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            FrtParams(**bad)
 
 
 # -- component wrapper ------------------------------------------------------------

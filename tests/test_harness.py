@@ -305,6 +305,10 @@ def test_cli_usage_and_input_errors(tmp_path, capsys):
     ("rating_mva = 85.0", "rating_mva = nan"),
     ("i_max=1.1", "i_max=inf"),
     ("kp_d=0.1", "kp_d=-1"),
+    ("h=23.64", "h=inf"),
+    ("xd_p=0.0608 d=6.0", "xd_p=0.0608 d=-1"),
+    ("deglitch=0.02", "deglitch=nan"),
+    ("ramp_rate=1.0", "ramp_rate=inf"),
     # wiring that only the built components can check
     ("connect grid.v_wpp frt_wpp.v_meas",
      "connect grid.v_wpp frt_wpp.v_meas\nconnect grid.v_pcc frt_wpp.v_meas"),
@@ -332,6 +336,19 @@ def test_cli_run_failure_exit_code(tmp_path, capsys):
     assert "run failed" in capsys.readouterr().err
 
 
+def test_cli_fails_a_diverging_machine_as_a_study(tmp_path, capsys):
+    # an absurd damping makes the explicit RK4 blow up to an infinite machine
+    # angle: a run failure that names the grid and the time, not an input error
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "small_scale.scn"
+    text = path.read_text()
+    assert "xd_p=0.0608 d=6.0" in text
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text.replace("xd_p=0.0608 d=6.0", "xd_p=0.0608 d=1e7", 1))
+    assert main(["run", "--scenario", str(bad), "--t-end", "0.05", "--out",
+                 str(tmp_path / "o")]) == 2
+    assert "run failed: component 'grid' at t=0.02" in capsys.readouterr().err
+
+
 def test_cli_rejects_an_override_past_the_micro_step_cap(tmp_path, capsys):
     path = Path(__file__).resolve().parents[1] / "scenarios" / "small_scale.scn"
     out = tmp_path / "o"
@@ -351,6 +368,7 @@ def test_setup_scaling_script_times_a_small_plant(monkeypatch):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     row = script.time_setup(8)
-    assert set(row) == {"instantiate", "initialize", "setup", "power_flow", "buses"}
+    assert set(row) == {"instantiate", "initialize", "setup", "power_flow", "steps", "buses"}
     assert all(np.isfinite(value) for value in row.values())
     assert row["buses"] == 18
+    assert row["steps"] > 0.0            # script.STEPS macro steps after initialize

@@ -159,6 +159,11 @@ def _invalid_cases():
     bad_machine = NetworkData(
         buses=base.buses, branches=base.branches,
         machines=[SynchronousMachine(bus=1, h=-5.0, d=1.0, xd_p=0.1)])
+
+    def machine(**params):
+        return replace(bad_machine, machines=[
+            SynchronousMachine(**{"bus": 1, "h": 5.0, "d": 1.0, "xd_p": 0.1, **params})])
+
     ghost_sgen = NetworkData(buses=base.buses, branches=base.branches,
                              sgens=[StaticGenerator(id="w", bus=99, mva=10.0)])
     bad_mva = NetworkData(buses=base.buses, branches=base.branches,
@@ -180,6 +185,12 @@ def _invalid_cases():
         "zero-frequency": replace(base, frequency_hz=0.0),
         "negative-frequency": replace(base, frequency_hz=-1.0),
         "infinite-frequency": replace(base, frequency_hz=float("inf")),
+        "inf-machine-h": machine(h=float("inf")),
+        "nan-machine-h": machine(h=float("nan")),
+        "inf-machine-xd_p": machine(xd_p=float("inf")),
+        "negative-machine-d": machine(d=-1.0),
+        "inf-machine-d": machine(d=float("inf")),
+        "nan-machine-d": machine(d=float("nan")),
     }
 
 

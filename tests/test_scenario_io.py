@@ -357,6 +357,36 @@ def test_rejects_converter_gains_and_limit_out_of_domain(old, new):
         parse_scenario_text(SMALL_SCALE.replace(old, new, 1))
 
 
+@pytest.mark.parametrize("old, new", [
+    ("h=23.64", "h=inf"),
+    ("h=23.64", "h=nan"),
+    ("xd_p=0.0608", "xd_p=inf"),
+    ("xd_p=0.0608", "xd_p=nan"),
+    ("xd_p=0.0608 d=6.0", "xd_p=0.0608 d=-1"),
+    ("xd_p=0.0608 d=6.0", "xd_p=0.0608 d=inf"),
+    ("xd_p=0.0608 d=6.0", "xd_p=0.0608 d=nan"),
+])
+def test_rejects_machine_parameters_out_of_domain(old, new):
+    assert old in SMALL_SCALE
+    with pytest.raises(ScenarioValidationError, match="machine at bus 1") as exc:
+        parse_scenario_text(SMALL_SCALE.replace(old, new, 1))
+    assert isinstance(exc.value.__cause__, TopologyError)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("deglitch=0.02", "deglitch=nan"),
+    ("deglitch=0.02", "deglitch=inf"),
+    ("k_boost=2.0", "k_boost=nan"),
+    ("k_boost=2.0", "k_boost=inf"),
+    ("ramp_rate=1.0", "ramp_rate=nan"),
+    ("ramp_rate=1.0", "ramp_rate=inf"),
+])
+def test_rejects_frt_timing_and_gains_that_are_not_finite(old, new):
+    assert old in SMALL_SCALE
+    with pytest.raises(ScenarioValidationError, match="must be finite"):
+        parse_scenario_text(SMALL_SCALE.replace(old, new, 1))
+
+
 LARGE_SCALE = (SCENARIO_DIR / "large_scale.scn").read_text()
 
 
