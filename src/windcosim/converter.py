@@ -173,15 +173,17 @@ class ConverterComponent(SimComponent):
                  p_ref: float, q_ref: float = 0.0):
         super().__init__(component_id)
         self.control = ConverterControl(params, p_ref, q_ref)
-        self.declare_input("v_meas", start=1.0)
+        # the seven inputs are declared in a row, in the order ``step`` takes them:
+        # one slice of value references reads them all
+        first = self.declare_input("v_meas", start=1.0).vr
         self.declare_input("p_meas", start=0.0)
         self.declare_input("q_meas", start=0.0)
         self.declare_input("frt_mode", kind=VarKind.INT, start=0)
         self.declare_input("block_active", kind=VarKind.BOOL, start=False)
         self.declare_input("i_q_boost", start=0.0)
-        self.declare_input("i_d_ref_frt", start=0.0)
-        self.declare_output("i_d_cmd", start=p_ref)     # setpoints are the nominal commands
-        self.declare_output("i_q_cmd", start=q_ref)
+        self._inputs = slice(first, self.declare_input("i_d_ref_frt", start=0.0).vr + 1)
+        self._i_d = self.declare_output("i_d_cmd", start=p_ref).vr   # setpoints are the
+        self._i_q = self.declare_output("i_q_cmd", start=q_ref).vr   # nominal commands
 
     def equilibrate(self) -> None:
         i_d, i_q = self.control.equilibrium(self.get("v_meas"))
@@ -190,10 +192,10 @@ class ConverterComponent(SimComponent):
 
     def _do_step(self, t: float, dt: float) -> None:
         values = self._values
+        v_mag, p_meas, q_meas, frt_mode, block_active, i_q_boost, i_d_ref = values[self._inputs]
         try:
-            mode = _MODES[values["frt_mode"]]
+            mode = _MODES[frt_mode]
         except KeyError:
-            raise ValueError(f"{values['frt_mode']!r} is not a valid FRT mode") from None
-        values["i_d_cmd"], values["i_q_cmd"] = self.control.step(
-            dt, values["v_meas"], values["p_meas"], values["q_meas"], mode,
-            values["block_active"], values["i_q_boost"], values["i_d_ref_frt"])
+            raise ValueError(f"{frt_mode!r} is not a valid FRT mode") from None
+        values[self._i_d], values[self._i_q] = self.control.step(
+            dt, v_mag, p_meas, q_meas, mode, block_active, i_q_boost, i_d_ref)

@@ -5,11 +5,15 @@ get/set interface and advance in fixed macro steps.  ``initialize``
 compiles the wiring into a plan of input edges per component: plain
 copies (gain 1, offset 0: every integer and boolean edge and each
 identity real one, so ``-0.0`` passes as ``-0.0`` where ``1.0 * x + 0.0``
-gives ``+0.0``) and affine real edges.  A refresh moves values along them
-into the sink's values, and every hook's real outputs are checked finite
-right after the hook, so a failing macro step names the first component
-in priority order.  No re-wiring follows, and a master that has stepped
-is not initialized or run again.  Two coupling schemes are supported:
+gives ``+0.0``) and affine real edges.  Names are resolved once, when it
+is wired: from then on the plan, the output check, the recording and the
+step bodies address each value by its value reference (``VariableRef.vr``,
+its index in the component's value list), as FMI 2.0 does with
+``fmi2ValueReference``.  A refresh moves values along the edges into the
+sink's values, and every hook's real outputs are checked finite right
+after the hook, so a failing macro step names the first component in
+priority order.  No re-wiring follows, and a master that has stepped is
+not initialized or run again.  Two coupling schemes are supported:
 
 ``serial``
     Components step once per macro step in ascending priority order.
@@ -72,12 +76,14 @@ class Direction(enum.Enum):
 
 @dataclass(frozen=True)
 class VariableRef:
-    """Fully qualified handle for one scalar variable of one component."""
+    """Fully qualified handle for one scalar variable of one component; ``vr``,
+    its value reference, indexes the component's ``_values`` list."""
 
     component_id: str
     name: str
     direction: Direction
     kind: VarKind
+    vr: int = field(default=-1, compare=False)
 
     def __hash__(self) -> int:
         # a component declares each name once, so equal refs share this pair
@@ -116,17 +122,17 @@ class SimComponent:
 
     ``get``/``set`` are the checked public contract: an undeclared name
     raises ``UnknownVariableError`` and ``set`` casts to the declared
-    kind, as the declaration does with the start value.  A step body may
-    instead read and write ``self._values`` directly, as the master's
-    exchange does; every value it writes there must already be of the
-    declared kind (``float``, ``int`` or ``bool``): the exchange never casts.
+    kind, as the declaration does with the start value.  A step body
+    instead reads and writes ``self._values`` by value reference (each
+    ``ref.vr`` resolved once, in ``__init__``), as the exchange does; a value
+    it writes must be of the declared kind: the exchange never casts.
     """
 
     def __init__(self, component_id: str):
         self.component_id = component_id
         self.current_time = 0.0
         self._vars: dict[str, VariableRef] = {}
-        self._values: dict[str, object] = {}
+        self._values: list = []
 
     # -- declaration -------------------------------------------------------
 
@@ -139,9 +145,9 @@ class SimComponent:
     def _declare(self, name, direction, kind, start) -> VariableRef:
         if name in self._vars:
             raise err.WiringError(f"{self.component_id}: variable '{name}' declared twice")
-        ref = VariableRef(self.component_id, name, direction, kind)
+        ref = VariableRef(self.component_id, name, direction, kind, len(self._values))
         self._vars[name] = ref
-        self._values[name] = _CASTS[kind](start)
+        self._values.append(_CASTS[kind](start))
         return ref
 
     # -- access ------------------------------------------------------------
@@ -160,12 +166,13 @@ class SimComponent:
 
     def get(self, name: str):
         try:
-            return self._values[name]
+            return self._values[self._vars[name].vr]
         except KeyError:
             raise self._unknown(name) from None
 
     def set(self, name: str, value) -> None:
-        self._values[name] = _CASTS[self.ref(name).kind](value)
+        ref = self.ref(name)
+        self._values[ref.vr] = _CASTS[ref.kind](value)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -232,21 +239,22 @@ class RunMetadata:
     init: dict = field(default_factory=dict)
 
 
-def _refresh(values: dict, copies: list[tuple], affine: list[tuple]) -> None:
+def _refresh(values: list, copies: list[tuple], affine: list[tuple]) -> None:
     """Set each input from its source's current output, as ``Connection.apply``
     (without a cast: connected kinds match, and values keep their kind),
     except that a copy passes ``-0.0`` on where ``apply`` gives ``+0.0``."""
-    for src, src_name, name in copies:
-        values[name] = src[src_name]
-    for src, src_name, name, gain, offset in affine:
-        values[name] = gain * src[src_name] + offset
+    for src, src_vr, vr in copies:
+        values[vr] = src[src_vr]
+    for src, src_vr, vr, gain, offset in affine:
+        values[vr] = gain * src[src_vr] + offset
 
 
-def _check_finite(comp: SimComponent, values: dict, outputs: list[str], t: float) -> None:
-    for name in outputs:
-        if not math.isfinite(values[name]):
+def _check_finite(comp: SimComponent, values: list, outputs: list[int], t: float) -> None:
+    for vr in outputs:
+        if not math.isfinite(values[vr]):
+            name = comp.variables()[vr].name
             raise err.ComponentStepError(comp.component_id, t,
-                                         f"output '{name}' is not finite ({values[name]!r})")
+                                         f"output '{name}' is not finite ({values[vr]!r})")
 
 
 class Master:
@@ -277,9 +285,12 @@ class Master:
         self._by_priority[priority] = component
         return component
 
-    def resolve(self, qualified: str) -> VariableRef:
-        """Resolve a ``component.variable`` string against the registry."""
-        comp_id, _, var = qualified.partition(".")
+    def resolve(self, qualified: str | VariableRef) -> VariableRef:
+        """Resolve a ``component.variable`` string, or a ref, against the registry."""
+        if isinstance(qualified, VariableRef):
+            comp_id, var = qualified.component_id, qualified.name
+        else:
+            comp_id, _, var = qualified.partition(".")
         if not var or comp_id not in self._components:
             raise err.UnknownVariableError(f"cannot resolve '{qualified}'")
         return self._components[comp_id].ref(var)
@@ -287,10 +298,7 @@ class Master:
     def connect(self, source, sink, gain: float = 1.0, offset: float = 0.0) -> Connection:
         if self._initialized:
             raise err.WiringError("connect after initialize: the exchange plan is fixed")
-        if isinstance(source, str):
-            source = self.resolve(source)
-        if isinstance(sink, str):
-            sink = self.resolve(sink)
+        source, sink = self.resolve(source), self.resolve(sink)    # the declared refs, with vr
         if source.direction is not Direction.OUTPUT:
             raise err.DirectionMismatchError(f"connection source {source} is not an output")
         if sink.direction is not Direction.INPUT:
@@ -334,10 +342,10 @@ class Master:
             for c in self._by_sink.get(comp.component_id, ()):
                 src = self._components[c.source.component_id]._values
                 if c.gain == 1.0 and c.offset == 0.0:      # every int and bool edge
-                    copies.append((src, c.source.name, c.sink.name))
+                    copies.append((src, c.source.vr, c.sink.vr))
                 else:
-                    affine.append((src, c.source.name, c.sink.name, c.gain, c.offset))
-            outputs = [r.name for r in comp.variables()
+                    affine.append((src, c.source.vr, c.sink.vr, c.gain, c.offset))
+            outputs = [r.vr for r in comp.variables()
                        if r.direction is Direction.OUTPUT and r.kind is VarKind.REAL]
             self._plan.append((comp, comp._values, copies, affine, outputs))
 
@@ -370,19 +378,19 @@ class Master:
         # _refresh and _check_finite inline; the check is called only to name a failure
         if not serial:              # latch every input before any component steps
             for _, values, copies, affine, _ in self._plan:
-                for src, src_name, name in copies:
-                    values[name] = src[src_name]
-                for src, src_name, name, gain, offset in affine:
-                    values[name] = gain * src[src_name] + offset
+                for src, src_vr, vr in copies:
+                    values[vr] = src[src_vr]
+                for src, src_vr, vr, gain, offset in affine:
+                    values[vr] = gain * src[src_vr] + offset
         for comp, values, copies, affine, outputs in self._plan:
             if serial:
-                for src, src_name, name in copies:
-                    values[name] = src[src_name]
-                for src, src_name, name, gain, offset in affine:
-                    values[name] = gain * src[src_name] + offset
+                for src, src_vr, vr in copies:
+                    values[vr] = src[src_vr]
+                for src, src_vr, vr, gain, offset in affine:
+                    values[vr] = gain * src[src_vr] + offset
             comp.step(t, dt)
-            for name in outputs:
-                if not isfinite(values[name]):
+            for vr in outputs:
+                if not isfinite(values[vr]):
                     _check_finite(comp, values, outputs, t + dt)
         self.current_step += 1
 
@@ -412,13 +420,13 @@ class Master:
         refs = self.recorded()         # before initializing: an unknown channel fails first
         if not self._initialized:
             self.initialize()
-        sources = [(self._components[ref.component_id]._values, ref.name) for ref in refs]
+        sources = [(self._components[ref.component_id]._values, ref.vr) for ref in refs]
         times = [0.0]
-        rows = [[float(values[name]) for values, name in sources]]
+        rows = [[float(values[vr]) for values, vr in sources]]
         for _ in range(n_steps):
             self.step_macro()
             times.append(self.current_step * dt)
-            rows.append([float(values[name]) for values, name in sources])
+            rows.append([float(values[vr]) for values, vr in sources])
         meta.wall_clock_s = _time.perf_counter() - started
 
         data = np.asarray(rows, dtype=float).reshape(len(times), len(refs))

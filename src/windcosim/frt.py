@@ -133,12 +133,13 @@ class FrtComponent(SimComponent):
     def __init__(self, component_id: str, params: FrtParams):
         super().__init__(component_id)
         self.control = FrtControl(params)
-        self.declare_input("v_meas", start=1.0)
-        self.declare_input("i_d_cmd_meas", start=0.0)
-        self.declare_output("mode", kind=VarKind.INT, start=int(Mode.NORMAL))
+        self._v = self.declare_input("v_meas", start=1.0).vr
+        self._i_d_cmd = self.declare_input("i_d_cmd_meas", start=0.0).vr
+        # the four outputs are declared in a row: one slice of value references
+        first = self.declare_output("mode", kind=VarKind.INT, start=int(Mode.NORMAL)).vr
         self.declare_output("block_active", kind=VarKind.BOOL, start=False)
         self.declare_output("i_q_boost", start=0.0)
-        self.declare_output("i_d_ref_limited", start=0.0)
+        self._outputs = slice(first, self.declare_output("i_d_ref_limited", start=0.0).vr + 1)
 
     def equilibrate(self) -> None:
         # design operating point is healthy voltage; seed the latch with
@@ -148,11 +149,8 @@ class FrtComponent(SimComponent):
 
     def _do_step(self, t: float, dt: float) -> None:
         values, c = self._values, self.control
-        c.step(dt, values["v_meas"], values["i_d_cmd_meas"])
-        values["mode"] = int(c.mode)
-        values["block_active"] = c.block_active
-        values["i_q_boost"] = c.i_q_boost
-        values["i_d_ref_limited"] = c.i_d_ref
+        c.step(dt, values[self._v], values[self._i_d_cmd])
+        values[self._outputs] = int(c.mode), c.block_active, c.i_q_boost, c.i_d_ref
 
 
 # -- voltage envelope ---------------------------------------------------------

@@ -63,21 +63,10 @@ class GridComponent(SimComponent):
         for sid in list(self.setpoints) + list(self.embedded):
             if sid not in k_of:
                 raise UnknownVariableError(f"no static generator '{sid}' in network")
-        # resolved once for the step path; each getter reads one input column of the
-        # commanded sgens (a tuple, or the bare value when only one sgen is commanded)
-        commanded = [sid for sid in ids if sid not in self.embedded]
-        self._command_k = np.array([k_of[sid] for sid in commanded], dtype=int)
-        self._command_get = [itemgetter(*[f"{kind}_{sid}" for sid in commanded])
-                             for kind in ("i_d", "i_q", "status")] if commanded else None
-        self._sgen_outputs = [(f"v_{sid}", f"theta_{sid}", f"p_{sid}", f"q_{sid}") for sid in ids]
-        self._embedded_at = [(k_of[sid], conv, sup, f"i_d_{sid}", f"i_q_{sid}", f"mode_{sid}")
-                             for sid, (conv, sup) in self.embedded.items()]
-
         index = self.model._index
         for bid in extra_bus_voltages:
             if bid not in index:
                 raise UnknownVariableError(f"cannot export v_bus{bid}: no bus {bid}")
-        self._bus_exports = [(f"v_bus{bid}", index[bid]) for bid in extra_bus_voltages]
 
         for sg in network.sgens:
             p0, q0 = self.setpoints.get(sg.id, (0.0, 0.0))
@@ -98,8 +87,24 @@ class GridComponent(SimComponent):
         self.declare_output("p_wpp_mw", start=0.0)
         self.declare_output("q_wpp_mvar", start=0.0)
         self.declare_output("p_balance_residual", start=0.0)
-        for name, _ in self._bus_exports:
-            self.declare_output(name, start=1.0)
+        self._bus_exports = [(self.declare_output(f"v_bus{bid}", start=1.0).vr, index[bid])
+                             for bid in extra_bus_voltages]
+
+        # resolved once for the step path, as value references; each getter reads one
+        # input column of the commanded sgens (a tuple, or the bare value for one sgen)
+        def vrs(*names):
+            return tuple(self.ref(name).vr for name in names)
+        commanded = [sid for sid in ids if sid not in self.embedded]
+        self._command_k = np.array([k_of[sid] for sid in commanded], dtype=int)
+        self._command_get = [itemgetter(*vrs(*[f"{kind}_{sid}" for sid in commanded]))
+                             for kind in ("i_d", "i_q", "status")] if commanded else None
+        self._sgen_outputs = [vrs(f"v_{sid}", f"theta_{sid}", f"p_{sid}", f"q_{sid}")
+                              for sid in ids]
+        self._embedded_at = [(k_of[sid], conv, sup,
+                              *vrs(f"i_d_{sid}", f"i_q_{sid}", f"mode_{sid}"))
+                             for sid, (conv, sup) in self.embedded.items()]
+        # the five plant outputs are declared in a row: one slice of value references
+        self._plant_outputs = slice(self.ref("v_pcc").vr, self.ref("p_balance_residual").vr + 1)
 
     # -- initialization ------------------------------------------------------
 
@@ -107,9 +112,9 @@ class GridComponent(SimComponent):
         # p_<id> and q_<id> keep their start values, the setpoints the flow holds;
         # abs per scalar: np.abs over an array can round the last bit differently
         self._pf = solve_power_flow(self.network, self.model.ybus, self.setpoints)
-        for (v_name, theta, _, _), v in zip(self._sgen_outputs, self._pf.v[self.model.s_bus]):
-            self.set(v_name, abs(v))
-            self.set(theta, float(np.angle(v)))
+        for sid, v in zip(self.model.sgen_ids, self._pf.v[self.model.s_bus]):
+            self.set(f"v_{sid}", abs(v))
+            self.set(f"theta_{sid}", float(np.angle(v)))
         for sid, (conv, sup) in self.embedded.items():
             i_d, i_q = conv.equilibrium(self.get(f"v_{sid}"))
             sup.seed(i_d)
@@ -155,20 +160,17 @@ class GridComponent(SimComponent):
 
     def _publish_measurements(self, meas: GridMeasurements) -> None:
         values = self._values
-        for (v_name, theta_name, p_name, q_name), v, theta, p, q in zip(
+        for (v_vr, theta_vr, p_vr, q_vr), v, theta, p, q in zip(
                 self._sgen_outputs, *meas.sgen_columns):
-            values[v_name] = v
-            values[theta_name] = theta
-            values[p_name] = p
-            values[q_name] = q
+            values[v_vr] = v
+            values[theta_vr] = theta
+            values[p_vr] = p
+            values[q_vr] = q
         for _, conv, sup, i_d, i_q, mode in self._embedded_at:
             values[i_d] = conv.i_d_cmd
             values[i_q] = conv.i_q_cmd
             values[mode] = int(sup.mode)
-        values["v_pcc"] = meas.pcc_v
-        values["theta_pcc"] = meas.pcc_theta
-        values["p_wpp_mw"] = meas.p_wpp_mw
-        values["q_wpp_mvar"] = meas.q_wpp_mvar
-        values["p_balance_residual"] = meas.balance.residual
-        for name, i in self._bus_exports:
-            values[name] = float(np.abs(meas.v[i]))
+        values[self._plant_outputs] = (meas.pcc_v, meas.pcc_theta, meas.p_wpp_mw,
+                                       meas.q_wpp_mvar, meas.balance.residual)
+        for vr, i in self._bus_exports:
+            values[vr] = float(np.abs(meas.v[i]))

@@ -145,15 +145,19 @@ class NetworkData:
         for b in self.buses:
             if b.btype not in ("slack", "pv", "pq"):
                 raise TopologyError(f"bus {b.id}: unknown type '{b.btype}'")
+            if not 0.0 < b.base_kv < math.inf:
+                raise TopologyError(f"bus {b.id}: base_kv must be finite and positive")
         index = self.bus_index()
         touched = set()
         for br in self.branches:
             if br.from_bus not in index or br.to_bus not in index:
                 raise TopologyError(f"branch {br.from_bus}-{br.to_bus} references unknown bus")
+            if not (all(map(math.isfinite, (br.r, br.x, br.b, br.tap)))
+                    and br.r >= 0.0 and br.tap > 0.0):
+                raise TopologyError(f"branch {br.from_bus}-{br.to_bus}: need finite "
+                                    f"r >= 0, x, b and tap > 0")
             if br.r == 0.0 and br.x == 0.0:
                 raise TopologyError(f"branch {br.from_bus}-{br.to_bus} has zero impedance")
-            if br.tap <= 0.0:
-                raise TopologyError(f"branch {br.from_bus}-{br.to_bus} has non-positive tap")
             touched.add(br.from_bus)
             touched.add(br.to_bus)
         if len(self.buses) > 1:

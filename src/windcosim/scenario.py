@@ -134,10 +134,12 @@ class Scenario:
             if ev.bus not in ids:
                 raise UnresolvedReferenceError(f"bus {ev.bus}", "fault at unknown bus")
             if not (math.isfinite(ev.start) and ev.start >= 0.0
-                    and math.isfinite(ev.duration) and ev.duration > 0.0):
+                    and math.isfinite(ev.duration) and ev.duration > 0.0
+                    and 0.0 < ev.admittance < math.inf):
                 raise ScenarioValidationError(
-                    f"fault at bus {ev.bus} needs a finite start >= 0 and a finite "
-                    f"duration > 0, got start={ev.start} duration={ev.duration}")
+                    f"fault at bus {ev.bus} needs a finite start >= 0, a finite duration > 0 "
+                    f"and a finite admittance > 0, got start={ev.start} "
+                    f"duration={ev.duration} admittance={ev.admittance}")
         comp_ids = set(self.component_ids())
         if self.mode == "monolithic":
             if self.connections:

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from windcosim.converter import ConverterComponent
 from windcosim.cosim import (
     Direction,
     Master,
@@ -24,8 +25,16 @@ from windcosim.errors import (
     UnknownVariableError,
     WiringError,
 )
+from windcosim.frt import FrtComponent
+from windcosim.gridcomp import GridComponent
 from windcosim.network import FaultEvent
-from windcosim.scenario import build_large_scale, run_scenario
+from windcosim.scenario import (
+    build_large_scale,
+    build_monolithic,
+    build_small_scale,
+    instantiate,
+    run_scenario,
+)
 
 
 class Counter(SimComponent):
@@ -205,6 +214,21 @@ class RealRelay(SimComponent):
 
     def _do_step(self, t, dt):
         self.set("out", self.get("inp"))
+
+
+def test_refs_built_by_the_caller_wire_like_declared_ones():
+    master = Master(MasterConfig(macro_step=1e-3, t_end=2e-3))
+    a = master.register(RealRelay("a"), priority=0)
+    b = master.register(RealRelay("b"), priority=1)
+    a.declare_output("pad", start=-1.0)          # so a wrong slot would show
+    master.connect(VariableRef("b", "out", Direction.OUTPUT, VarKind.REAL),
+                   VariableRef("a", "inp", Direction.INPUT, VarKind.REAL), gain=2.0)
+    master.connect(a.ref("out"), b.ref("inp"))
+    with pytest.raises(UnknownVariableError, match="ghost.out"):
+        master.connect(VariableRef("ghost", "out", Direction.OUTPUT, VarKind.REAL), "b.inp")
+    master.initialize()
+    master.step_macro()
+    assert (a.get("inp"), a.get("out"), b.get("out")) == (2.0, 2.0, 2.0)
 
 
 def test_kind_mismatch_between_ends():
@@ -467,7 +491,8 @@ class Emitter(SimComponent):
 
     def _do_step(self, t, dt):
         self.k += 1
-        self._values["x"], self._values["n"], self._values["flag"] = self.ROWS[self.k]
+        for name, value in zip(("x", "n", "flag"), self.ROWS[self.k]):
+            self._values[self.ref(name).vr] = value
 
 
 class Receiver(SimComponent):
@@ -483,7 +508,7 @@ class Receiver(SimComponent):
         self.seen = []
 
     def _do_step(self, t, dt):
-        self.seen.append(tuple(self._values[name] for name, _ in self.INPUTS))
+        self.seen.append(tuple(self._values[self.ref(name).vr] for name, _ in self.INPUTS))
 
 
 @pytest.mark.parametrize("scheme", [Scheme.SERIAL, Scheme.PARALLEL])
@@ -498,8 +523,8 @@ def test_identity_edges_are_copies_and_affine_edges_transform(scheme):
     master.initialize()
     # the identity connections, the real one included, compile to copies only
     (_, _, copies, affine, _), = [entry for entry in master._plan if entry[0] is dst]
-    assert [name for _, _, name in copies] == ["copy", "n_in", "flag_in"]
-    assert [edge[2:] for edge in affine] == [("affine", 2.0, 0.5)]
+    assert [vr for _, _, vr in copies] == [dst.ref(n).vr for n in ("copy", "n_in", "flag_in")]
+    assert [edge[2:] for edge in affine] == [(dst.ref("affine").vr, 2.0, 0.5)]
     for _ in range(3):
         master.step_macro()
     lag = 0 if scheme is Scheme.SERIAL else 1
@@ -510,6 +535,89 @@ def test_identity_edges_are_copies_and_affine_edges_transform(scheme):
         assert transformed == 2.0 * x + 0.5, k
         assert type(n) is int and n == n_src, k
         assert type(flag) is bool and flag is flag_src, k
+
+
+@pytest.mark.parametrize("build", [build_monolithic, build_small_scale])
+def test_component_values_are_addressed_by_value_reference(build):
+    master = instantiate(build(t_end=0.01))
+    master.initialize()
+    for _ in range(3):
+        master.step_macro()
+    comps = [master.component(cid) for cid in master.execution_order()]
+    kinds = {GridComponent} if build is build_monolithic else \
+        {GridComponent, ConverterComponent, FrtComponent}
+    assert {type(comp) for comp in comps} == kinds
+    for comp in comps:
+        refs = comp.variables()
+        assert [ref.vr for ref in refs] == list(range(len(comp._values)))
+        for ref in refs:
+            assert comp._values[ref.vr] == comp.get(ref.name), ref
+            assert comp.ref(ref.name) is ref
+    # the step bodies wrote their outputs to their own slots
+    grid = master.component("grid")
+    assert grid.get("v_pcc") == grid.model.last_measurements.pcc_v
+    assert grid.get("p_balance_residual") == grid.model.last_measurements.balance.residual
+    if build is build_monolithic:
+        conv, sup = grid.embedded["wpp"]
+        assert (grid.get("i_d_wpp"), grid.get("i_q_wpp")) == (conv.i_d_cmd, conv.i_q_cmd)
+        assert grid.get("mode_wpp") == int(sup.mode)
+    else:
+        conv = master.component("conv_wpp")
+        assert (conv.get("i_d_cmd"), conv.get("i_q_cmd")) == \
+            (conv.control.i_d_cmd, conv.control.i_q_cmd)
+        sup = master.component("frt_wpp")
+        assert (sup.get("mode"), sup.get("i_d_ref_limited")) == \
+            (int(sup.control.mode), sup.control.i_d_ref)
+    for comp in comps:
+        for ref in comp.variables():       # set writes the same slot, cast to its kind
+            before = list(comp._values)
+            comp.set(ref.name, 1)
+            cast = {VarKind.REAL: float, VarKind.INT: int, VarKind.BOOL: bool}[ref.kind]
+            assert type(comp._values[ref.vr]) is cast and comp._values[ref.vr] == 1, ref
+            assert comp._values[:ref.vr] + comp._values[ref.vr + 1:] == \
+                before[:ref.vr] + before[ref.vr + 1:], ref
+        for access in (comp.get, comp.ref, lambda name: comp.set(name, 0.0)):
+            with pytest.raises(UnknownVariableError, match="nope"):
+                access("nope")
+
+
+def _poison_embedded_converter(master):
+    master.component("grid").embedded["wpp"][0].p_ref = math.nan
+
+
+def _poison_grid_command(master):
+    master.component("conv_wpp").set("i_d_cmd", math.nan)
+
+
+def _poison_converter(master):
+    master.component("conv_wpp").control.p_ref = math.nan
+
+
+def _poison_supervisor(master):
+    master.component("frt_wpp").control.i_d_ref = math.nan
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("scheme", [Scheme.SERIAL, Scheme.PARALLEL])
+@pytest.mark.parametrize("build, poison, cid, output", [
+    (build_monolithic, _poison_embedded_converter, "grid", "i_d_wpp"),
+    (build_small_scale, _poison_grid_command, "grid", "v_wpp"),
+    (build_small_scale, _poison_converter, "conv_wpp", "i_d_cmd"),
+    (build_small_scale, _poison_supervisor, "frt_wpp", "i_d_ref_limited"),
+])
+def test_nan_output_fails_the_macro_step_naming_it(scheme, build, poison, cid, output):
+    master = instantiate(build(t_end=0.01, scheme=scheme))
+    master.initialize()
+    master.step_macro()
+    poison(master)
+    with pytest.raises(ComponentStepError, match=f"output '{output}' is not finite") as exc:
+        master.step_macro()
+    assert exc.value.component_id == cid
+    comp = master.component(cid)
+    first_bad = next(ref.name for ref in comp.variables()
+                     if ref.kind is VarKind.REAL and ref.direction is Direction.OUTPUT
+                     and not math.isfinite(comp.get(ref.name)))
+    assert first_bad == output
 
 
 class EquilibriumExploder(RealRelay):

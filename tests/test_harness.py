@@ -309,6 +309,13 @@ def test_cli_usage_and_input_errors(tmp_path, capsys):
     ("xd_p=0.0608 d=6.0", "xd_p=0.0608 d=-1"),
     ("deglitch=0.02", "deglitch=nan"),
     ("ramp_rate=1.0", "ramp_rate=inf"),
+    ("branch 4 5 r=0.01", "branch 4 5 r=inf"),
+    ("branch 4 5 r=0.01 x=0.085", "branch 4 5 r=0.01 x=-inf"),
+    ("branch 4 5 r=0.01", "branch 4 5 r=-1"),
+    ("bus 4 230.0 pq", "bus 4 nan pq"),
+    ("[events]\n", "[events]\nfault bus=6 start=0.01 duration=0.005 admittance=0\n"),
+    ("[events]\n", "[events]\nfault bus=6 start=0.01 duration=0.005 admittance=-1\n"),
+    ("[events]\n", "[events]\nfault bus=6 start=0.01 duration=0.005 admittance=nan\n"),
     # wiring that only the built components can check
     ("connect grid.v_wpp frt_wpp.v_meas",
      "connect grid.v_wpp frt_wpp.v_meas\nconnect grid.v_pcc frt_wpp.v_meas"),

@@ -164,6 +164,14 @@ def _invalid_cases():
         return replace(bad_machine, machines=[
             SynchronousMachine(**{"bus": 1, "h": 5.0, "d": 1.0, "xd_p": 0.1, **params})])
 
+    def branch(**params):       # on branch 4-5
+        return replace(base, branches=[replace(br, **params) if k == 3 else br
+                                       for k, br in enumerate(base.branches)])
+
+    def bus(**params):          # on bus 4
+        return replace(base, buses=[replace(b, **params) if k == 3 else b
+                                    for k, b in enumerate(base.buses)])
+
     ghost_sgen = NetworkData(buses=base.buses, branches=base.branches,
                              sgens=[StaticGenerator(id="w", bus=99, mva=10.0)])
     bad_mva = NetworkData(buses=base.buses, branches=base.branches,
@@ -191,6 +199,19 @@ def _invalid_cases():
         "negative-machine-d": machine(d=-1.0),
         "inf-machine-d": machine(d=float("inf")),
         "nan-machine-d": machine(d=float("nan")),
+        "inf-branch-r": branch(r=float("inf")),
+        "negative-branch-r": branch(r=-1.0),
+        "nan-branch-r": branch(r=float("nan")),
+        "minus-inf-branch-x": branch(x=-float("inf")),
+        "nan-branch-x": branch(x=float("nan")),
+        "inf-branch-b": branch(b=float("inf")),
+        "nan-branch-b": branch(b=float("nan")),
+        "inf-branch-tap": branch(tap=float("inf")),
+        "nan-branch-tap": branch(tap=float("nan")),
+        "nan-bus-base-kv": bus(base_kv=float("nan")),
+        "inf-bus-base-kv": bus(base_kv=float("inf")),
+        "zero-bus-base-kv": bus(base_kv=0.0),
+        "negative-bus-base-kv": bus(base_kv=-1.0),
     }
 
 

@@ -296,6 +296,10 @@ def test_step_cap_admits_a_run_of_exactly_the_cap():
     "fault bus=2 start=0.005 duration=-0.18",
     "fault bus=2 start=0.005 duration=nan",
     "fault bus=2 start=nan duration=0.002",
+    "fault bus=2 start=0.005 duration=0.002 admittance=0",
+    "fault bus=2 start=0.005 duration=0.002 admittance=-1",
+    "fault bus=2 start=0.005 duration=0.002 admittance=nan",
+    "fault bus=2 start=0.005 duration=0.002 admittance=inf",
 ])
 def test_rejects_fault_without_finite_window(fault):
     ok = BASE.replace("[master]", "[events]\nfault bus=2 start=0.005 duration=0.002\n\n[master]")
