@@ -15,9 +15,9 @@ uniform turbine dispatch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import TopologyError
+from .errors import POSITIVE, TopologyError, check_domains
 
 
 @dataclass(frozen=True)
@@ -82,15 +82,14 @@ class WppLayout:
 
     n_strings: int = 4
     turbines_per_string: int = 8
-    spacing_km: float = 0.7
-    collector_kv: float = 33.0
+    spacing_km: float = field(default=0.7, metadata=POSITIVE)
+    collector_kv: float = field(default=33.0, metadata=POSITIVE)
     cable: CableData = CableData()
 
     def __post_init__(self):
         if self.n_strings < 1 or self.turbines_per_string < 1:
             raise TopologyError("layout needs at least one string and one turbine")
-        if self.spacing_km <= 0.0:
-            raise TopologyError("spacing must be positive")
+        check_domains(self, TopologyError, "layout")
 
     @property
     def n_turbines(self) -> int:

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import frt as _frt
 from .cosim import SimComponent, VarKind
-from .errors import EquilibriumInfeasibleError
+from .errors import NON_NEGATIVE, POSITIVE, EquilibriumInfeasibleError, check_domains
 
 
 # the exchanged ``frt_mode`` integer back to its mode, without an enum call per step
@@ -55,19 +55,15 @@ class ConverterParams:
     """Gains and limits.  Defaults settle the power loop in about 100 ms
     and the faster q loop in about half that at gain-1 operating points."""
 
-    kp_d: float = 0.1
-    ki_d: float = 60.0
-    kp_q: float = 0.1
-    ki_q: float = 120.0
-    i_max: float = 1.1
+    kp_d: float = field(default=0.1, metadata=NON_NEGATIVE)
+    ki_d: float = field(default=60.0, metadata=NON_NEGATIVE)
+    kp_q: float = field(default=0.1, metadata=NON_NEGATIVE)
+    ki_q: float = field(default=120.0, metadata=NON_NEGATIVE)
+    i_max: float = field(default=1.1, metadata=POSITIVE)
     q_mode: QMode = QMode.VOLTAGE
 
     def __post_init__(self):
-        if not 0.0 < self.i_max < math.inf:
-            raise ValueError(f"i_max must be finite and positive, got {self.i_max}")
-        for name in ("kp_d", "ki_d", "kp_q", "ki_q"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        check_domains(self, ValueError)
         if isinstance(self.q_mode, str):
             object.__setattr__(self, "q_mode", QMode(self.q_mode))
 

@@ -208,18 +208,15 @@ MAX_MACRO_STEPS = 10**7    # longest run accepted: a mistyped t_end must not han
 class MasterConfig:
     """Orchestration settings for one run."""
 
-    macro_step: float = 1e-3
-    t_end: float = 2.0
+    macro_step: float = field(default=1e-3, metadata=err.POSITIVE)
+    t_end: float = field(default=2.0, metadata=err.NON_NEGATIVE)
     scheme: Scheme = Scheme.SERIAL
     record: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if isinstance(self.scheme, str):
             self.scheme = Scheme(self.scheme)
-        if not (math.isfinite(self.macro_step) and self.macro_step > 0.0):
-            raise ValueError(f"macro_step must be finite and positive, got {self.macro_step}")
-        if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
-            raise ValueError(f"t_end must be finite and non-negative, got {self.t_end}")
+        err.check_domains(self, ValueError)
         if self.t_end / self.macro_step > MAX_MACRO_STEPS:
             raise ValueError(f"t_end / macro_step is {self.t_end / self.macro_step:.3g} "
                              f"macro steps, above the cap of {MAX_MACRO_STEPS}")

@@ -1,11 +1,16 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and the one check of input domains.
 
 Every error callers are expected to catch programmatically gets its own
 class; message strings are for humans, the classes and their attributes
-are the machine-readable part.
+are the machine-readable part.  ``check_domains`` checks the domain each
+numeric dataclass field declares once, ``field(metadata=POSITIVE)``.
 """
 
 from __future__ import annotations
+
+import functools
+import math
+from dataclasses import fields
 
 __all__ = [
     "CosimError", "WiringError", "DuplicateComponentError",
@@ -132,3 +137,25 @@ class UnknownChannelError(TraceError):
 
 class EnvelopeCoverageError(TraceError):
     """Trace is shorter than the envelope horizon it is checked against."""
+
+
+# --- input domains -------------------------------------------------------
+
+# field metadata: lower bound, whether it is accepted, the domain in messages
+FINITE = {"domain": (-math.inf, False, "finite")}
+NON_NEGATIVE = {"domain": (0.0, True, "finite and non-negative")}
+POSITIVE = {"domain": (0.0, False, "finite and positive")}
+
+
+@functools.cache
+def _declared_domains(cls: type) -> tuple[tuple[str, float, bool, str], ...]:
+    return tuple((f.name, *f.metadata["domain"]) for f in fields(cls) if "domain" in f.metadata)
+
+
+def check_domains(record, error: type[Exception], label: str = "") -> None:
+    """Raise ``error`` naming the first field of the dataclass ``record`` outside
+    its declared domain; ``label`` names the record in the message."""
+    for name, low, closed, text in _declared_domains(type(record)):
+        value = getattr(record, name)
+        if not (low <= value < math.inf if closed else low < value < math.inf):  # nan fails too
+            raise error((f"{label}: " if label else "") + f"{name} must be {text}, got {value}")

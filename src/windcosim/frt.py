@@ -23,12 +23,13 @@ blocking response is not delayed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cosim import SimComponent, VarKind
-from .errors import EnvelopeCoverageError, FrtTransitionError
+from .errors import (NON_NEGATIVE, POSITIVE, EnvelopeCoverageError, FrtTransitionError,
+                     check_domains)
 
 
 class Mode(enum.IntEnum):
@@ -52,18 +53,16 @@ _NORMAL, _FAULT, _RECOVERY = Mode.NORMAL, Mode.FAULT, Mode.RECOVERY
 class FrtParams:
     v_enter: float = 0.9
     v_exit: float = 0.9
-    deglitch: float = 0.02
-    k_boost: float = 2.0
-    ramp_rate: float = 1.0          # pu/s, machine base
+    deglitch: float = field(default=0.02, metadata=NON_NEGATIVE)
+    k_boost: float = field(default=2.0, metadata=NON_NEGATIVE)
+    ramp_rate: float = field(default=1.0, metadata=POSITIVE)     # pu/s, machine base
     ramp_enabled: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.v_enter <= self.v_exit < 1.0):
             raise ValueError(
                 f"need 0 < v_enter <= v_exit < 1, got {self.v_enter}, {self.v_exit}")
-        if not (0.0 <= self.deglitch < np.inf and 0.0 <= self.k_boost < np.inf
-                and 0.0 < self.ramp_rate < np.inf):           # a nan fails too
-            raise ValueError("deglitch and k_boost must be finite and >= 0, ramp_rate > 0 finite")
+        check_domains(self, ValueError)
 
 
 class FrtControl:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import TopologyError
+from .errors import FINITE, NON_NEGATIVE, POSITIVE, TopologyError, check_domains
 
 
 @dataclass(frozen=True)
@@ -28,12 +28,12 @@ class Bus:
     """
 
     id: int
-    base_kv: float
+    base_kv: float = field(metadata=POSITIVE)
     btype: str = "pq"
-    v_set: float = 1.0
-    p_gen: float = 0.0
-    p_load: float = 0.0
-    q_load: float = 0.0
+    v_set: float = field(default=1.0, metadata=FINITE)
+    p_gen: float = field(default=0.0, metadata=FINITE)
+    p_load: float = field(default=0.0, metadata=FINITE)
+    q_load: float = field(default=0.0, metadata=FINITE)
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,10 @@ class Branch:
 
     from_bus: int
     to_bus: int
-    r: float
-    x: float
-    b: float = 0.0
-    tap: float = 1.0
+    r: float = field(metadata=NON_NEGATIVE)
+    x: float = field(metadata=FINITE)               # negative: a series capacitor
+    b: float = field(default=0.0, metadata=FINITE)
+    tap: float = field(default=1.0, metadata=POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,9 @@ class SynchronousMachine:
     """Classical second-order machine on the system base."""
 
     bus: int
-    h: float            # inertia constant, s
-    d: float            # damping torque coefficient, pu/pu speed
-    xd_p: float         # transient reactance, pu
+    h: float = field(metadata=POSITIVE)             # inertia constant, s
+    d: float = field(metadata=NON_NEGATIVE)         # damping torque coefficient, pu/pu speed
+    xd_p: float = field(metadata=POSITIVE)          # transient reactance, pu
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class StaticGenerator:
 
     id: str
     bus: int
-    mva: float
+    mva: float = field(metadata=POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,9 @@ class FaultEvent:
     """Shunt admittance added at ``bus`` during ``[start, start+duration)``."""
 
     bus: int
-    start: float
-    duration: float
-    admittance: float = 1e6
+    start: float = field(metadata=NON_NEGATIVE)
+    duration: float = field(metadata=POSITIVE)
+    admittance: float = field(default=1e6, metadata=POSITIVE)
 
     @property
     def clearance(self) -> float:
@@ -91,8 +91,8 @@ class FaultEvent:
 @dataclass
 class NetworkData:
     name: str = ""
-    base_mva: float = 100.0
-    frequency_hz: float = 60.0
+    base_mva: float = field(default=100.0, metadata=POSITIVE)
+    frequency_hz: float = field(default=60.0, metadata=POSITIVE)
     buses: list[Bus] = field(default_factory=list)
     branches: list[Branch] = field(default_factory=list)
     machines: list[SynchronousMachine] = field(default_factory=list)
@@ -133,9 +133,7 @@ class NetworkData:
         return None
 
     def validate(self) -> None:
-        for name, value in (("base_mva", self.base_mva), ("frequency_hz", self.frequency_hz)):
-            if not 0.0 < value < math.inf:
-                raise TopologyError(f"{name} must be finite and positive, got {value}")
+        check_domains(self, TopologyError)
         ids = [b.id for b in self.buses]
         if len(set(ids)) != len(ids):
             raise TopologyError("duplicate bus ids")
@@ -145,17 +143,13 @@ class NetworkData:
         for b in self.buses:
             if b.btype not in ("slack", "pv", "pq"):
                 raise TopologyError(f"bus {b.id}: unknown type '{b.btype}'")
-            if not 0.0 < b.base_kv < math.inf:
-                raise TopologyError(f"bus {b.id}: base_kv must be finite and positive")
+            check_domains(b, TopologyError, f"bus {b.id}")
         index = self.bus_index()
         touched = set()
         for br in self.branches:
             if br.from_bus not in index or br.to_bus not in index:
                 raise TopologyError(f"branch {br.from_bus}-{br.to_bus} references unknown bus")
-            if not (all(map(math.isfinite, (br.r, br.x, br.b, br.tap)))
-                    and br.r >= 0.0 and br.tap > 0.0):
-                raise TopologyError(f"branch {br.from_bus}-{br.to_bus}: need finite "
-                                    f"r >= 0, x, b and tap > 0")
+            check_domains(br, TopologyError, f"branch {br.from_bus}-{br.to_bus}")
             if br.r == 0.0 and br.x == 0.0:
                 raise TopologyError(f"branch {br.from_bus}-{br.to_bus} has zero impedance")
             touched.add(br.from_bus)
@@ -169,14 +163,12 @@ class NetworkData:
         for m in self.machines:
             if m.bus not in index:
                 raise TopologyError(f"machine at unknown bus {m.bus}")
-            if not (0.0 < m.h < math.inf and 0.0 < m.xd_p < math.inf and 0.0 <= m.d < math.inf):
-                raise TopologyError(f"machine at bus {m.bus}: need finite h, xd_p > 0 and d >= 0")
+            check_domains(m, TopologyError, f"machine at bus {m.bus}")
         seen = set()
         for sg in self.sgens:
             if sg.bus not in index:
                 raise TopologyError(f"static generator '{sg.id}' at unknown bus {sg.bus}")
-            if not 0.0 < sg.mva < math.inf:
-                raise TopologyError(f"static generator '{sg.id}': mva must be finite and positive")
+            check_domains(sg, TopologyError, f"static generator '{sg.id}'")
             if sg.id in seen:
                 raise TopologyError(f"duplicate static generator id '{sg.id}'")
             seen.add(sg.id)

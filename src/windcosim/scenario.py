@@ -28,11 +28,12 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .collector import WppLayout
-from .converter import ConverterComponent, ConverterParams, QMode
+from .converter import ConverterComponent, ConverterControl, ConverterParams, QMode
 from .cosim import MAX_MACRO_STEPS, Master, MasterConfig, Scheme
 from .dynamics import micro_grid
-from .errors import ScenarioValidationError, UnresolvedReferenceError, WiringError
-from .frt import FrtComponent, FrtParams
+from .errors import (FINITE, POSITIVE, ScenarioValidationError, UnresolvedReferenceError,
+                     WiringError, check_domains)
+from .frt import FrtComponent, FrtControl, FrtParams
 from .gridcomp import GridComponent
 from .network import (Bus, Branch, FaultEvent, NetworkData, StaticGenerator,
                       fault_switch_time)
@@ -52,8 +53,8 @@ class WtgSpec:
     static generator id; references are on the machine base."""
 
     id: str
-    p_ref: float
-    q_ref: float
+    p_ref: float = field(metadata=FINITE)
+    q_ref: float = field(metadata=FINITE)
     converter: ConverterParams
     frt: FrtParams
 
@@ -75,7 +76,7 @@ class Scenario:
     wpp_rating_mva: float
     pcc_bus: int
     master: MasterConfig
-    micro_step: float = 5e-4
+    micro_step: float = field(default=5e-4, metadata=POSITIVE)
     pcc_branch: tuple[int, int] | None = None
     events: list[FaultEvent] = field(default_factory=list)
     connections: list[ConnectionSpec] = field(default_factory=list)
@@ -101,6 +102,7 @@ class Scenario:
         for w in self.wtgs:
             if w.id not in sgen_mva:
                 raise UnresolvedReferenceError(w.id, "wtg has no static generator")
+            check_domains(w, ScenarioValidationError, f"wtg '{w.id}'")
         rating = sum(sgen_mva[w.id] for w in self.wtgs)
         # written so that a nan or infinite rating on either side fails it
         if not (math.isfinite(self.wpp_rating_mva) and abs(rating - self.wpp_rating_mva)
@@ -120,9 +122,7 @@ class Scenario:
             if self.pcc_bus not in self.pcc_branch:
                 raise ScenarioValidationError(
                     f"pcc branch {fb}-{tb} does not touch pcc bus {self.pcc_bus}")
-        if not (math.isfinite(self.micro_step) and self.micro_step > 0.0):
-            raise ScenarioValidationError(
-                f"micro_step must be finite and positive, got {self.micro_step}")
+        check_domains(self, ScenarioValidationError)
         per_macro = self.master.macro_step / self.micro_step
         if per_macro <= MAX_MACRO_STEPS:      # past the cap, micro_grid's count may overflow
             per_macro = micro_grid(self.master.macro_step, self.micro_step)[0]
@@ -133,13 +133,7 @@ class Scenario:
         for ev in self.events:
             if ev.bus not in ids:
                 raise UnresolvedReferenceError(f"bus {ev.bus}", "fault at unknown bus")
-            if not (math.isfinite(ev.start) and ev.start >= 0.0
-                    and math.isfinite(ev.duration) and ev.duration > 0.0
-                    and 0.0 < ev.admittance < math.inf):
-                raise ScenarioValidationError(
-                    f"fault at bus {ev.bus} needs a finite start >= 0, a finite duration > 0 "
-                    f"and a finite admittance > 0, got start={ev.start} "
-                    f"duration={ev.duration} admittance={ev.admittance}")
+            check_domains(ev, ScenarioValidationError, f"fault at bus {ev.bus}")
         comp_ids = set(self.component_ids())
         if self.mode == "monolithic":
             if self.connections:
@@ -300,8 +294,6 @@ def instantiate(scenario: Scenario) -> Master:
     setpoints = {w.id: (w.p_ref, w.q_ref) for w in scenario.wtgs}
     embedded = None
     if scenario.mode == "monolithic":
-        from .converter import ConverterControl
-        from .frt import FrtControl
         embedded = {w.id: (ConverterControl(w.converter, w.p_ref, w.q_ref),
                            FrtControl(w.frt)) for w in scenario.wtgs}
     grid = GridComponent(

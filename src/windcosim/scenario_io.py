@@ -9,9 +9,9 @@ or a keyword record such as ``bus 5 230.0 pq p_load=1.25 q_load=0.5``;
 unknown keys and keywords are rejected with the offending line number.
 
 One grammar table (``_SCALARS`` and ``_RECORDS``) drives both the parser
-and the serializer.  ``parse_scenario(serialize_scenario(s))`` compares
-equal to ``s``: floats are written with ``repr`` so the text holds full
-precision.  The exact grammar lives in ``docs/scenario_format.md``.
+and the serializer; a value's domain is the one its field declares.
+``parse_scenario(serialize_scenario(s))`` equals ``s``: floats are written
+with ``repr``.  The exact grammar lives in ``docs/scenario_format.md``.
 """
 
 from __future__ import annotations
@@ -257,14 +257,11 @@ def parse_scenario_text(text: str) -> Scenario:
             shared = cls(**default)
             params[keyword] = {wid: cls(**{**default, **over[wid]}) if wid in over else shared
                                for wid in wtg_ids}
-    except ValueError as exc:
+        master = MasterConfig(**attrs["master"])
+    except ValueError as exc:               # a controller or master setting out of its domain
         raise ScenarioValidationError(str(exc)) from exc
     top["wtgs"] = [WtgSpec(**row, **{kw: params[kw][row["id"]] for kw in _CONTROLLERS})
                    for row in top["wtgs"]]
-    try:
-        master = MasterConfig(**attrs["master"])
-    except ValueError as exc:
-        raise ScenarioValidationError(str(exc)) from exc
     scenario = Scenario(**top, network=NetworkData(**attrs["network"]), master=master)
     try:
         scenario.validate()

@@ -103,6 +103,16 @@ def test_layout_validation_and_counts():
     assert lay.n_turbines == 32
 
 
+@pytest.mark.parametrize("name, value", [
+    ("spacing_km", math.nan), ("spacing_km", -0.5), ("collector_kv", math.inf),
+    ("collector_kv", 0.0),
+])
+def test_layout_rejects_a_spacing_or_voltage_that_is_not_finite_and_positive(name, value):
+    # the layout names its own field, not a collector branch built from it later
+    with pytest.raises(TopologyError, match=f"layout: {name} must be finite and positive"):
+        WppLayout(**{name: value})
+
+
 def test_layout_segment_scales_with_spacing():
     a = WppLayout(spacing_km=0.5).segment_pu(100.0)
     b = WppLayout(spacing_km=1.0).segment_pu(100.0)

@@ -356,6 +356,18 @@ def test_cli_fails_a_diverging_machine_as_a_study(tmp_path, capsys):
     assert "run failed: component 'grid' at t=0.02" in capsys.readouterr().err
 
 
+def test_cli_rejects_a_non_finite_load_naming_its_bus_and_field(tmp_path, capsys):
+    # an input error naming the field, not a run failing on a singular power-flow Jacobian
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "small_scale.scn"
+    text = path.read_text()
+    assert "bus 5 230.0 pq p_load=1.25" in text
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text.replace("bus 5 230.0 pq p_load=1.25", "bus 5 230.0 pq p_load=nan", 1))
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert "bus 5: p_load must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_rejects_an_override_past_the_micro_step_cap(tmp_path, capsys):
     path = Path(__file__).resolve().parents[1] / "scenarios" / "small_scale.scn"
     out = tmp_path / "o"

@@ -212,6 +212,8 @@ def _invalid_cases():
         "inf-bus-base-kv": bus(base_kv=float("inf")),
         "zero-bus-base-kv": bus(base_kv=0.0),
         "negative-bus-base-kv": bus(base_kv=-1.0),
+        "nan-bus-p-load": bus(p_load=float("nan")),
+        "inf-bus-v-set": bus(v_set=float("inf")),
     }
 
 

@@ -1,7 +1,7 @@
 """Scenario text format: roundtrips, shipped files, parse diagnostics."""
 
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -11,7 +11,8 @@ from windcosim.converter import QMode
 from windcosim.cosim import MAX_MACRO_STEPS, MasterConfig, Scheme
 from windcosim.errors import (ScenarioError, ScenarioParseError,
                               ScenarioValidationError, TopologyError)
-from windcosim.scenario import (build_large_scale, build_monolithic,
+from windcosim.network import NetworkData
+from windcosim.scenario import (Scenario, build_large_scale, build_monolithic,
                                 build_small_scale, run_scenario)
 from windcosim.scenario_io import (_RECORDS, _SCALARS, parse_scenario, parse_scenario_text,
                                    serialize_scenario, write_scenario)
@@ -354,6 +355,7 @@ def test_rejects_a_plant_rating_that_is_not_finite(rating):
     ("ki_d=60.0", "ki_d=nan"),
     ("kp_q=0.1", "kp_q=-inf"),
     ("ki_q=120.0", "ki_q=inf"),
+    ("p_ref=1.0", "p_ref=nan"),
 ])
 def test_rejects_converter_gains_and_limit_out_of_domain(old, new):
     assert old in SMALL_SCALE
@@ -441,6 +443,26 @@ def test_format_doc_names_every_keyword_key_and_value():
     assert missing == []
 
 
+def test_format_doc_domain_table_matches_the_declared_domains():
+    def domain(cls, name):          # the domain as messages state it, or None
+        meta = next((f.metadata for f in fields(cls) if f.name == name), {})
+        return meta.get("domain", (None,) * 3)[2]
+
+    owners = {"": Scenario, "network": NetworkData, "master": MasterConfig}
+    declared = set()
+    for section, scalars in _SCALARS.items():
+        for key, (_, path) in scalars.items():
+            owner, _, attr = path.rpartition(".")
+            declared.add((f"[{section}]", key, domain(owners[owner], attr)))
+    for keyword, rec in _RECORDS.items():
+        declared |= {(keyword, key, domain(rec.cls, key)) for key in rec.positional + rec.keys}
+    table = set()
+    doc = FORMAT_DOC.read_text(encoding="utf-8")
+    for where, names, text in re.findall(r"^\| `([^`]+)` \| (.+) \| (.+) \|$", doc, flags=re.M):
+        table |= {(where, name.strip("`"), text) for name in names.split(", ")}
+    assert table == {row for row in declared if row[2] is not None}
+
+
 _LINES = SMALL_SCALE.splitlines()
 _TOKENS = sorted({tok for line in _LINES for tok in line.split()} | {"99", "-1", "0", "nan", "inf"})
 
@@ -481,3 +503,22 @@ def test_mutated_scenario_parses_or_raises_scenario_error(mutations):
         parse_scenario_text("\n".join(lines) + "\n")
     except ScenarioError:
         pass
+
+
+_NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:e[-+]?\d+)?(?![\w.])")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_every_number_of_a_shipped_scenario_rejects_a_non_finite_value(value):
+    # parse only: each of the 103 numbers in turn, none may reach a run
+    spans = [m.span() for m in _NUMBER.finditer(SMALL_SCALE)]
+    assert len(spans) == 103
+    accepted = []
+    for a, b in spans:
+        text = SMALL_SCALE[:a] + value + SMALL_SCALE[b:]
+        try:
+            parse_scenario_text(text)
+        except ScenarioError:
+            continue
+        accepted.append(text.splitlines()[SMALL_SCALE.count("\n", 0, a)])
+    assert accepted == []
