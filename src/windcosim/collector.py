@@ -17,17 +17,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import POSITIVE, TopologyError, check_domains
+from .errors import FINITE, NON_NEGATIVE, POSITIVE, TopologyError, check_domains
 
 
 @dataclass(frozen=True)
 class CableData:
     """Per-km cable constants; charging is quoted at the rating frequency."""
 
-    r_ohm_per_km: float = 0.10
-    x_ohm_per_km: float = 0.12
-    c_uf_per_km: float = 0.19
-    rating_frequency_hz: float = 50.0
+    r_ohm_per_km: float = field(default=0.10, metadata=NON_NEGATIVE)
+    x_ohm_per_km: float = field(default=0.12, metadata=FINITE)
+    c_uf_per_km: float = field(default=0.19, metadata=NON_NEGATIVE)
+    rating_frequency_hz: float = field(default=50.0, metadata=POSITIVE)
+
+    def __post_init__(self):
+        check_domains(self, TopologyError, "cable")
 
     def pu_per_km(self, base_mva: float, base_kv: float) -> tuple[float, float, float]:
         """(r, x, b) per km on the given system base."""

@@ -8,8 +8,10 @@ the plant active/reactive power in physical units and the active-power
 balance residual of the last network solution.  Additional bus voltage
 magnitudes can be exported by id (``v_bus<k>``).
 
-The component's ``RmsModel`` validates the network and builds its one
-bus admittance matrix; the power flow runs on that matrix.
+The component wraps an ``RmsModel`` built by its caller, which has
+validated the network and built its one bus admittance matrix; the
+component reads the network from the model, and the power flow runs on
+that matrix.
 
 Initialization follows the staged protocol: ``equilibrate`` runs the
 power flow with the plant setpoints fixed, publishes terminal voltages
@@ -37,81 +39,68 @@ from .cosim import SimComponent, VarKind
 from .dynamics import GridMeasurements, RmsModel
 from .errors import ComponentStepError, UnknownVariableError
 from .frt import FrtControl
-from .network import FaultEvent, NetworkData
 from .powerflow import solve_power_flow
 
 
 class GridComponent(SimComponent):
-    def __init__(self, component_id: str, network: NetworkData,
+    def __init__(self, component_id: str, model: RmsModel,
                  setpoints: dict[str, tuple[float, float]],
-                 micro_step: float = 5e-4,
-                 events: list[FaultEvent] | None = None,
-                 pcc_bus: int | None = None,
-                 pcc_branch: tuple[int, int] | None = None,
                  extra_bus_voltages: tuple[int, ...] = (),
                  embedded: dict[str, tuple[ConverterControl, FrtControl]] | None = None):
         super().__init__(component_id)
-        self.network = network
+        self.model = model
         self.setpoints = dict(setpoints)
-        self.model = RmsModel(network, micro_step=micro_step, events=events,
-                              pcc_bus=pcc_bus, pcc_branch=pcc_branch)
         self.embedded = dict(embedded or {})
         self._ran_micro = False
         self._pf = None
 
-        ids, k_of = self.model.sgen_ids, self.model._sgen_k
         for sid in list(self.setpoints) + list(self.embedded):
-            if sid not in k_of:
+            if sid not in model._sgen_k:
                 raise UnknownVariableError(f"no static generator '{sid}' in network")
-        index = self.model._index
         for bid in extra_bus_voltages:
-            if bid not in index:
+            if bid not in model._index:
                 raise UnknownVariableError(f"cannot export v_bus{bid}: no bus {bid}")
 
-        for sg in network.sgens:
-            p0, q0 = self.setpoints.get(sg.id, (0.0, 0.0))
-            if sg.id not in self.embedded:
-                self.declare_input(f"i_d_{sg.id}", start=p0)
-                self.declare_input(f"i_q_{sg.id}", start=q0)
-                self.declare_input(f"status_{sg.id}", kind=VarKind.BOOL, start=True)
+        # the step path's tables hold value references: each getter reads one input
+        # column of the commanded sgens (a tuple, or the bare value for one sgen)
+        commanded, self._sgen_outputs, self._embedded_at = [], [], []
+        for k, sg in enumerate(model.network.sgens):
+            sid = sg.id
+            p0, q0 = self.setpoints.get(sid, (0.0, 0.0))
+            if sid not in self.embedded:
+                commanded.append((k, self.declare_input(f"i_d_{sid}", start=p0).vr,
+                                  self.declare_input(f"i_q_{sid}", start=q0).vr,
+                                  self.declare_input(f"status_{sid}", kind=VarKind.BOOL,
+                                                     start=True).vr))
             else:
-                self.declare_output(f"i_d_{sg.id}", start=p0)
-                self.declare_output(f"i_q_{sg.id}", start=q0)
-                self.declare_output(f"mode_{sg.id}", kind=VarKind.INT, start=0)
-            self.declare_output(f"v_{sg.id}", start=1.0)
-            self.declare_output(f"theta_{sg.id}", start=0.0)
-            self.declare_output(f"p_{sg.id}", start=p0)
-            self.declare_output(f"q_{sg.id}", start=q0)
-        self.declare_output("v_pcc", start=1.0)
+                self._embedded_at.append((k, *self.embedded[sid],
+                                          self.declare_output(f"i_d_{sid}", start=p0).vr,
+                                          self.declare_output(f"i_q_{sid}", start=q0).vr,
+                                          self.declare_output(f"mode_{sid}", kind=VarKind.INT,
+                                                              start=0).vr))
+            self._sgen_outputs.append((self.declare_output(f"v_{sid}", start=1.0).vr,
+                                       self.declare_output(f"theta_{sid}", start=0.0).vr,
+                                       self.declare_output(f"p_{sid}", start=p0).vr,
+                                       self.declare_output(f"q_{sid}", start=q0).vr))
+        self._command_k = np.array([k for k, *_ in commanded], dtype=int)
+        self._command_get = ([itemgetter(*column) for column in list(zip(*commanded))[1:]]
+                             if commanded else None)
+        # the five plant outputs are declared in a row: one slice of value references
+        first = self.declare_output("v_pcc", start=1.0).vr
         self.declare_output("theta_pcc", start=0.0)
         self.declare_output("p_wpp_mw", start=0.0)
         self.declare_output("q_wpp_mvar", start=0.0)
         self.declare_output("p_balance_residual", start=0.0)
-        self._bus_exports = [(self.declare_output(f"v_bus{bid}", start=1.0).vr, index[bid])
-                             for bid in extra_bus_voltages]
-
-        # resolved once for the step path, as value references; each getter reads one
-        # input column of the commanded sgens (a tuple, or the bare value for one sgen)
-        def vrs(*names):
-            return tuple(self.ref(name).vr for name in names)
-        commanded = [sid for sid in ids if sid not in self.embedded]
-        self._command_k = np.array([k_of[sid] for sid in commanded], dtype=int)
-        self._command_get = [itemgetter(*vrs(*[f"{kind}_{sid}" for sid in commanded]))
-                             for kind in ("i_d", "i_q", "status")] if commanded else None
-        self._sgen_outputs = [vrs(f"v_{sid}", f"theta_{sid}", f"p_{sid}", f"q_{sid}")
-                              for sid in ids]
-        self._embedded_at = [(k_of[sid], conv, sup,
-                              *vrs(f"i_d_{sid}", f"i_q_{sid}", f"mode_{sid}"))
-                             for sid, (conv, sup) in self.embedded.items()]
-        # the five plant outputs are declared in a row: one slice of value references
-        self._plant_outputs = slice(self.ref("v_pcc").vr, self.ref("p_balance_residual").vr + 1)
+        self._plant_outputs = slice(first, first + 5)
+        self._bus_exports = [(self.declare_output(f"v_bus{bid}", start=1.0).vr,
+                              model._index[bid]) for bid in extra_bus_voltages]
 
     # -- initialization ------------------------------------------------------
 
     def equilibrate(self) -> None:
         # p_<id> and q_<id> keep their start values, the setpoints the flow holds;
         # abs per scalar: np.abs over an array can round the last bit differently
-        self._pf = solve_power_flow(self.network, self.model.ybus, self.setpoints)
+        self._pf = solve_power_flow(self.model.network, self.model.ybus, self.setpoints)
         for sid, v in zip(self.model.sgen_ids, self._pf.v[self.model.s_bus]):
             self.set(f"v_{sid}", abs(v))
             self.set(f"theta_{sid}", float(np.angle(v)))

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 from .collector import WppLayout
 from .converter import ConverterComponent, ConverterControl, ConverterParams, QMode
 from .cosim import MAX_MACRO_STEPS, Master, MasterConfig, Scheme
-from .dynamics import micro_grid
+from .dynamics import RmsModel, micro_grid
 from .errors import (FINITE, POSITIVE, ScenarioValidationError, UnresolvedReferenceError,
                      WiringError, check_domains)
 from .frt import FrtComponent, FrtControl, FrtParams
@@ -63,8 +63,8 @@ class WtgSpec:
 class ConnectionSpec:
     source: str
     sink: str
-    gain: float = 1.0
-    offset: float = 0.0
+    gain: float = field(default=1.0, metadata=FINITE)
+    offset: float = field(default=0.0, metadata=FINITE)
 
 
 @dataclass
@@ -145,6 +145,8 @@ class Scenario:
                     cid = ref.split(".", 1)[0]
                     if cid not in comp_ids:
                         raise UnresolvedReferenceError(ref, "unknown component")
+                if c.gain != 1.0 or c.offset != 0.0:    # an identity edge is in the domain
+                    check_domains(c, ScenarioValidationError, f"connect {c.source} {c.sink}")
                 driven.add(c.sink)
             for w in self.wtgs:
                 for needed in (f"grid.i_d_{w.id}", f"grid.i_q_{w.id}",
@@ -296,11 +298,10 @@ def instantiate(scenario: Scenario) -> Master:
     if scenario.mode == "monolithic":
         embedded = {w.id: (ConverterControl(w.converter, w.p_ref, w.q_ref),
                            FrtControl(w.frt)) for w in scenario.wtgs}
-    grid = GridComponent(
-        "grid", scenario.network, setpoints,
-        micro_step=scenario.micro_step, events=scenario.events,
-        pcc_bus=scenario.pcc_bus, pcc_branch=scenario.pcc_branch,
-        extra_bus_voltages=scenario.export_bus_v, embedded=embedded)
+    model = RmsModel(scenario.network, micro_step=scenario.micro_step, events=scenario.events,
+                     pcc_bus=scenario.pcc_bus, pcc_branch=scenario.pcc_branch)
+    grid = GridComponent("grid", model, setpoints,
+                         extra_bus_voltages=scenario.export_bus_v, embedded=embedded)
     master.register(grid, 0)
     if scenario.mode == "cosim":
         for i, w in enumerate(scenario.wtgs):

@@ -113,6 +113,21 @@ def test_layout_rejects_a_spacing_or_voltage_that_is_not_finite_and_positive(nam
         WppLayout(**{name: value})
 
 
+@pytest.mark.parametrize("name, value, domain", [
+    ("r_ohm_per_km", math.nan, "finite and non-negative"),
+    ("r_ohm_per_km", -0.1, "finite and non-negative"),
+    ("x_ohm_per_km", math.inf, "finite"),
+    ("c_uf_per_km", -1.0, "finite and non-negative"),
+    ("c_uf_per_km", math.nan, "finite and non-negative"),
+    ("rating_frequency_hz", 0.0, "finite and positive"),
+    ("rating_frequency_hz", math.inf, "finite and positive"),
+])
+def test_cable_rejects_a_constant_outside_its_domain(name, value, domain):
+    # the cable names its own field, not a collector branch built from it later
+    with pytest.raises(TopologyError, match=f"cable: {name} must be {domain}, got"):
+        WppLayout(cable=CableData(**{name: value}))
+
+
 def test_layout_segment_scales_with_spacing():
     a = WppLayout(spacing_km=0.5).segment_pu(100.0)
     b = WppLayout(spacing_km=1.0).segment_pu(100.0)

@@ -5,6 +5,7 @@ import pytest
 
 from windcosim.converter import ConverterControl, ConverterParams
 from windcosim.cosim import Direction, VarKind
+from windcosim.dynamics import RmsModel
 from windcosim.errors import UnknownVariableError
 from windcosim.frt import FrtControl, FrtParams, Mode
 from windcosim.gridcomp import GridComponent
@@ -29,21 +30,21 @@ def make_embedded():
 
 def test_rejects_setpoint_for_unknown_generator():
     with pytest.raises(UnknownVariableError, match="ghost"):
-        GridComponent("grid", plant_network(), {"ghost": (0.5, 0.0)})
+        GridComponent("grid", RmsModel(plant_network()), {"ghost": (0.5, 0.0)})
 
 
 def test_rejects_unknown_export_bus():
     with pytest.raises(UnknownVariableError, match="v_bus99"):
-        GridComponent("grid", plant_network(), SETPOINT, extra_bus_voltages=(99,))
+        GridComponent("grid", RmsModel(plant_network()), SETPOINT, extra_bus_voltages=(99,))
 
 
 def test_variable_set_depends_on_embedding():
-    coupled = GridComponent("grid", plant_network(), SETPOINT)
+    coupled = GridComponent("grid", RmsModel(plant_network()), SETPOINT)
     names = {v.name for v in coupled.variables()}
     assert {"i_d_wpp", "i_q_wpp", "status_wpp"} <= names
     assert "mode_wpp" not in names
 
-    mono = GridComponent("grid", plant_network(), SETPOINT, embedded=make_embedded())
+    mono = GridComponent("grid", RmsModel(plant_network()), SETPOINT, embedded=make_embedded())
     names = {v.name for v in mono.variables()}
     assert "mode_wpp" in names
     assert "status_wpp" not in names    # nothing external can drive it
@@ -51,7 +52,7 @@ def test_variable_set_depends_on_embedding():
 
 def test_equilibrate_publishes_power_flow_operating_point():
     net = plant_network()
-    comp = GridComponent("grid", net, SETPOINT)
+    comp = GridComponent("grid", RmsModel(net), SETPOINT)
     comp.equilibrate()
     pf = solve_power_flow(net, comp.model.ybus, SETPOINT)
     v3 = pf.voltage(3)
@@ -63,7 +64,7 @@ def test_equilibrate_publishes_power_flow_operating_point():
 
 def test_coupled_init_then_flat_run():
     net = plant_network()
-    comp = GridComponent("grid", net, SETPOINT, pcc_bus=3)
+    comp = GridComponent("grid", RmsModel(net, pcc_bus=3), SETPOINT)
     comp.equilibrate()
     v = comp.get("v_wpp")
     comp.set("i_d_wpp", 0.85 / v)
@@ -94,7 +95,7 @@ def test_cosim_flat_run_stays_flat():
 
 def test_disconnect_removes_plant_injection():
     net = plant_network()
-    comp = GridComponent("grid", net, SETPOINT, pcc_bus=3)
+    comp = GridComponent("grid", RmsModel(net, pcc_bus=3), SETPOINT)
     comp.equilibrate()
     comp.set("i_d_wpp", 0.85 / comp.get("v_wpp"))
     comp.finish_init()
@@ -139,9 +140,9 @@ def test_embedded_converter_sees_the_supervisor_one_micro_step_late():
     # the converter reads the supervisor's outputs before the supervisor's
     # own step in the same micro step, as the serial exchange would
     conv, sup = make_embedded()["wpp"]
-    comp = GridComponent("grid", plant_network(), SETPOINT, pcc_bus=3,
-                         events=[FaultEvent(bus=6, start=2e-3, duration=3e-3)],
-                         embedded={"wpp": (conv, sup)})
+    model = RmsModel(plant_network(), pcc_bus=3,
+                     events=[FaultEvent(bus=6, start=2e-3, duration=3e-3)])
+    comp = GridComponent("grid", model, SETPOINT, embedded={"wpp": (conv, sup)})
     seen, outputs = [], []
     conv_step, sup_step = conv.step, sup.step
 
@@ -173,8 +174,9 @@ def test_step_outputs_have_declared_kinds_across_a_fault():
     kinds = {VarKind.REAL: float, VarKind.INT: int, VarKind.BOOL: bool}
     fault = [FaultEvent(bus=6, start=2e-3, duration=3e-3)]
     for embedded in (None, make_embedded()):
-        comp = GridComponent("grid", plant_network(), SETPOINT, events=fault, pcc_bus=3,
-                             pcc_branch=(3, 9), extra_bus_voltages=(6,), embedded=embedded)
+        model = RmsModel(plant_network(), events=fault, pcc_bus=3, pcc_branch=(3, 9))
+        comp = GridComponent("grid", model, SETPOINT, extra_bus_voltages=(6,),
+                             embedded=embedded)
         comp.equilibrate()
         if embedded is None:
             comp.set("i_d_wpp", 0.85 / comp.get("v_wpp"))
@@ -201,7 +203,7 @@ def test_column_commands_address_the_right_sgens():
     def run(trip):
         embedded = {"emb": (ConverterControl(ConverterParams(), 0.5, 0.0),
                             FrtControl(FrtParams()))}
-        comp = GridComponent("grid", net, setpoints, embedded=embedded)
+        comp = GridComponent("grid", RmsModel(net), setpoints, embedded=embedded)
         comp.equilibrate()
         for sid in ("a", "c"):
             p, q = setpoints[sid]

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from windcosim.converter import QMode
 from windcosim.cosim import MAX_MACRO_STEPS, MasterConfig, Scheme
-from windcosim.errors import (ScenarioError, ScenarioParseError,
+from windcosim.errors import (CosimError, ScenarioError, ScenarioParseError,
                               ScenarioValidationError, TopologyError)
 from windcosim.network import NetworkData
 from windcosim.scenario import (Scenario, build_large_scale, build_monolithic,
@@ -411,6 +411,15 @@ def test_rejects_pcc_branch_and_export_bus_outside_the_network(text, old, new, f
         parse_scenario_text(text.replace(old, new, 1))
 
 
+@pytest.mark.parametrize("transform", ["gain=nan", "gain=inf", "offset=inf"])
+def test_rejects_a_connection_transform_that_is_not_finite(transform):
+    edge = "connect grid.v_wpp conv_wpp.v_meas"
+    assert edge in SMALL_SCALE
+    with pytest.raises(ScenarioValidationError,
+                       match=f"{edge}: {transform.split('=')[0]} must be finite, got"):
+        parse_scenario_text(SMALL_SCALE.replace(edge, f"{edge} {transform}", 1))
+
+
 def test_pcc_branch_may_name_its_ends_in_either_order():
     reverse = parse_scenario_text(LARGE_SCALE.replace("pcc_branch = 3 10", "pcc_branch = 10 3"))
     assert reverse.pcc_branch == (10, 3)
@@ -522,3 +531,30 @@ def test_every_number_of_a_shipped_scenario_rejects_a_non_finite_value(value):
             continue
         accepted.append(text.splitlines()[SMALL_SCALE.count("\n", 0, a)])
     assert accepted == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")     # NumPy overflow, divide by 0
+def test_every_number_of_a_shipped_scenario_set_to_a_finite_extreme_parses_runs_or_fails_as_a_study():
+    # each of the 103 numbers in turn set to 0, -1 and 1e300, on a 30 ms run with
+    # the fault at 10 ms: rejected at parse, run to the end, or failed as a study
+    short = (SMALL_SCALE.replace("t_end = 2.0", "t_end = 0.03")
+             .replace("start=1.0 ", "start=0.01 "))
+    assert "t_end = 0.03" in short and "start=0.01 " in short
+    spans = [m.span() for m in _NUMBER.finditer(short)]
+    assert len(spans) == 103
+    outcomes = {"rejected": 0, "ran": 0, "failed": 0}
+    for value in ("0", "-1", "1e300"):
+        for a, b in spans:
+            try:
+                scenario = parse_scenario_text(short[:a] + value + short[b:])
+            except ScenarioError:
+                outcomes["rejected"] += 1
+                continue
+            try:
+                run_scenario(scenario)
+            except CosimError as exc:
+                assert not isinstance(exc, ScenarioError), short[a - 20:b + 20]
+                outcomes["failed"] += 1
+                continue
+            outcomes["ran"] += 1
+    assert all(outcomes.values()), outcomes
