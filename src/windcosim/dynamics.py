@@ -12,7 +12,9 @@ Model structure
   currents.  Commands are given as d/q projections on the terminal
   voltage phasor; the rotation angle is taken from the previous
   committed network solve (one micro-step lag), which is exact at any
-  equilibrium.
+  equilibrium.  Setting a command stores it as one phasor ``i_d - 1j i_q``
+  and one gain ``s_scale * status`` per sgen, so the injected current,
+  ``phasor * unit * gain``, is two multiplies per micro step.
 * If the power-flow slack bus hosts no machine it is retained as a
   stiff Norton source (constant EMF behind a very small reactance), so
   source-free test networks stay energized.
@@ -153,10 +155,10 @@ class RmsModel:
         self.sgen_ids = [sg.id for sg in network.sgens]
         self._sgen_k = {sid: k for k, sid in enumerate(self.sgen_ids)}
         self.s_bus = np.array([self._index[sg.bus] for sg in network.sgens], dtype=int)
-        self.s_scale = np.array([sg.mva / network.base_mva for sg in network.sgens])
-        self._s_id = np.zeros(len(network.sgens))
-        self._s_iq = np.zeros(len(network.sgens))
-        self._s_on = np.ones(len(network.sgens))
+        # complex, as are _load_g and _at_pcc: NumPy would cast a float array at each use
+        self.s_scale = np.array([sg.mva / network.base_mva for sg in network.sgens], dtype=complex)
+        self._s_cmd = np.zeros(len(network.sgens), dtype=complex)   # i_d - 1j i_q
+        self._s_gain = self.s_scale.copy()                           # s_scale * status
         self._s_unit = np.ones(len(network.sgens), dtype=complex)
 
         self._slack_idx = next(i for i, b in enumerate(network.buses) if b.btype == "slack")
@@ -164,7 +166,7 @@ class RmsModel:
         self._slack_e = complex(network.buses[self._slack_idx].v_set, 0.0)
         self._y_stiff = 1.0 / (1j * _STIFF_SLACK_X)
 
-        self._load_g = np.zeros(self._n)         # load conductances, set by init_equilibrium
+        self._load_g = np.zeros(self._n, dtype=complex)  # load conductances, by init_equilibrium
         self._y_dyn: sp.csc_matrix | None = None
         self._lu_cache: dict[tuple, _Factor] = {}
         # fault schedule: the shunts, and their factorization cache key, on
@@ -198,24 +200,28 @@ class RmsModel:
 
     def set_sgen_command(self, sgen_id: str, i_d: float | None = None,
                          i_q: float | None = None, status: bool | None = None) -> None:
+        """Set one sgen's command; a current left out keeps its value (up to the
+        sign of a zero), a status left out keeps its value."""
         try:
             k = self._sgen_k[sgen_id]
         except KeyError:
             raise ValueError(f"no static generator '{sgen_id}'") from None
-        if i_d is not None:
-            self._s_id[k] = i_d
-        if i_q is not None:
-            self._s_iq[k] = i_q
+        if i_d is not None or i_q is not None:
+            cmd = complex(self._s_cmd[k])
+            self._s_cmd[k] = (cmd.real if i_d is None else i_d) - 1j * (
+                -cmd.imag if i_q is None else i_q)
         if status is not None:
-            self._s_on[k] = 1.0 if status else 0.0
+            self._s_gain[k] = self.s_scale[k] * bool(status)
 
     def set_sgen_commands(self, k: np.ndarray | int, i_d, i_q, status) -> None:
-        """``set_sgen_command`` for the sgens at position(s) ``k`` of ``sgen_ids`` at once."""
-        self._s_id[k], self._s_iq[k], self._s_on[k] = i_d, i_q, status
+        """``set_sgen_command`` for the sgens at position(s) ``k`` of ``sgen_ids`` at once:
+        numbers at one position, arrays (``status`` also a list) at several."""
+        self._s_cmd[k] = i_d - 1j * i_q
+        self._s_gain[k] = self.s_scale[k] * status
 
     def _sgen_currents(self) -> np.ndarray:
         """Injected network-frame currents on the system base."""
-        return (self._s_id - 1j * self._s_iq) * self._s_unit * self.s_scale * self._s_on
+        return self._s_cmd * self._s_unit * self._s_gain
 
     # -- initialization --------------------------------------------------------
 
@@ -232,7 +238,7 @@ class RmsModel:
             raise InitializationError("power-flow voltage collapsed at some bus")
         load_y = np.array([complex(bus.p_load, -bus.q_load) / x
                            for bus, x in zip(self.network.buses, vm2.tolist())])
-        self._load_g = load_y.real.copy()
+        self._load_g = load_y.real.astype(complex)
 
         # machine power per bus = net injection - (schedule - scheduled machine power);
         # the bracket is exactly 0 at a machine bus with no load and no sgen

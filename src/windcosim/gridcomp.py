@@ -6,7 +6,12 @@ boolean, and measurement outputs (``v_<id>``, ``theta_<id>``,
 ``p_<id>``, ``q_<id>``).  Plant-level outputs give the PCC voltage,
 the plant active/reactive power in physical units and the active-power
 balance residual of the last network solution.  Additional bus voltage
-magnitudes can be exported by id (``v_bus<k>``).
+magnitudes can be exported by id (``v_bus<k>``).  Each kind of sgen
+variable is declared as one run in network sgen order (inputs ``i_d_*``,
+``i_q_*``, ``status_*`` of the commanded sgens, then the embedded ones'
+outputs, then ``v_*``, ``theta_*``, ``p_*``, ``q_*``), so ``variables()``
+lists them run by run: a step reads the commands as three slices of the
+values and writes the measurement columns as four.
 
 The component wraps an ``RmsModel`` built by its caller, which has
 validated the network and built its one bus admittance matrix; the
@@ -29,8 +34,6 @@ the supervisor sees the fresh converter command.
 """
 
 from __future__ import annotations
-
-from operator import itemgetter
 
 import numpy as np
 
@@ -61,30 +64,31 @@ class GridComponent(SimComponent):
             if bid not in model._index:
                 raise UnknownVariableError(f"cannot export v_bus{bid}: no bus {bid}")
 
-        # the step path's tables hold value references: each getter reads one input
-        # column of the commanded sgens (a tuple, or the bare value for one sgen)
-        commanded, self._sgen_outputs, self._embedded_at = [], [], []
-        for k, sg in enumerate(model.network.sgens):
-            sid = sg.id
-            p0, q0 = self.setpoints.get(sid, (0.0, 0.0))
-            if sid not in self.embedded:
-                commanded.append((k, self.declare_input(f"i_d_{sid}", start=p0).vr,
-                                  self.declare_input(f"i_q_{sid}", start=q0).vr,
-                                  self.declare_input(f"status_{sid}", kind=VarKind.BOOL,
-                                                     start=True).vr))
-            else:
-                self._embedded_at.append((k, *self.embedded[sid],
-                                          self.declare_output(f"i_d_{sid}", start=p0).vr,
-                                          self.declare_output(f"i_q_{sid}", start=q0).vr,
-                                          self.declare_output(f"mode_{sid}", kind=VarKind.INT,
-                                                              start=0).vr))
-            self._sgen_outputs.append((self.declare_output(f"v_{sid}", start=1.0).vr,
-                                       self.declare_output(f"theta_{sid}", start=0.0).vr,
-                                       self.declare_output(f"p_{sid}", start=p0).vr,
-                                       self.declare_output(f"q_{sid}", start=q0).vr))
-        self._command_k = np.array([k for k, *_ in commanded], dtype=int)
-        self._command_get = ([itemgetter(*column) for column in list(zip(*commanded))[1:]]
-                             if commanded else None)
+        # each kind of sgen variable is one run of value references, which a step slices
+        sids = model.sgen_ids
+        p0 = [self.setpoints.get(sid, (0.0, 0.0))[0] for sid in sids]
+        q0 = [self.setpoints.get(sid, (0.0, 0.0))[1] for sid in sids]
+
+        def run(declare, prefix, starts, at=range(len(sids)), kind=VarKind.REAL) -> slice:
+            first = len(self._values)
+            for k in at:
+                declare(f"{prefix}{sids[k]}", kind=kind, start=starts[k])
+            return slice(first, len(self._values))
+
+        commanded = [k for k, sid in enumerate(sids) if sid not in self.embedded]
+        self._command_k = np.array(commanded, dtype=int)
+        self._command_runs = (run(self.declare_input, "i_d_", p0, commanded),
+                              run(self.declare_input, "i_q_", q0, commanded),
+                              run(self.declare_input, "status_", [True] * len(sids), commanded,
+                                  VarKind.BOOL))
+        self._embedded_at = [(k, *self.embedded[sid],
+                              self.declare_output(f"i_d_{sid}", start=p0[k]).vr,
+                              self.declare_output(f"i_q_{sid}", start=q0[k]).vr,
+                              self.declare_output(f"mode_{sid}", kind=VarKind.INT, start=0).vr)
+                             for k, sid in enumerate(sids) if sid in self.embedded]
+        self._sgen_outputs = (run(self.declare_output, "v_", [1.0] * len(sids)),
+                              run(self.declare_output, "theta_", [0.0] * len(sids)),
+                              run(self.declare_output, "p_", p0), run(self.declare_output, "q_", q0))
         # the five plant outputs are declared in a row: one slice of value references
         first = self.declare_output("v_pcc", start=1.0).vr
         self.declare_output("theta_pcc", start=0.0)
@@ -118,10 +122,11 @@ class GridComponent(SimComponent):
 
     def _take_commands(self) -> None:
         """Set the commanded turbines' currents and status from the inputs."""
-        if self._command_get is not None:
-            i_d, i_q, status = self._command_get
+        if self._command_k.size:
             values = self._values
-            self.model.set_sgen_commands(self._command_k, i_d(values), i_q(values), status(values))
+            i_d, i_q, status = self._command_runs
+            self.model.set_sgen_commands(self._command_k, np.array(values[i_d]),
+                                         np.array(values[i_q]), values[status])
 
     def _on_micro(self, tau: float, columns: tuple[list[float], ...], h: float) -> None:
         if not self._ran_micro:
@@ -149,12 +154,8 @@ class GridComponent(SimComponent):
 
     def _publish_measurements(self, meas: GridMeasurements) -> None:
         values = self._values
-        for (v_vr, theta_vr, p_vr, q_vr), v, theta, p, q in zip(
-                self._sgen_outputs, *meas.sgen_columns):
-            values[v_vr] = v
-            values[theta_vr] = theta
-            values[p_vr] = p
-            values[q_vr] = q
+        for run, column in zip(self._sgen_outputs, meas.sgen_columns):
+            values[run] = column
         for _, conv, sup, i_d, i_q, mode in self._embedded_at:
             values[i_d] = conv.i_d_cmd
             values[i_q] = conv.i_q_cmd

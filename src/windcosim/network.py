@@ -30,7 +30,7 @@ class Bus:
     id: int
     base_kv: float = field(metadata=POSITIVE)
     btype: str = "pq"
-    v_set: float = field(default=1.0, metadata=FINITE)
+    v_set: float = field(default=1.0, metadata=POSITIVE)
     p_gen: float = field(default=0.0, metadata=FINITE)
     p_load: float = field(default=0.0, metadata=FINITE)
     q_load: float = field(default=0.0, metadata=FINITE)

@@ -52,11 +52,10 @@ class TraceSet:
 
 def write_csv(trace: TraceSet, path) -> None:
     names = trace.names()
+    columns = [trace.time.tolist()] + [trace.channels[n].tolist() for n in names]
+    lines = [",".join(["time"] + names)] + [",".join(map(repr, row)) for row in zip(*columns)]
     with open(path, "w", newline="") as f:
-        f.write(",".join(["time"] + names) + "\n")
-        columns = [trace.time] + [trace.channels[n] for n in names]
-        for row in zip(*columns):
-            f.write(",".join(repr(float(x)) for x in row) + "\n")
+        f.write("\n".join(lines) + "\n")
 
 
 def read_csv(path) -> TraceSet:

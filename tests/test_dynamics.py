@@ -299,6 +299,43 @@ def test_unknown_sgen_command():
         model.set_sgen_command("ghost", i_d=0.1)
 
 
+def test_sgen_currents_match_the_separate_command_formula_bit_for_bit():
+    # the stored phasor i_d - 1j i_q and gain s_scale * status give the bits of
+    # (i_d - 1j i_q) * unit * s_scale * on, also for signed zeros and a tripped sgen
+    net = wscc9_without_g3()
+    net.sgens = [StaticGenerator(id=f"w{b}", bus=b, mva=10.0 * b) for b in (3, 5, 6, 8, 9)]
+    model, _ = equilibrated(net, {sg.id: (0.3, 0.1) for sg in net.sgens})
+    n, rng = len(net.sgens), np.random.default_rng(7)
+    i_d, i_q, on = np.zeros(n), np.zeros(n), np.ones(n)
+
+    def draw(size):
+        x = rng.normal(0.0, 1.0, size)
+        x[rng.random(size) < 0.3] = 0.0
+        return np.where(rng.random(size) < 0.5, x, -x)      # -x: also -0.0
+
+    def check():
+        old = (i_d - 1j * i_q) * model._s_unit * model.s_scale.real * on
+        assert model._sgen_currents().tobytes() == old.tobytes()
+
+    for _ in range(50):
+        d, q, status = draw(n), draw(n), rng.random(n) < 0.7
+        for k, sg in enumerate(net.sgens):                  # one sgen by id
+            model.set_sgen_command(sg.id, i_d=d[k], i_q=q[k], status=bool(status[k]))
+        i_d[:], i_q[:], on[:] = d, q, status
+        check()
+        k = rng.permutation(n)[:3]                          # several by position
+        i_d[k], i_q[k], on[k] = draw(3), draw(3), rng.random(3) < 0.7
+        model.set_sgen_commands(k, i_d[k], i_q[k], on[k].astype(bool).tolist())
+        check()
+        k = int(rng.integers(n))                            # one by position, as numbers
+        i_d[k], i_q[k], on[k] = float(draw(1)[0]), float(draw(1)[0]), True
+        model.set_sgen_commands(k, float(i_d[k]), float(i_q[k]), True)
+        check()
+        model.set_sgen_command(net.sgens[k].id, status=False)    # the phasor stays
+        on[k] = 0.0
+        check()
+
+
 @settings(max_examples=25, deadline=None)
 @given(p=st.floats(-0.9, 0.9), q=st.floats(-0.5, 0.5))
 def test_sgen_dq_frame_round_trip(p, q):

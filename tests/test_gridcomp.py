@@ -191,6 +191,33 @@ def test_step_outputs_have_declared_kinds_across_a_fault():
         assert min(v6) < 0.05 and v6[-1] > 0.5
 
 
+def test_sgen_variables_are_declared_as_runs_in_network_order():
+    # each kind of sgen variable is one run of value references; the embedded
+    # turbine has no inputs, so the input runs skip it
+    net = wscc9_without_g3()
+    net.sgens = [StaticGenerator(id=sid, bus=b, mva=20.0)
+                 for sid, b in (("a", 3), ("emb", 5), ("c", 8), ("d", 6))]
+    setpoints = {sg.id: (0.5, 0.0) for sg in net.sgens}
+    embedded = {"emb": (ConverterControl(ConverterParams(), 0.5, 0.0), FrtControl(FrtParams()))}
+    comp = GridComponent("grid", RmsModel(net), setpoints, embedded=embedded)
+
+    def run(prefix, sids):
+        vrs = [comp.ref(f"{prefix}{sid}").vr for sid in sids]
+        assert vrs == list(range(vrs[0], vrs[0] + len(sids))), prefix
+        return slice(vrs[0], vrs[0] + len(sids))
+
+    for prefix in ("i_d_", "i_q_", "status_"):
+        run(prefix, ("a", "c", "d"))
+    outputs = [run(prefix, ("a", "emb", "c", "d")) for prefix in ("v_", "theta_", "p_", "q_")]
+    comp.equilibrate()
+    for sid in ("a", "c", "d"):
+        comp.set(f"i_d_{sid}", 0.5 / comp.get(f"v_{sid}"))
+    comp.finish_init()
+    comp.step(0.0, 1e-3)
+    for out, column in zip(outputs, comp.model.last_measurements.sgen_columns):
+        assert comp._values[out] == column
+
+
 def test_column_commands_address_the_right_sgens():
     # the embedded turbine sits between the two commanded ones, so the
     # commanded positions (0 and 2) are not contiguous
@@ -220,10 +247,9 @@ def test_column_commands_address_the_right_sgens():
     tripped, healthy = run(trip=True), run(trip=False)
     model = tripped.model
     assert model.sgen_ids == ["a", "emb", "c"]
-    assert model._s_on.tolist() == [1.0, 1.0, 0.0]
-    assert model._s_id[[0, 2]].tolist() == [tripped.get("i_d_a"), tripped.get("i_d_c")]
-    assert model._s_iq[[0, 2]].tolist() == [tripped.get("i_q_a"), tripped.get("i_q_c")]
-    assert (model._s_id[1], model._s_iq[1]) == (tripped.get("i_d_emb"), tripped.get("i_q_emb"))
+    assert model._s_gain.tolist() == [model.s_scale[0], model.s_scale[1], 0.0]
+    assert model._s_cmd.tolist() == [tripped.get(f"i_d_{sid}") - 1j * tripped.get(f"i_q_{sid}")
+                                     for sid in ("a", "emb", "c")]
     assert tripped.get("p_c") == 0.0 and tripped.get("q_c") == 0.0
     # the others keep their commands; their power moves only with the grid
     # voltage, which the trip shifts by well under 2 %

@@ -334,6 +334,20 @@ def test_cli_rejects_out_of_domain_inputs_with_exit_1(tmp_path, capsys, old, new
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("old, new, field", [
+    ("bus 1 16.5 slack v_set=1.04", "bus 1 16.5 slack v_set=0", "bus 1: v_set"),
+    ("bus 2 18.0 pv v_set=1.025", "bus 2 18.0 pv v_set=-1.025", "bus 2: v_set"),
+])
+def test_cli_names_a_non_positive_v_set(tmp_path, capsys, old, new, field):
+    # a zero magnitude used to reach the power flow's division by |v_set|
+    text = serialize_scenario(build_small_scale(t_end=0.02, fault=None))
+    assert old in text
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text.replace(old, new))
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert f"{field} must be finite and positive" in capsys.readouterr().err
+
+
 def test_cli_run_failure_exit_code(tmp_path, capsys):
     # dispatch beyond the converter limit parses fine but cannot equilibrate
     sc = build_small_scale(t_end=0.02, plant_mw=102.0, fault=None)

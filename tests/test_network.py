@@ -214,6 +214,10 @@ def _invalid_cases():
         "negative-bus-base-kv": bus(base_kv=-1.0),
         "nan-bus-p-load": bus(p_load=float("nan")),
         "inf-bus-v-set": bus(v_set=float("inf")),
+        "zero-bus-v-set": bus(v_set=0.0),
+        "negative-bus-v-set": bus(v_set=-1.0),
+        "zero-slack-v-set": replace(base, buses=[replace(base.buses[0], v_set=0.0),
+                                                 *base.buses[1:]]),
     }
 
 
