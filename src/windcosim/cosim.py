@@ -50,6 +50,7 @@ import enum
 import math
 import time as _time
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -74,37 +75,54 @@ class Direction(enum.Enum):
     OUTPUT = "output"
 
 
-@dataclass(frozen=True)
-class VariableRef:
-    """Fully qualified handle for one scalar variable of one component; ``vr``,
-    its value reference, indexes the component's ``_values`` list."""
+class _ValueObject:
+    """Slotted value object that nothing assigns to after construction: equal to one of its
+    own class with equal ``_key`` fields, hashed by them, printed as a dataclass prints."""
 
-    component_id: str
-    name: str
-    direction: Direction
-    kind: VarKind
-    vr: int = field(default=-1, compare=False)
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self._key(self) == self._key(other) if type(other) is type(self) else NotImplemented
 
     def __hash__(self) -> int:
-        # a component declares each name once, so equal refs share this pair
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class VariableRef(_ValueObject):
+    """Fully qualified handle for one scalar variable of one component; ``vr``,
+    its value reference, indexes the component's ``_values`` list and is not
+    compared.  It hashes as ``(component_id, name)``: a component declares a name once."""
+
+    __slots__ = ("component_id", "name", "direction", "kind", "vr")
+    _key = attrgetter("component_id", "name", "direction", "kind")
+
+    def __init__(self, component_id: str, name: str, direction: Direction, kind: VarKind, vr=-1):
+        self.component_id, self.name, self.direction = component_id, name, direction
+        self.kind, self.vr = kind, vr
+
+    def __hash__(self) -> int:
         return hash((self.component_id, self.name))
 
     def __str__(self) -> str:
         return f"{self.component_id}.{self.name}"
 
 
-@dataclass(frozen=True)
-class Connection:
+class Connection(_ValueObject):
     """Directed signal path ``sink value := gain * source value + offset``.
 
     The affine transform is only meaningful for real signals; integer and
     boolean connections must use the identity transform.
     """
 
-    source: VariableRef
-    sink: VariableRef
-    gain: float = 1.0
-    offset: float = 0.0
+    __slots__ = ("source", "sink", "gain", "offset")
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, source: VariableRef, sink: VariableRef, gain=1.0, offset=0.0):
+        self.source, self.sink, self.gain, self.offset = source, sink, gain, offset
 
     def apply(self, value):
         if self.source.kind is VarKind.REAL:
@@ -133,6 +151,7 @@ class SimComponent:
         self.current_time = 0.0
         self._vars: dict[str, VariableRef] = {}
         self._values: list = []
+        self._real_outputs: list[int] = []      # vr of each REAL output, in declaration order
 
     # -- declaration -------------------------------------------------------
 
@@ -147,6 +166,8 @@ class SimComponent:
             raise err.WiringError(f"{self.component_id}: variable '{name}' declared twice")
         ref = VariableRef(self.component_id, name, direction, kind, len(self._values))
         self._vars[name] = ref
+        if direction is Direction.OUTPUT and kind is VarKind.REAL:
+            self._real_outputs.append(ref.vr)
         self._values.append(_CASTS[kind](start))
         return ref
 
@@ -342,9 +363,7 @@ class Master:
                     copies.append((src, c.source.vr, c.sink.vr))
                 else:
                     affine.append((src, c.source.vr, c.sink.vr, c.gain, c.offset))
-            outputs = [r.vr for r in comp.variables()
-                       if r.direction is Direction.OUTPUT and r.kind is VarKind.REAL]
-            self._plan.append((comp, comp._values, copies, affine, outputs))
+            self._plan.append((comp, comp._values, copies, affine, list(comp._real_outputs)))
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -86,11 +86,10 @@ class TopologyError(CosimError):
 
 
 class PowerFlowDivergedError(CosimError):
-    def __init__(self, iterations: int, mismatch: float):
-        super().__init__(
-            f"power flow did not converge: mismatch {mismatch:.3e} pu "
-            f"after {iterations} iterations"
-        )
+    def __init__(self, iterations: int, mismatch: float, overflow: str = ""):
+        why = (f"the mismatch overflowed at iteration {iterations} ({overflow})" if overflow
+               else f"mismatch {mismatch:.3e} pu after {iterations} iterations")
+        super().__init__(f"power flow did not converge: {why}")
         self.iterations = iterations
         self.mismatch = mismatch
 

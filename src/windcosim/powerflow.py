@@ -45,14 +45,11 @@ def scheduled_injections(network: NetworkData,
 
     ``sgen_pq`` maps static generator ids to (P, Q) on the *machine* base.
     """
-    s = np.array([complex(b.p_gen - b.p_load, -b.q_load) for b in network.buses], dtype=complex)
-    if sgen_pq:
-        index = network.bus_index()
-        for sg in network.sgens:
-            if sg.id in sgen_pq:
-                p, q = sgen_pq[sg.id]
-                s[index[sg.bus]] += complex(p, q) * sg.mva / network.base_mva
-    return s
+    s = {b.id: complex(b.p_gen - b.p_load, -b.q_load) for b in network.buses}   # in bus order
+    for sg in network.sgens if sgen_pq else ():
+        if sg.id in sgen_pq:
+            s[sg.bus] += complex(*sgen_pq[sg.id]) * sg.mva / network.base_mva
+    return np.fromiter(s.values(), complex, len(s))
 
 
 def _jacobian_pattern(ybus: sp.csc_matrix, pvpq: np.ndarray, pq: np.ndarray):
@@ -88,27 +85,31 @@ def solve_power_flow(network: NetworkData, ybus: sp.csc_matrix,
     jac, slot, src, r, c, y_conj = _jacobian_pattern(ybus, pvpq, pq)
     eqs = np.append(2 * pvpq, 2 * pq + 1)       # P, then Q, in the mismatch viewed as floats
 
-    for it in range(MAX_ITER + 1):
-        v = vm * np.exp(1j * va)
-        s = v * np.conj(ybus @ v)
-        f = (s - s_sched).view(float)[eqs]
-        max_mis = float(np.abs(f).max()) if f.size else 0.0
-        if max_mis < TOL:
-            return PowerFlowResult(v=v, iterations=it, max_mismatch=max_mis,
-                                   bus_ids=[b.id for b in network.buses], s_sched=s_sched)
-        if it == MAX_ITER:
-            break
-
-        # dS/dVa = j[V] conj([I] - Y[V]), dS/dVm = [V] conj(Y[E]) + conj([I])[E],
-        # with [x] = diag(x) and E = V/|V|; w holds Y's terms, s the diagonal's
-        w = v[r] * np.conj(v)[c] * y_conj
-        ds = np.concatenate([-1j * w, 1j * s, w / vm[c], s / vm])
-        jac.data = np.bincount(slot, ds.view(float)[src], minlength=jac.nnz)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
         try:
-            dx = spla.splu(jac).solve(-f)
-        except RuntimeError as exc:
-            raise SingularNetworkError(f"power-flow Jacobian is singular: {exc}") from exc
-        va[pvpq] += dx[: pvpq.size]
-        vm[pq] += dx[pvpq.size:]
+            for it in range(MAX_ITER + 1):
+                v = vm * np.exp(1j * va)
+                s = v * np.conj(ybus @ v)
+                f = (s - s_sched).view(float)[eqs]
+                max_mis = float(np.abs(f).max()) if f.size else 0.0
+                if max_mis < TOL:
+                    return PowerFlowResult(v=v, iterations=it, max_mismatch=max_mis,
+                                           bus_ids=[b.id for b in network.buses], s_sched=s_sched)
+                if it == MAX_ITER:
+                    break
+
+                # dS/dVa = j[V] conj([I] - Y[V]), dS/dVm = [V] conj(Y[E]) + conj([I])[E],
+                # with [x] = diag(x) and E = V/|V|; w holds Y's terms, s the diagonal's
+                w = v[r] * np.conj(v)[c] * y_conj
+                ds = np.concatenate([-1j * w, 1j * s, w / vm[c], s / vm])
+                jac.data = np.bincount(slot, ds.view(float)[src], minlength=jac.nnz)
+                try:
+                    dx = spla.splu(jac).solve(-f)
+                except RuntimeError as exc:
+                    raise SingularNetworkError(f"power-flow Jacobian is singular: {exc}") from exc
+                va[pvpq] += dx[: pvpq.size]
+                vm[pq] += dx[pvpq.size:]
+        except FloatingPointError as exc:      # splu would call the non-finite Jacobian singular
+            raise PowerFlowDivergedError(it, np.inf, overflow=str(exc)) from exc
 
     raise PowerFlowDivergedError(iterations=MAX_ITER, mismatch=max_mis)

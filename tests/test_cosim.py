@@ -6,6 +6,7 @@ import pytest
 
 from windcosim.converter import ConverterComponent
 from windcosim.cosim import (
+    Connection,
     Direction,
     Master,
     MasterConfig,
@@ -158,6 +159,36 @@ def test_equal_variable_refs_hash_equal_and_deduplicate():
     assert hash(a) == hash(b)
     assert {a, b, c.ref("seen")} == {a, c.ref("seen")}
     assert len({a, b, c.ref("seen"), c.ref("inp")}) == 3
+
+
+def test_variable_ref_prints_its_qualified_name_and_its_fields():
+    ref = Counter("c").ref("idx")
+    assert str(ref) == "c.idx"
+    assert repr(ref) == ("VariableRef(component_id='c', name='idx', "
+                         "direction=<Direction.OUTPUT: 'output'>, kind=<VarKind.INT: 'int'>, "
+                         f"vr={ref.vr})")
+    assert ref != ("c", "idx", Direction.OUTPUT, VarKind.INT)
+    assert ref != VariableRef("c", "idx", Direction.INPUT, VarKind.INT)
+    assert ref != VariableRef("c", "idx", Direction.OUTPUT, VarKind.REAL)
+
+
+def test_connections_compare_and_hash_by_all_four_fields():
+    master = Master(MasterConfig())
+    master.register(Counter("a"), priority=0)
+    master.register(Counter("b"), priority=1)
+    made = master.connect("a.idx", "b.inp")
+    src = VariableRef("a", "idx", Direction.OUTPUT, VarKind.INT)
+    sink = VariableRef("b", "inp", Direction.INPUT, VarKind.INT)
+    same = Connection(src, sink)                  # refs without vr, default transform
+    assert made == same and made is not same and hash(made) == hash(same)
+    assert len({made, same}) == 1
+    others = [Connection(sink, src), Connection(src, sink, gain=2.0),
+              Connection(src, sink, offset=0.5),
+              Connection(src, VariableRef("b", "seen", Direction.INPUT, VarKind.INT))]
+    assert all(made != other for other in others)
+    assert len({made, *others}) == 5
+    assert made != (src, sink, 1.0, 0.0)
+    assert repr(same) == f"Connection(source={src!r}, sink={sink!r}, gain=1.0, offset=0.0)"
 
 
 def test_unknown_variable():

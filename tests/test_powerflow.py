@@ -145,6 +145,19 @@ def test_sgen_injection_scaled_by_machine_base():
     assert s[0] == 0.0 + 0j
 
 
+def test_sgens_add_to_their_bus_in_network_order_and_undispatched_ones_inject_nothing():
+    net = NetworkData(
+        buses=[Bus(id=7, base_kv=110.0, btype="slack"),
+               Bus(id=3, base_kv=110.0, p_load=0.9, q_load=0.3)],
+        branches=[Branch(7, 3, 0.01, 0.1)],
+        sgens=[StaticGenerator(id="a", bus=3, mva=30.0), StaticGenerator(id="b", bus=7, mva=10.0),
+               StaticGenerator(id="c", bus=3, mva=70.0)],
+    )
+    s = scheduled_injections(net, {"c": (0.1, 0.7), "a": (0.3, 0.2)})
+    assert s.tolist() == [0j, complex(-0.9, -0.3) + complex(0.3, 0.2) * 30.0 / 100.0
+                          + complex(0.1, 0.7) * 70.0 / 100.0]
+
+
 def test_load_enters_negative():
     net = NetworkData(
         buses=[Bus(id=1, base_kv=110.0, btype="slack"),
@@ -164,6 +177,14 @@ def test_divergence_raises():
     )
     with pytest.raises(PowerFlowDivergedError):
         solve_power_flow(net, ybus(net))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_newton_step_is_a_divergence_naming_the_iteration():
+    # a finite but absurd dispatch: the first update overflows, and that is no singular Jacobian
+    net, _ = radial_two_bus()
+    with pytest.raises(PowerFlowDivergedError, match="mismatch overflowed at iteration 1 "):
+        solve_power_flow(net, ybus(net), {"inj": (1e300, 0.0)})
 
 
 def test_flat_network_converges_immediately():

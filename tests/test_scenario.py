@@ -9,14 +9,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
-from windcosim import network
-from windcosim.cosim import Scheme
+from windcosim import gridcomp, network
+from windcosim.cosim import Scheme, SimComponent
+from windcosim.dynamics import RmsModel
 from windcosim.errors import (ScenarioValidationError, SinkAlreadyDrivenError,
                               UnknownVariableError, UnresolvedReferenceError)
 from windcosim.network import FaultEvent, NetworkData, assemble_ybus, branch_stamps
 from windcosim.powerflow import solve_power_flow
-from windcosim.scenario import (DEFAULT_FAULT, ConnectionSpec, build_large_scale,
+from windcosim.scenario import (DEFAULT_FAULT, ConnectionSpec, Scenario, build_large_scale,
                                 build_monolithic, build_small_scale, instantiate,
                                 run_scenario, standard_wiring)
 from windcosim.scenario_io import parse_scenario
@@ -239,29 +241,56 @@ def test_fault_at_time_zero_acts_from_the_first_step(build):
     assert v[-1] > 0.95
 
 
-@pytest.mark.parametrize("name", ["monolithic", "small_scale", "large_scale"])
-def test_setup_builds_each_network_artefact_once(name, monkeypatch):
-    sc = parse_scenario(SCENARIO_DIR / f"{name}.scn")
+# Work per shipped study (parse and run), the same in both schemes: a change that
+# adds work fails here on any host; one that removes work updates the row and says why.
+WORK_BUDGET = {                               # monolithic, small_scale, large_scale
+    "splu": (6, 6, 6),                        # 4 Newton iterations + 2 dynamic factorizations
+    "power-flow iterations": (4, 4, 4),
+    "RmsModel._lu_at": (6001, 6001, 6001),
+    "RmsModel._measure": (2001, 2001, 2001),
+    "RmsModel._sgen_columns": (4001, 2001, 2001),   # embedded controllers: also at micro steps
+    "SimComponent.step": (2000, 6000, 130000),
+    "NetworkData.validate": (3, 3, 3),        # the parser's, Scenario.validate's, the grid model's
+    "Scenario.validate": (2, 2, 2),           # the parser's and instantiate's
+    "assemble_ybus": (1, 1, 1),               # each network artefact is built once
+    "branch_stamps": (1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("scheme", ["serial", "parallel"])
+def test_each_shipped_study_does_exactly_its_budgeted_work(scheme, monkeypatch):
     calls = collections.Counter()
 
-    def counted(fn):
+    def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[fn.__name__] += 1
+            calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
+    solve = gridcomp.solve_power_flow
+
+    def power_flow(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        calls["power-flow iterations"] += result.iterations
+        return result
+
+    monkeypatch.setattr(gridcomp, "solve_power_flow", power_flow)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted("splu", scipy.sparse.linalg.splu))
+    for cls, method in ((RmsModel, "_lu_at"), (RmsModel, "_measure"),
+                        (RmsModel, "_sgen_columns"), (SimComponent, "step"),
+                        (NetworkData, "validate"), (Scenario, "validate")):
+        name = f"{cls.__name__}.{method}"
+        monkeypatch.setattr(cls, method, counted(name, vars(cls)[method]))
     # every package module that holds the function, under the name it imported
     for fn in (network.assemble_ybus, network.branch_stamps):
-        wrapped = counted(fn)
+        wrapped = counted(fn.__name__, fn)
         for module in [m for k, m in sys.modules.items() if k.startswith("windcosim")]:
             if getattr(module, fn.__name__, None) is fn:
                 monkeypatch.setattr(module, fn.__name__, wrapped)
-    monkeypatch.setattr(NetworkData, "validate", counted(NetworkData.validate))
-    instantiate(sc).initialize()
-    assert calls["assemble_ybus"] == 1
-    assert calls["branch_stamps"] == 1
-    # Scenario.validate's (kept: see the next test) and the grid model's own
-    assert calls["validate"] <= 2
+    for k, name in enumerate(["monolithic", "small_scale", "large_scale"]):
+        calls.clear()
+        run_scenario(parse_scenario(SCENARIO_DIR / f"{name}.scn"), scheme=scheme)
+        assert dict(calls) == {op: row[k] for op, row in WORK_BUDGET.items()}, name
 
 
 def test_instantiate_rejects_overrides_that_break_a_check():
