@@ -50,7 +50,6 @@ import enum
 import math
 import time as _time
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
@@ -75,34 +74,17 @@ class Direction(enum.Enum):
     OUTPUT = "output"
 
 
-class _ValueObject:
-    """Slotted value object that nothing assigns to after construction: equal to one of its
-    own class with equal ``_key`` fields, hashed by them, printed as a dataclass prints."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return self._key(self) == self._key(other) if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key(self))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class VariableRef(_ValueObject):
+@dataclass(slots=True)
+class VariableRef:
     """Fully qualified handle for one scalar variable of one component; ``vr``,
     its value reference, indexes the component's ``_values`` list and is not
     compared.  It hashes as ``(component_id, name)``: a component declares a name once."""
 
-    __slots__ = ("component_id", "name", "direction", "kind", "vr")
-    _key = attrgetter("component_id", "name", "direction", "kind")
-
-    def __init__(self, component_id: str, name: str, direction: Direction, kind: VarKind, vr=-1):
-        self.component_id, self.name, self.direction = component_id, name, direction
-        self.kind, self.vr = kind, vr
+    component_id: str
+    name: str
+    direction: Direction
+    kind: VarKind
+    vr: int = field(default=-1, compare=False)
 
     def __hash__(self) -> int:
         return hash((self.component_id, self.name))
@@ -111,18 +93,18 @@ class VariableRef(_ValueObject):
         return f"{self.component_id}.{self.name}"
 
 
-class Connection(_ValueObject):
+@dataclass(slots=True, unsafe_hash=True)
+class Connection:
     """Directed signal path ``sink value := gain * source value + offset``.
 
     The affine transform is only meaningful for real signals; integer and
     boolean connections must use the identity transform.
     """
 
-    __slots__ = ("source", "sink", "gain", "offset")
-    _key = attrgetter(*__slots__)
-
-    def __init__(self, source: VariableRef, sink: VariableRef, gain=1.0, offset=0.0):
-        self.source, self.sink, self.gain, self.offset = source, sink, gain, offset
+    source: VariableRef
+    sink: VariableRef
+    gain: float = 1.0
+    offset: float = 0.0
 
     def apply(self, value):
         if self.source.kind is VarKind.REAL:

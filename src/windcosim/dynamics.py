@@ -127,7 +127,8 @@ class RmsModel:
         self.pcc_bus = pcc_bus
         self.omega_s = network.omega_s
 
-        # the run's one validation, pi-branch stamps and bus admittance matrix
+        # validated for direct callers (a scenario run's parser and Scenario.validate have
+        # checked it already), then pi-branch stamps and bus admittance matrix
         network.validate()
         self._index = network.bus_index()
         self._n = len(network.buses)
@@ -153,7 +154,6 @@ class RmsModel:
         self.pm = np.zeros(len(machines))
 
         self.sgen_ids = [sg.id for sg in network.sgens]
-        self._sgen_k = {sid: k for k, sid in enumerate(self.sgen_ids)}
         self.s_bus = np.array([self._index[sg.bus] for sg in network.sgens], dtype=int)
         # complex, as are _load_g and _at_pcc: NumPy would cast a float array at each use
         self.s_scale = np.array([sg.mva / network.base_mva for sg in network.sgens], dtype=complex)
@@ -198,23 +198,8 @@ class RmsModel:
 
     # -- commands ------------------------------------------------------------
 
-    def set_sgen_command(self, sgen_id: str, i_d: float | None = None,
-                         i_q: float | None = None, status: bool | None = None) -> None:
-        """Set one sgen's command; a current left out keeps its value (up to the
-        sign of a zero), a status left out keeps its value."""
-        try:
-            k = self._sgen_k[sgen_id]
-        except KeyError:
-            raise ValueError(f"no static generator '{sgen_id}'") from None
-        if i_d is not None or i_q is not None:
-            cmd = complex(self._s_cmd[k])
-            self._s_cmd[k] = (cmd.real if i_d is None else i_d) - 1j * (
-                -cmd.imag if i_q is None else i_q)
-        if status is not None:
-            self._s_gain[k] = self.s_scale[k] * bool(status)
-
     def set_sgen_commands(self, k: np.ndarray | int, i_d, i_q, status) -> None:
-        """``set_sgen_command`` for the sgens at position(s) ``k`` of ``sgen_ids`` at once:
+        """Set the currents and status of the sgens at position(s) ``k`` of ``sgen_ids``:
         numbers at one position, arrays (``status`` also a list) at several."""
         self._s_cmd[k] = i_d - 1j * i_q
         self._s_gain[k] = self.s_scale[k] * status

@@ -57,8 +57,9 @@ class GridComponent(SimComponent):
         self._ran_micro = False
         self._pf = None
 
+        known = set(model.sgen_ids)
         for sid in list(self.setpoints) + list(self.embedded):
-            if sid not in model._sgen_k:
+            if sid not in known:
                 raise UnknownVariableError(f"no static generator '{sid}' in network")
         for bid in extra_bus_voltages:
             if bid not in model._index:
@@ -108,10 +109,10 @@ class GridComponent(SimComponent):
         for sid, v in zip(self.model.sgen_ids, self._pf.v[self.model.s_bus]):
             self.set(f"v_{sid}", abs(v))
             self.set(f"theta_{sid}", float(np.angle(v)))
-        for sid, (conv, sup) in self.embedded.items():
-            i_d, i_q = conv.equilibrium(self.get(f"v_{sid}"))
+        for k, conv, sup, _, _, _ in self._embedded_at:
+            i_d, i_q = conv.equilibrium(self.get(f"v_{self.model.sgen_ids[k]}"))
             sup.seed(i_d)
-            self.model.set_sgen_command(sid, i_d=i_d, i_q=i_q)
+            self.model.set_sgen_commands(k, i_d, i_q, True)
 
     def finish_init(self) -> None:
         self._take_commands()

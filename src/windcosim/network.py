@@ -9,7 +9,7 @@ standard pi model with an off-nominal tap on the ``from`` side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -104,25 +104,6 @@ class NetworkData:
 
     def bus_index(self) -> dict[int, int]:
         return {bus.id: i for i, bus in enumerate(self.buses)}
-
-    def bus(self, bus_id: int) -> Bus:
-        for bus in self.buses:
-            if bus.id == bus_id:
-                return bus
-        raise TopologyError(f"no bus with id {bus_id}")
-
-    def sgen(self, sgen_id: str) -> StaticGenerator:
-        for sg in self.sgens:
-            if sg.id == sgen_id:
-                return sg
-        raise TopologyError(f"no static generator '{sgen_id}'")
-
-    def with_bus(self, bus_id: int, **changes) -> "NetworkData":
-        """Copy of the network with one bus record replaced."""
-        buses = [replace(b, **changes) if b.id == bus_id else b for b in self.buses]
-        out = NetworkData(self.name, self.base_mva, self.frequency_hz,
-                          buses, list(self.branches), list(self.machines), list(self.sgens))
-        return out
 
     def branch_between(self, bus_a: int, bus_b: int) -> tuple[int, bool] | None:
         """The first branch joining two buses, in either order: its index and

@@ -330,7 +330,7 @@ def run_scenario(scenario: Scenario, scheme: Scheme | str | None = None,
     if scheme is not None or macro_step is not None or t_end is not None:
         master_cfg = replace(
             master_cfg,
-            scheme=Scheme(scheme) if scheme is not None else master_cfg.scheme,
+            scheme=scheme if scheme is not None else master_cfg.scheme,
             macro_step=macro_step if macro_step is not None else master_cfg.macro_step,
             t_end=t_end if t_end is not None else master_cfg.t_end)
         sc = replace(sc, master=master_cfg)

@@ -355,10 +355,10 @@ def _smib(d=0.0):
 def _equilibrated(net, sgen_pq, micro_step=5e-4, events=None):
     model = RmsModel(net, micro_step=micro_step, events=events or [])
     pf = solve_power_flow(net, model.ybus, sgen_pq)
-    for sg in net.sgens:
+    for k, sg in enumerate(net.sgens):
         p, q = sgen_pq.get(sg.id, (0.0, 0.0))
         vm = abs(pf.voltage(sg.bus))
-        model.set_sgen_command(sg.id, i_d=p / vm, i_q=q / vm, status=True)
+        model.set_sgen_commands(k, p / vm, q / vm, True)
     model.init_equilibrium(pf)
     return model
 

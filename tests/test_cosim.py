@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -189,6 +190,17 @@ def test_connections_compare_and_hash_by_all_four_fields():
     assert len({made, *others}) == 5
     assert made != (src, sink, 1.0, 0.0)
     assert repr(same) == f"Connection(source={src!r}, sink={sink!r}, gain=1.0, offset=0.0)"
+
+
+def test_variable_refs_and_connections_are_slotted_dataclasses():
+    ref = Counter("c").ref("idx")
+    conn = Connection(ref, VariableRef("d", "inp", Direction.INPUT, VarKind.INT))
+    for obj in (ref, conn):
+        assert dataclasses.is_dataclass(obj) and not hasattr(obj, "__dict__")
+    vr = {f.name: f for f in dataclasses.fields(VariableRef)}["vr"]
+    assert vr.default == -1 and not vr.compare
+    moved = dataclasses.replace(ref, vr=9)
+    assert moved.vr == 9 and moved == ref and hash(moved) == hash(ref)
 
 
 def test_unknown_variable():

@@ -36,10 +36,10 @@ def nine_bus_with_plant():
 def equilibrated(net, sgen_pq, micro_step=5e-4, events=None, **kw):
     model = RmsModel(net, micro_step=micro_step, events=events or [], **kw)
     pf = solve_power_flow(net, model.ybus, sgen_pq)
-    for sg in net.sgens:
+    for k, sg in enumerate(net.sgens):
         p, q = sgen_pq.get(sg.id, (0.0, 0.0))
         vm = abs(pf.voltage(sg.bus))
-        model.set_sgen_command(sg.id, i_d=p / vm, i_q=q / vm, status=True)
+        model.set_sgen_commands(k, p / vm, q / vm, True)
     model.init_equilibrium(pf)
     return model, pf
 
@@ -196,7 +196,7 @@ def test_fault_add_remove_restores_factorization():
 def test_disconnected_sgen_injects_nothing():
     net = nine_bus_with_plant()
     model, _ = equilibrated(net, {"wpp": (0.85, 0.0)})
-    model.set_sgen_command("wpp", status=False)
+    model.set_sgen_commands(0, 0.85, 0.0, False)           # a live command, tripped
     model.advance(0.0, 5e-4)
     _, _, p, q = model.last_measurements.sgen_columns
     assert p == [0.0] and q == [0.0]
@@ -209,7 +209,7 @@ def test_on_micro_callback_drives_commands():
 
     def on_micro(t, meas, h):
         calls.append((t, h))
-        model.set_sgen_command("wpp", i_d=0.0, i_q=0.0)
+        model.set_sgen_commands(0, 0.0, 0.0, True)
 
     model.advance(0.0, 2e-3, on_micro=on_micro)
     assert len(calls) == 4
@@ -293,12 +293,6 @@ def test_pcc_branch_is_measured_at_the_pcc_end_in_either_order():
         RmsModel(nine_bus_with_plant(), pcc_bus=3, pcc_branch=(4, 5))
 
 
-def test_unknown_sgen_command():
-    model = RmsModel(nine_bus_with_plant())
-    with pytest.raises(ValueError):
-        model.set_sgen_command("ghost", i_d=0.1)
-
-
 def test_sgen_currents_match_the_separate_command_formula_bit_for_bit():
     # the stored phasor i_d - 1j i_q and gain s_scale * status give the bits of
     # (i_d - 1j i_q) * unit * s_scale * on, also for signed zeros and a tripped sgen
@@ -319,8 +313,8 @@ def test_sgen_currents_match_the_separate_command_formula_bit_for_bit():
 
     for _ in range(50):
         d, q, status = draw(n), draw(n), rng.random(n) < 0.7
-        for k, sg in enumerate(net.sgens):                  # one sgen by id
-            model.set_sgen_command(sg.id, i_d=d[k], i_q=q[k], status=bool(status[k]))
+        for k in range(n):                                  # each sgen at its position
+            model.set_sgen_commands(k, d[k], q[k], bool(status[k]))
         i_d[:], i_q[:], on[:] = d, q, status
         check()
         k = rng.permutation(n)[:3]                          # several by position
@@ -331,7 +325,7 @@ def test_sgen_currents_match_the_separate_command_formula_bit_for_bit():
         i_d[k], i_q[k], on[k] = float(draw(1)[0]), float(draw(1)[0]), True
         model.set_sgen_commands(k, float(i_d[k]), float(i_q[k]), True)
         check()
-        model.set_sgen_command(net.sgens[k].id, status=False)    # the phasor stays
+        model.set_sgen_commands(k, i_d[k], i_q[k], False)      # tripped, the same phasor
         on[k] = 0.0
         check()
 
@@ -467,6 +461,8 @@ def test_committed_voltages_match_a_direct_solve(monkeypatch, net, sgen_pq, faul
 
     worst, checked = 0.0, 0
     cur = model._sgen_currents()
+    at = [model.sgen_ids.index(sid) for sid in sgen_pq]
+    i_d = model._s_cmd.real[at]            # the equilibrium currents the micro steps keep
 
     def check(t, v):
         nonlocal worst, checked
@@ -481,8 +477,7 @@ def test_committed_voltages_match_a_direct_solve(monkeypatch, net, sgen_pq, faul
         for got, want in zip(columns, (np.abs(vb), s_mach.real, s_mach.imag)):
             worst = max(worst, float(np.max(np.abs(np.array(got) - want), initial=0.0)))
         checked += 1
-        for sid in sgen_pq:
-            model.set_sgen_command(sid, i_q=0.1 + 0.05 * math.sin(2e3 * t))
+        model.set_sgen_commands(at, i_d, 0.1 + 0.05 * math.sin(2e3 * t), True)
         cur = model._sgen_currents()       # what enters this micro step's network
 
     monkeypatch.setattr(spla, "splu", counting_splu)
@@ -524,7 +519,8 @@ def test_stage_power_matches_a_full_network_solve(net, sgen_pq, fault_bus):
         for _ in range(3):
             model.delta = model.delta + rng.uniform(-0.3, 0.3, nm)
             for sid in sgen_pq:
-                model.set_sgen_command(sid, i_d=rng.uniform(0.2, 1.0), i_q=rng.uniform(-0.2, 0.2))
+                model.set_sgen_commands(model.sgen_ids.index(sid), rng.uniform(0.2, 1.0),
+                                        rng.uniform(-0.2, 0.2), True)
             cur = model._sgen_currents()
             e = model.e_mag * np.exp(1j * model.delta)
             v_m = direct_solve(model, t, cur)[model.m_bus]
@@ -604,7 +600,8 @@ def test_micro_step_matches_an_array_rk4(net, sgen_pq, fault_bus):
             model.delta = model.delta + rng.uniform(-0.3, 0.3, nm)
             model.domega = rng.uniform(-0.01, 0.01, nm)
             for sid in sgen_pq:
-                model.set_sgen_command(sid, i_d=rng.uniform(0.2, 1.0), i_q=rng.uniform(-0.2, 0.2))
+                model.set_sgen_commands(model.sgen_ids.index(sid), rng.uniform(0.2, 1.0),
+                                        rng.uniform(-0.2, 0.2), True)
             delta, domega = array_rk4_step(model, model._lu_at(t)[0], model._sgen_currents(), h)
             meas = model.advance(t, h)
             assert meas.t == t + h

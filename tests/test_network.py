@@ -234,20 +234,7 @@ def test_model_rejects_a_zero_base_before_dividing_by_it():
 
 def test_bus_and_sgen_lookup():
     net = wscc9_without_g3()
-    assert net.bus(5).p_load == 1.25
-    with pytest.raises(TopologyError):
-        net.bus(42)
-    with pytest.raises(TopologyError):
-        net.sgen("nope")
     assert net.bus_index()[1] == 0
-
-
-def test_with_bus_replaces_one_record():
-    net = wscc9_without_g3()
-    mod = net.with_bus(5, p_load=2.0)
-    assert mod.bus(5).p_load == 2.0
-    assert net.bus(5).p_load == 1.25
-    assert mod.bus(6) == net.bus(6)
 
 
 def test_omega_s():
