@@ -183,6 +183,13 @@ def test_run_scenario_applies_overrides_and_reports_events():
     assert meta2.events == [dict(bus=6, start=1.0, duration=0.18, admittance=1e6)]
 
 
+def test_run_scenario_rejects_an_unknown_scheme_name():
+    sc = build_monolithic(t_end=0.02, fault=None)
+    with pytest.raises(ValueError, match="'jacobi' is not a valid Scheme"):
+        run_scenario(sc, scheme="jacobi")
+    assert sc.master.scheme is Scheme.SERIAL
+
+
 def test_off_grid_fault_times_are_reported_with_the_applied_times():
     off = FaultEvent(bus=6, start=0.0203, duration=0.01)
     trace, meta = run_scenario(build_small_scale(t_end=0.05, fault=off))
