@@ -64,8 +64,7 @@ class ConverterParams:
 
     def __post_init__(self):
         check_domains(self, ValueError)
-        if isinstance(self.q_mode, str):
-            object.__setattr__(self, "q_mode", QMode(self.q_mode))
+        object.__setattr__(self, "q_mode", QMode(self.q_mode))
 
 
 def current_limit(i_d: float, i_q: float, i_max: float,

@@ -207,19 +207,22 @@ class Scheme(enum.Enum):
 MAX_MACRO_STEPS = 10**7    # longest run accepted: a mistyped t_end must not hang a run
 
 
-@dataclass
+@dataclass(frozen=True)
 class MasterConfig:
-    """Orchestration settings for one run."""
+    """Orchestration settings for one run, checked when built; ``scheme`` may be a name."""
 
     macro_step: float = field(default=1e-3, metadata=err.POSITIVE)
     t_end: float = field(default=2.0, metadata=err.NON_NEGATIVE)
     scheme: Scheme = Scheme.SERIAL
-    record: list[str] = field(default_factory=list)
+    record: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if isinstance(self.scheme, str):
-            self.scheme = Scheme(self.scheme)
+        object.__setattr__(self, "scheme", Scheme(self.scheme))
+        object.__setattr__(self, "record", tuple(self.record))
         err.check_domains(self, ValueError)
+        repeated = sorted({name for name in self.record if self.record.count(name) > 1})
+        if repeated:
+            raise ValueError(f"record names {', '.join(repeated)} more than once")
         if self.t_end / self.macro_step > MAX_MACRO_STEPS:
             raise ValueError(f"t_end / macro_step is {self.t_end / self.macro_step:.3g} "
                              f"macro steps, above the cap of {MAX_MACRO_STEPS}")

@@ -127,9 +127,6 @@ class RmsModel:
         self.pcc_bus = pcc_bus
         self.omega_s = network.omega_s
 
-        # validated for direct callers (a scenario run's parser and Scenario.validate have
-        # checked it already), then pi-branch stamps and bus admittance matrix
-        network.validate()
         self._index = network.bus_index()
         self._n = len(network.buses)
         f, t, y_ff, y_ft, y_tf, y_tt = branches = branch_stamps(network)
@@ -186,6 +183,8 @@ class RmsModel:
         # the PCC end's position in the stacked branch ends, or None to sum the power of
         # the sgens on the PCC bus (1 in _at_pcc); the flow is taken at the PCC end
         self._pcc_end = None
+        if pcc_bus is not None and pcc_bus not in self._index:
+            raise InitializationError(f"pcc bus {pcc_bus} not in network")
         self._at_pcc = np.array([sg.bus == pcc_bus for sg in network.sgens], dtype=complex)
         if pcc_branch is not None:
             a, b = pcc_branch

@@ -14,9 +14,9 @@ lists them run by run: a step reads the commands as three slices of the
 values and writes the measurement columns as four.
 
 The component wraps an ``RmsModel`` built by its caller, which has
-validated the network and built its one bus admittance matrix; the
-component reads the network from the model, and the power flow runs on
-that matrix.
+built the network's one bus admittance matrix (a ``NetworkData`` checks
+itself when it is built); the component reads the network from the
+model, and the power flow runs on that matrix.
 
 Initialization follows the staged protocol: ``equilibrate`` runs the
 power flow with the plant setpoints fixed, publishes terminal voltages

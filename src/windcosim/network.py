@@ -88,15 +88,22 @@ class FaultEvent:
         return self.start + self.duration
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkData:
+    """A network: it checks itself when built, and ``replace`` derives a changed one."""
+
     name: str = ""
     base_mva: float = field(default=100.0, metadata=POSITIVE)
     frequency_hz: float = field(default=60.0, metadata=POSITIVE)
-    buses: list[Bus] = field(default_factory=list)
-    branches: list[Branch] = field(default_factory=list)
-    machines: list[SynchronousMachine] = field(default_factory=list)
-    sgens: list[StaticGenerator] = field(default_factory=list)
+    buses: tuple[Bus, ...] = ()
+    branches: tuple[Branch, ...] = ()
+    machines: tuple[SynchronousMachine, ...] = ()
+    sgens: tuple[StaticGenerator, ...] = ()
+
+    def __post_init__(self):
+        for name in ("buses", "branches", "machines", "sgens"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        self.validate()
 
     @property
     def omega_s(self) -> float:
@@ -170,7 +177,7 @@ class NetworkData:
 
 
 def branch_stamps(network: NetworkData) -> tuple[np.ndarray, ...]:
-    """Pi-model stamps of a valid network's branches: six arrays aligned with
+    """Pi-model stamps of a network's branches: six arrays aligned with
     ``network.branches``, the end bus indices ``f``, ``t`` and the admittances
     ``y_ff``, ``y_ft``, ``y_tf``, ``y_tt``.  The current entering a branch is
     ``y_ff v_f + y_ft v_t`` at its from side and ``y_tt v_t + y_tf v_f`` at
@@ -193,8 +200,8 @@ def branch_stamps(network: NetworkData) -> tuple[np.ndarray, ...]:
 def assemble_ybus(stamps: tuple[np.ndarray, ...], n_bus: int) -> sp.csc_matrix:
     """Bus admittance matrix of ``n_bus`` buses: the sum of ``branch_stamps``,
     entered per branch in the order ff, tt, ft, tf (the order fixes the
-    rounding of the sums).  The caller validates the network and owns the
-    stamps; ``RmsModel`` builds the one matrix a run uses."""
+    rounding of the sums).  The caller owns the stamps of a network, which
+    checked itself when it was built; ``RmsModel`` builds the one matrix a run uses."""
     f, t, y_ff, y_ft, y_tf, y_tt = stamps
     rows = np.column_stack((f, t, f, t)).ravel()
     cols = np.column_stack((f, t, t, f)).ravel()

@@ -6,8 +6,8 @@ base), so a converter-dominated plant can be dispatched without a
 voltage-controlled bus.  Convergence is max |mismatch| < ``TOL`` on both
 active and reactive equations.
 
-The flow runs on the bus admittance matrix it is given and validates
-nothing: ``RmsModel`` validates the network and builds that one matrix.
+The flow runs on the bus admittance matrix ``RmsModel`` builds, and checks
+nothing: a ``NetworkData`` checks itself when it is built.
 The Jacobian is sparse on Y's pattern, laid out once per call: each
 iteration fills it from MATPOWER's dS/dV terms and takes one sparse LU.
 """

@@ -67,20 +67,29 @@ class ConnectionSpec:
     offset: float = field(default=0.0, metadata=FINITE)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
+    """A study: it checks itself when built, and ``replace`` derives a changed one."""
+
     name: str
     mode: str                        # "monolithic" | "cosim"
     network: NetworkData
-    wtgs: list[WtgSpec]
+    wtgs: tuple[WtgSpec, ...]
     wpp_rating_mva: float
     pcc_bus: int
     master: MasterConfig
     micro_step: float = field(default=5e-4, metadata=POSITIVE)
     pcc_branch: tuple[int, int] | None = None
-    events: list[FaultEvent] = field(default_factory=list)
-    connections: list[ConnectionSpec] = field(default_factory=list)
+    events: tuple[FaultEvent, ...] = ()
+    connections: tuple[ConnectionSpec, ...] = ()
     export_bus_v: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        for name in ("wtgs", "events", "connections", "export_bus_v"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if self.pcc_branch is not None:
+            object.__setattr__(self, "pcc_branch", tuple(self.pcc_branch))
+        self.validate()
 
     def component_ids(self) -> list[str]:
         ids = ["grid"]
@@ -94,7 +103,6 @@ class Scenario:
     def validate(self) -> None:
         if self.mode not in ("monolithic", "cosim"):
             raise ScenarioValidationError(f"unknown mode '{self.mode}'")
-        self.network.validate()
         sgen_mva = {sg.id: sg.mva for sg in self.network.sgens}
         wtg_ids = [w.id for w in self.wtgs]
         if len(set(wtg_ids)) != len(wtg_ids):
@@ -112,9 +120,11 @@ class Scenario:
         ids = {b.id for b in self.network.buses}
         if self.pcc_bus not in ids:
             raise ScenarioValidationError(f"pcc bus {self.pcc_bus} not in network")
-        for bus in self.export_bus_v:
+        for i, bus in enumerate(self.export_bus_v):
             if bus not in ids:
                 raise ScenarioValidationError(f"export_bus_v: bus {bus} not in network")
+            if bus in self.export_bus_v[:i]:
+                raise ScenarioValidationError(f"export_bus_v: bus {bus} is repeated")
         if self.pcc_branch is not None:
             fb, tb = self.pcc_branch
             if self.network.branch_between(fb, tb) is None:
@@ -185,8 +195,8 @@ def _aggregated_scenario(name: str, mode: str, t_end: float, macro_step: float,
                          micro_step: float, fault: FaultEvent | None,
                          plant_mw: float, plant_mvar: float, rating_mva: float,
                          frt_ramp: bool, scheme: Scheme) -> Scenario:
-    network = wscc9_without_g3()
-    network.sgens = [StaticGenerator(id="wpp", bus=PCC_BUS, mva=rating_mva)]
+    network = replace(wscc9_without_g3(),
+                      sgens=[StaticGenerator(id="wpp", bus=PCC_BUS, mva=rating_mva)])
     wtg = WtgSpec(
         id="wpp",
         p_ref=plant_mw / rating_mva,
@@ -263,9 +273,7 @@ def build_large_scale(t_end: float = 2.0, macro_step: float = 1e-3,
             sgens.append(StaticGenerator(id=wid, bus=bus_id, mva=rating_mva / n))
             wtg_ids.append(wid)
             prev = bus_id
-    network.buses = buses
-    network.branches = branches
-    network.sgens = sgens
+    network = replace(network, buses=buses, branches=branches, sgens=sgens)
 
     # voltage-mode q loop, as in the aggregated scenarios; the park-level
     # reactive setpoint still enters through each turbine's q_ref dispatch
@@ -290,9 +298,7 @@ def build_large_scale(t_end: float = 2.0, macro_step: float = 1e-3,
 
 def instantiate(scenario: Scenario) -> Master:
     """Build and wire a master from a scenario description."""
-    scenario.validate()         # again: a parsed scenario may have been changed since
-    config = replace(scenario.master, record=list(scenario.master.record))
-    master = Master(config)
+    master = Master(scenario.master)
     setpoints = {w.id: (w.p_ref, w.q_ref) for w in scenario.wtgs}
     embedded = None
     if scenario.mode == "monolithic":
@@ -325,15 +331,9 @@ def instantiate(scenario: Scenario) -> Master:
 def run_scenario(scenario: Scenario, scheme: Scheme | str | None = None,
                  macro_step: float | None = None, t_end: float | None = None):
     """Convenience: apply overrides, instantiate, run.  Returns (trace, meta)."""
-    sc = scenario
-    master_cfg = sc.master
-    if scheme is not None or macro_step is not None or t_end is not None:
-        master_cfg = replace(
-            master_cfg,
-            scheme=scheme if scheme is not None else master_cfg.scheme,
-            macro_step=macro_step if macro_step is not None else master_cfg.macro_step,
-            t_end=t_end if t_end is not None else master_cfg.t_end)
-        sc = replace(sc, master=master_cfg)
+    overrides = dict(scheme=scheme, macro_step=macro_step, t_end=t_end)
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    sc = replace(scenario, master=replace(scenario.master, **overrides)) if overrides else scenario
     master = instantiate(sc)
     trace, meta = master.run(scenario_name=sc.name)
     meta.events = [dict(bus=ev.bus, start=ev.start, duration=ev.duration,

@@ -148,7 +148,7 @@ def _fmt(value) -> str:
         return repr(value)
     if isinstance(value, enum.Enum):
         return str(value.value)
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, tuple):
         return " ".join(_fmt(v) for v in value)
     return str(value)
 
@@ -262,12 +262,11 @@ def parse_scenario_text(text: str) -> Scenario:
         raise ScenarioValidationError(str(exc)) from exc
     top["wtgs"] = [WtgSpec(**row, **{kw: params[kw][row["id"]] for kw in _CONTROLLERS})
                    for row in top["wtgs"]]
-    scenario = Scenario(**top, network=NetworkData(**attrs["network"]), master=master)
     try:
-        scenario.validate()
+        network = NetworkData(**attrs["network"])
     except TopologyError as exc:
         raise ScenarioValidationError(f"network: {exc}") from exc
-    return scenario
+    return Scenario(**top, network=network, master=master)
 
 
 def parse_scenario(path: str | os.PathLike) -> Scenario:
@@ -293,7 +292,7 @@ def serialize_scenario(scenario: Scenario) -> str:
         out.append(f"[{section}]")
         for key, (_, path) in scalars.items():
             value = attrgetter(path)(scenario)
-            if value not in (None, (), []):
+            if value not in (None, ()):
                 out.append(f"{key} = {_fmt(value)}")
         if section == "controller":         # defaults from the first turbine, then overrides
             shared = {kw: getattr(scenario.wtgs[0], kw) for kw in _CONTROLLERS}

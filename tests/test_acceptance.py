@@ -9,6 +9,7 @@ see the verdicts; a plain ``pytest`` run still enforces them.
 import math
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -173,8 +174,7 @@ def test_c3_power_flow_oracles():
         worst_two_bus = max(worst_two_bus, abs(res.voltage(2) - expected))
         iters_ok &= res.iterations <= 10
 
-    net9 = wscc9_without_g3()
-    net9.sgens.append(StaticGenerator(id="wpp", bus=3, mva=100.0))
+    net9 = replace(wscc9_without_g3(), sgens=[StaticGenerator(id="wpp", bus=3, mva=100.0)])
     res9 = solve_power_flow(net9, _ybus(net9), {"wpp": (0.85, 0.0)})
     bus_ids, v_oracle = naive_power_flow(net9, {"wpp": (0.85, 0.0)})
     nine_dev = float(np.max(np.abs(res9.v - v_oracle)))
@@ -389,8 +389,7 @@ def test_c7_numerical_integrity():
         od, oq, _, _ = current_limit(d, q, i_max, pr)
         worst_norm = max(worst_norm, math.hypot(od, oq))
 
-    net = wscc9_without_g3()
-    net.sgens.append(StaticGenerator(id="wpp", bus=3, mva=100.0))
+    net = replace(wscc9_without_g3(), sgens=[StaticGenerator(id="wpp", bus=3, mva=100.0)])
     model = _equilibrated(net, {"wpp": (0.85, 0.0)},
                           events=[FaultEvent(bus=6, start=0.05, duration=0.1)])
     v_pre = model.solve_network(0.0)

@@ -29,8 +29,7 @@ from oracles import branch_loss_pu, smib_frequency_hz
 
 def nine_bus_with_plant():
     net = wscc9_without_g3()
-    net.sgens.append(StaticGenerator(id="wpp", bus=3, mva=100.0))
-    return net
+    return dataclasses.replace(net, sgens=[StaticGenerator(id="wpp", bus=3, mva=100.0)])
 
 
 def equilibrated(net, sgen_pq, micro_step=5e-4, events=None, **kw):
@@ -279,6 +278,11 @@ def test_unknown_pcc_branch_rejected():
         RmsModel(nine_bus_with_plant(), pcc_branch=(1, 99))
 
 
+def test_unknown_pcc_bus_rejected():
+    with pytest.raises(InitializationError, match="pcc bus 99 not in network"):
+        RmsModel(nine_bus_with_plant(), pcc_bus=99)
+
+
 def test_pcc_branch_is_measured_at_the_pcc_end_in_either_order():
     events = [FaultEvent(bus=6, start=0.002, duration=0.002)]
     runs = []
@@ -296,8 +300,8 @@ def test_pcc_branch_is_measured_at_the_pcc_end_in_either_order():
 def test_sgen_currents_match_the_separate_command_formula_bit_for_bit():
     # the stored phasor i_d - 1j i_q and gain s_scale * status give the bits of
     # (i_d - 1j i_q) * unit * s_scale * on, also for signed zeros and a tripped sgen
-    net = wscc9_without_g3()
-    net.sgens = [StaticGenerator(id=f"w{b}", bus=b, mva=10.0 * b) for b in (3, 5, 6, 8, 9)]
+    net = dataclasses.replace(wscc9_without_g3(), sgens=[
+        StaticGenerator(id=f"w{b}", bus=b, mva=10.0 * b) for b in (3, 5, 6, 8, 9)])
     model, _ = equilibrated(net, {sg.id: (0.3, 0.1) for sg in net.sgens})
     n, rng = len(net.sgens), np.random.default_rng(7)
     i_d, i_q, on = np.zeros(n), np.zeros(n), np.ones(n)
@@ -417,9 +421,10 @@ def machineless():
 def three_machines():
     # the nine-bus network with its third machine restored at the plant bus
     net = nine_bus_with_plant()
-    net.buses[2] = dataclasses.replace(net.buses[2], btype="pv", v_set=1.025, p_gen=0.85)
-    net.machines.append(SynchronousMachine(bus=3, h=3.01, d=6.0, xd_p=0.1813))
-    return net
+    return dataclasses.replace(
+        net, buses=[*net.buses[:2], dataclasses.replace(net.buses[2], btype="pv", v_set=1.025,
+                                                        p_gen=0.85), *net.buses[3:]],
+        machines=[*net.machines, SynchronousMachine(bus=3, h=3.01, d=6.0, xd_p=0.1813)])
 
 
 def direct_solve(model, t, cur):

@@ -1,5 +1,7 @@
 """Grid component: staged init, flat runs, embedded-vs-coupled equivalence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,7 @@ SETPOINT = {"wpp": (0.85, 0.0)}
 
 
 def plant_network():
-    net = wscc9_without_g3()
-    net.sgens = [StaticGenerator(id="wpp", bus=3, mva=100.0)]
-    return net
+    return replace(wscc9_without_g3(), sgens=[StaticGenerator(id="wpp", bus=3, mva=100.0)])
 
 
 def make_embedded():
@@ -194,9 +194,9 @@ def test_step_outputs_have_declared_kinds_across_a_fault():
 def test_sgen_variables_are_declared_as_runs_in_network_order():
     # each kind of sgen variable is one run of value references; the embedded
     # turbine has no inputs, so the input runs skip it
-    net = wscc9_without_g3()
-    net.sgens = [StaticGenerator(id=sid, bus=b, mva=20.0)
-                 for sid, b in (("a", 3), ("emb", 5), ("c", 8), ("d", 6))]
+    net = replace(wscc9_without_g3(), sgens=[
+        StaticGenerator(id=sid, bus=b, mva=20.0)
+        for sid, b in (("a", 3), ("emb", 5), ("c", 8), ("d", 6))])
     setpoints = {sg.id: (0.5, 0.0) for sg in net.sgens}
     embedded = {"emb": (ConverterControl(ConverterParams(), 0.5, 0.0), FrtControl(FrtParams()))}
     comp = GridComponent("grid", RmsModel(net), setpoints, embedded=embedded)
@@ -221,10 +221,9 @@ def test_sgen_variables_are_declared_as_runs_in_network_order():
 def test_column_commands_address_the_right_sgens():
     # the embedded turbine sits between the two commanded ones, so the
     # commanded positions (0 and 2) are not contiguous
-    net = wscc9_without_g3()
-    net.sgens = [StaticGenerator(id="a", bus=3, mva=20.0),
-                 StaticGenerator(id="emb", bus=5, mva=20.0),
-                 StaticGenerator(id="c", bus=8, mva=20.0)]
+    net = replace(wscc9_without_g3(), sgens=[StaticGenerator(id="a", bus=3, mva=20.0),
+                                             StaticGenerator(id="emb", bus=5, mva=20.0),
+                                             StaticGenerator(id="c", bus=8, mva=20.0)])
     setpoints = {"a": (0.6, 0.0), "emb": (0.5, 0.0), "c": (0.7, 0.1)}
 
     def run(trip):

@@ -297,6 +297,7 @@ def test_cli_usage_and_input_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("old, new", [
     ("export_bus_v = 6", "export_bus_v = 0"),
+    ("export_bus_v = 6", "export_bus_v = 6 6"),
     ("pcc_bus = 3", "pcc_bus = 3\npcc_branch = 3 99"),
     ("pcc_bus = 3", "pcc_bus = 3\npcc_branch = 4 5"),
     ("t_end = 0.02", "t_end = 1e300"),
@@ -323,6 +324,7 @@ def test_cli_usage_and_input_errors(tmp_path, capsys):
     ("connect frt_wpp.mode conv_wpp.frt_mode", "connect grid.v_pcc conv_wpp.frt_mode"),
     ("connect grid.q_wpp conv_wpp.q_meas", "connect conv_wpp.v_meas conv_wpp.q_meas"),
     ("record = grid.v_pcc", "record = grid.nope grid.v_pcc"),
+    ("record = grid.v_pcc", "record = grid.v_pcc grid.v_pcc"),
 ])
 def test_cli_rejects_out_of_domain_inputs_with_exit_1(tmp_path, capsys, old, new):
     text = serialize_scenario(build_small_scale(t_end=0.02, fault=None))

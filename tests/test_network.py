@@ -134,65 +134,58 @@ def test_validate_accepts_nine_bus():
 
 
 def _invalid_cases():
+    """Each case builds an invalid network when called: a network checks itself
+    when it is built, so the call is what raises."""
     base = wscc9_without_g3()
-    dup = NetworkData(buses=[Bus(1, 110.0, "slack"), Bus(1, 110.0)],
-                      branches=[Branch(1, 1, 0.01, 0.1)])
-    no_slack = NetworkData(buses=[Bus(1, 110.0), Bus(2, 110.0)],
-                           branches=[Branch(1, 2, 0.01, 0.1)])
-    two_slack = NetworkData(buses=[Bus(1, 110.0, "slack"), Bus(2, 110.0, "slack")],
-                            branches=[Branch(1, 2, 0.01, 0.1)])
-    bad_type = NetworkData(buses=[Bus(1, 110.0, "slak")], branches=[])
-    ghost_branch = NetworkData(buses=[Bus(1, 110.0, "slack"), Bus(2, 110.0)],
-                               branches=[Branch(1, 3, 0.01, 0.1)])
-    zero_z = NetworkData(buses=[Bus(1, 110.0, "slack"), Bus(2, 110.0)],
-                         branches=[Branch(1, 2, 0.0, 0.0)])
-    bad_tap = NetworkData(buses=[Bus(1, 110.0, "slack"), Bus(2, 110.0)],
-                          branches=[Branch(1, 2, 0.01, 0.1, tap=0.0)])
-    isolated = NetworkData(buses=[Bus(1, 110.0, "slack"), Bus(2, 110.0), Bus(3, 110.0)],
-                           branches=[Branch(1, 2, 0.01, 0.1)])
-    split = NetworkData(buses=[Bus(1, 110.0, "slack"), Bus(2, 110.0),
-                               Bus(3, 110.0), Bus(4, 110.0)],
-                        branches=[Branch(1, 2, 0.01, 0.1), Branch(3, 4, 0.01, 0.1)])
-    ghost_machine = NetworkData(
-        buses=base.buses, branches=base.branches,
-        machines=[SynchronousMachine(bus=99, h=5.0, d=1.0, xd_p=0.1)])
-    bad_machine = NetworkData(
-        buses=base.buses, branches=base.branches,
-        machines=[SynchronousMachine(bus=1, h=-5.0, d=1.0, xd_p=0.1)])
+
+    def net(buses, branches):
+        return lambda: NetworkData(buses=buses, branches=branches)
+
+    def derived(**fields):      # the nine-bus network with some fields replaced
+        return lambda: replace(base, **fields)
 
     def machine(**params):
-        return replace(bad_machine, machines=[
+        return derived(machines=[
             SynchronousMachine(**{"bus": 1, "h": 5.0, "d": 1.0, "xd_p": 0.1, **params})])
 
     def branch(**params):       # on branch 4-5
-        return replace(base, branches=[replace(br, **params) if k == 3 else br
-                                       for k, br in enumerate(base.branches)])
+        return derived(branches=[replace(br, **params) if k == 3 else br
+                                 for k, br in enumerate(base.branches)])
 
     def bus(**params):          # on bus 4
-        return replace(base, buses=[replace(b, **params) if k == 3 else b
-                                    for k, b in enumerate(base.buses)])
+        return derived(buses=[replace(b, **params) if k == 3 else b
+                              for k, b in enumerate(base.buses)])
 
-    ghost_sgen = NetworkData(buses=base.buses, branches=base.branches,
-                             sgens=[StaticGenerator(id="w", bus=99, mva=10.0)])
-    bad_mva = NetworkData(buses=base.buses, branches=base.branches,
-                          sgens=[StaticGenerator(id="w", bus=3, mva=0.0)])
-    dup_sgen = NetworkData(buses=base.buses, branches=base.branches,
-                           sgens=[StaticGenerator(id="w", bus=3, mva=10.0),
-                                  StaticGenerator(id="w", bus=3, mva=10.0)])
+    def sgen(sid="w", bus=3, mva=10.0):
+        return StaticGenerator(id=sid, bus=bus, mva=mva)
+
     return {
-        "duplicate-bus": dup, "no-slack": no_slack, "two-slack": two_slack,
-        "bad-bus-type": bad_type, "ghost-branch-bus": ghost_branch,
-        "zero-impedance": zero_z, "bad-tap": bad_tap, "isolated-bus": isolated,
-        "disconnected": split, "ghost-machine-bus": ghost_machine,
-        "bad-machine-params": bad_machine, "ghost-sgen-bus": ghost_sgen,
-        "bad-sgen-mva": bad_mva, "duplicate-sgen-id": dup_sgen,
-        "inf-sgen-mva": replace(bad_mva, sgens=[StaticGenerator(id="w", bus=3, mva=float("inf"))]),
-        "nan-sgen-mva": replace(bad_mva, sgens=[StaticGenerator(id="w", bus=3, mva=float("nan"))]),
-        "zero-base-mva": replace(base, base_mva=0.0),
-        "nan-base-mva": replace(base, base_mva=float("nan")),
-        "zero-frequency": replace(base, frequency_hz=0.0),
-        "negative-frequency": replace(base, frequency_hz=-1.0),
-        "infinite-frequency": replace(base, frequency_hz=float("inf")),
+        "duplicate-bus": net([Bus(1, 110.0, "slack"), Bus(1, 110.0)], [Branch(1, 1, 0.01, 0.1)]),
+        "no-slack": net([Bus(1, 110.0), Bus(2, 110.0)], [Branch(1, 2, 0.01, 0.1)]),
+        "two-slack": net([Bus(1, 110.0, "slack"), Bus(2, 110.0, "slack")],
+                         [Branch(1, 2, 0.01, 0.1)]),
+        "bad-bus-type": net([Bus(1, 110.0, "slak")], []),
+        "ghost-branch-bus": net([Bus(1, 110.0, "slack"), Bus(2, 110.0)],
+                                [Branch(1, 3, 0.01, 0.1)]),
+        "zero-impedance": net([Bus(1, 110.0, "slack"), Bus(2, 110.0)], [Branch(1, 2, 0.0, 0.0)]),
+        "bad-tap": net([Bus(1, 110.0, "slack"), Bus(2, 110.0)],
+                       [Branch(1, 2, 0.01, 0.1, tap=0.0)]),
+        "isolated-bus": net([Bus(1, 110.0, "slack"), Bus(2, 110.0), Bus(3, 110.0)],
+                            [Branch(1, 2, 0.01, 0.1)]),
+        "disconnected": net([Bus(1, 110.0, "slack"), Bus(2, 110.0), Bus(3, 110.0), Bus(4, 110.0)],
+                            [Branch(1, 2, 0.01, 0.1), Branch(3, 4, 0.01, 0.1)]),
+        "ghost-machine-bus": machine(bus=99),
+        "bad-machine-params": machine(h=-5.0),
+        "ghost-sgen-bus": derived(sgens=[sgen(bus=99)]),
+        "bad-sgen-mva": derived(sgens=[sgen(mva=0.0)]),
+        "duplicate-sgen-id": derived(sgens=[sgen(), sgen()]),
+        "inf-sgen-mva": derived(sgens=[sgen(mva=float("inf"))]),
+        "nan-sgen-mva": derived(sgens=[sgen(mva=float("nan"))]),
+        "zero-base-mva": derived(base_mva=0.0),
+        "nan-base-mva": derived(base_mva=float("nan")),
+        "zero-frequency": derived(frequency_hz=0.0),
+        "negative-frequency": derived(frequency_hz=-1.0),
+        "infinite-frequency": derived(frequency_hz=float("inf")),
         "inf-machine-h": machine(h=float("inf")),
         "nan-machine-h": machine(h=float("nan")),
         "inf-machine-xd_p": machine(xd_p=float("inf")),
@@ -216,20 +209,21 @@ def _invalid_cases():
         "inf-bus-v-set": bus(v_set=float("inf")),
         "zero-bus-v-set": bus(v_set=0.0),
         "negative-bus-v-set": bus(v_set=-1.0),
-        "zero-slack-v-set": replace(base, buses=[replace(base.buses[0], v_set=0.0),
-                                                 *base.buses[1:]]),
+        "zero-slack-v-set": derived(buses=[replace(base.buses[0], v_set=0.0), *base.buses[1:]]),
     }
 
 
 @pytest.mark.parametrize("label", sorted(_invalid_cases()))
 def test_validate_rejects(label):
+    build = _invalid_cases()[label]
     with pytest.raises(TopologyError):
-        _invalid_cases()[label].validate()
+        build()
 
 
 def test_model_rejects_a_zero_base_before_dividing_by_it():
+    net = wscc9_without_g3()
     with pytest.raises(TopologyError, match="base_mva must be finite and positive"):
-        RmsModel(replace(wscc9_without_g3(), base_mva=0.0))
+        replace(net, base_mva=0.0)
 
 
 def test_bus_and_sgen_lookup():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -38,9 +40,8 @@ def test_two_bus_against_closed_form(p, q):
 
 
 def test_nine_bus_against_naive_oracle():
-    net = wscc9_without_g3()
+    net = replace(wscc9_without_g3(), sgens=[StaticGenerator(id="wpp", bus=3, mva=100.0)])
     pq = {"wpp": (0.85, 0.0)}
-    net.sgens.append(StaticGenerator(id="wpp", bus=3, mva=100.0))
     res = solve_power_flow(net, ybus(net), pq)
     bus_ids, v_oracle = naive_power_flow(net, pq)
     assert bus_ids == res.bus_ids
@@ -138,7 +139,7 @@ def test_power_balance_at_solution():
 
 def test_sgen_injection_scaled_by_machine_base():
     net, _ = radial_two_bus()
-    net.sgens[0] = StaticGenerator(id="inj", bus=2, mva=50.0)
+    net = replace(net, sgens=[StaticGenerator(id="inj", bus=2, mva=50.0)])
     s = scheduled_injections(net, {"inj": (1.0, 0.5)})
     # machine base 50 MVA on 100 MVA system base: half the per-unit value
     assert s[1] == complex(0.5, 0.25)

@@ -45,7 +45,7 @@ def test_standard_wiring_connection_count():
 def test_default_fault_is_shared():
     for build in (build_monolithic, build_small_scale, build_large_scale):
         sc = build()
-        assert sc.events == [DEFAULT_FAULT]
+        assert sc.events == (DEFAULT_FAULT,)
         assert sc.events[0].bus == 6
         assert sc.events[0].start == 1.0
         assert sc.events[0].duration == 0.18
@@ -77,68 +77,79 @@ def test_validate_passes_for_all_builders():
         build().validate()
 
 
+@pytest.mark.parametrize("make", [build_small_scale,
+                                  lambda: parse_scenario(SCENARIO_DIR / "small_scale.scn")])
+def test_a_study_is_immutable_and_checks_each_derived_copy(make):
+    sc = make()
+    for obj, names in ((sc, ("wtgs", "events", "connections", "export_bus_v")),
+                       (sc.network, ("buses", "branches", "machines", "sgens")),
+                       (sc.master, ("record",))):
+        for name in names:
+            assert type(getattr(obj, name)) is tuple, name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, getattr(obj, name))
+    assert dataclasses.replace(sc, pcc_branch=[3, 9]).pcc_branch == (3, 9)
+    with pytest.raises(ScenarioValidationError, match="micro_step"):
+        dataclasses.replace(sc, micro_step=0.0)
+
+
 def test_validate_rejects_unknown_mode():
     sc = build_small_scale()
-    sc.mode = "distributed"
     with pytest.raises(ScenarioValidationError):
-        sc.validate()
+        dataclasses.replace(sc, mode="distributed")
 
 
 def test_validate_rejects_duplicate_wtg_ids():
     sc = build_small_scale()
-    sc.wtgs = sc.wtgs + sc.wtgs
     with pytest.raises(ScenarioValidationError, match="duplicate"):
-        sc.validate()
+        dataclasses.replace(sc, wtgs=sc.wtgs + sc.wtgs)
 
 
 def test_validate_rejects_wtg_without_generator():
     sc = build_small_scale()
-    sc.network.sgens = []
+    network = dataclasses.replace(sc.network, sgens=[])
     with pytest.raises(UnresolvedReferenceError):
-        sc.validate()
+        dataclasses.replace(sc, network=network)
 
 
 def test_validate_rejects_rating_mismatch():
     sc = build_small_scale()
     for rating in (90.0, math.nan, math.inf):
-        sc.wpp_rating_mva = rating
         with pytest.raises(ScenarioValidationError, match="rated"):
-            sc.validate()
+            dataclasses.replace(sc, wpp_rating_mva=rating)
 
 
 def test_validate_rejects_fault_at_unknown_bus():
     sc = build_small_scale()
-    sc.events[0] = type(sc.events[0])(bus=77, start=1.0, duration=0.1)
     with pytest.raises(UnresolvedReferenceError):
-        sc.validate()
+        dataclasses.replace(sc, events=[FaultEvent(bus=77, start=1.0, duration=0.1)])
 
 
 def test_validate_rejects_connections_on_monolithic():
     sc = build_monolithic()
-    sc.connections = [ConnectionSpec("grid.v_pcc", "grid.v_pcc")]
     with pytest.raises(ScenarioValidationError):
-        sc.validate()
+        dataclasses.replace(sc, connections=[ConnectionSpec("grid.v_pcc", "grid.v_pcc")])
 
 
 def test_validate_rejects_missing_mandatory_input():
     sc = build_small_scale()
-    sc.connections = [c for c in sc.connections if c.sink != "conv_wpp.v_meas"]
+    kept = [c for c in sc.connections if c.sink != "conv_wpp.v_meas"]
     with pytest.raises(ScenarioValidationError, match="conv_wpp.v_meas"):
-        sc.validate()
+        dataclasses.replace(sc, connections=kept)
 
 
 def test_validate_rejects_connection_to_unknown_component():
     sc = build_small_scale()
-    sc.connections = sc.connections + [ConnectionSpec("grid.v_pcc", "conv_x.v_meas")]
     with pytest.raises(UnresolvedReferenceError):
-        sc.validate()
+        dataclasses.replace(sc, connections=[*sc.connections,
+                                             ConnectionSpec("grid.v_pcc", "conv_x.v_meas")])
 
 
 def test_validate_rejects_recording_unknown_component():
     sc = build_small_scale()
-    sc.master.record.append("ghost.value")
+    master = dataclasses.replace(sc.master, record=[*sc.master.record, "ghost.value"])
     with pytest.raises(UnresolvedReferenceError):
-        sc.validate()
+        dataclasses.replace(sc, master=master)
 
 
 @pytest.mark.parametrize("connection, record, message, cause", [
@@ -150,9 +161,10 @@ def test_instantiate_reports_wiring_errors_as_validation_errors(connection, reco
                                                                 message, cause):
     sc = build_small_scale()
     if connection is not None:
-        sc.connections = sc.connections + [connection]
+        sc = dataclasses.replace(sc, connections=[*sc.connections, connection])
     if record is not None:
-        sc.master.record.append(record)
+        sc = dataclasses.replace(sc, master=dataclasses.replace(
+            sc.master, record=[*sc.master.record, record]))
     with pytest.raises(ScenarioValidationError, match=message) as info:
         instantiate(sc)
     assert type(info.value.__cause__) is cause
@@ -257,8 +269,9 @@ WORK_BUDGET = {                               # monolithic, small_scale, large_s
     "RmsModel._measure": (2001, 2001, 2001),
     "RmsModel._sgen_columns": (4001, 2001, 2001),   # embedded controllers: also at micro steps
     "SimComponent.step": (2000, 6000, 130000),
-    "NetworkData.validate": (3, 3, 3),        # the parser's, Scenario.validate's, the grid model's
-    "Scenario.validate": (2, 2, 2),           # the parser's and instantiate's
+    "NetworkData.validate": (1, 1, 1),        # once, when the parser builds the network
+    "Scenario.validate": (2, 2, 2),           # when the parser builds the scenario and when
+                                              # run_scenario derives it with the scheme override
     "assemble_ybus": (1, 1, 1),               # each network artefact is built once
     "branch_stamps": (1, 1, 1),
 }
@@ -301,8 +314,8 @@ def test_each_shipped_study_does_exactly_its_budgeted_work(scheme, monkeypatch):
 
 
 def test_instantiate_rejects_overrides_that_break_a_check():
-    # the parser validated the file, but run_scenario's overrides come after it:
-    # 1e4 s at 1 ms macro steps and 0.5 ms micro steps is 2e7 micro steps
+    # the parser checked the file, and run_scenario's overrides derive a scenario
+    # that checks itself: 1e4 s at 1 ms macro steps and 0.5 ms micro steps is 2e7 micro steps
     sc = parse_scenario(SCENARIO_DIR / "small_scale.scn")
     with pytest.raises(ScenarioValidationError, match="micro steps, above the cap"):
         run_scenario(sc, t_end=1e4)

@@ -98,13 +98,15 @@ def test_comments_and_blank_lines_are_ignored():
 def test_controller_override_roundtrip():
     sc = build_small_scale()
     custom = replace(sc.wtgs[0].converter, ki_q=45.0)
-    sc.wtgs = [replace(sc.wtgs[0], converter=custom)]
+    sc = replace(sc, wtgs=[replace(sc.wtgs[0], converter=custom)])
+    assert parse_scenario_text(serialize_scenario(sc)) == sc
     # the first wtg defines the default line, so add a second turbine with
     # stock parameters to force an explicit override record
     text = serialize_scenario(build_large_scale())
     sc2 = parse_scenario_text(text)
     custom2 = replace(sc2.wtgs[3].converter, ki_q=45.0)
-    sc2.wtgs[3] = replace(sc2.wtgs[3], converter=custom2)
+    sc2 = replace(sc2, wtgs=[*sc2.wtgs[:3], replace(sc2.wtgs[3], converter=custom2),
+                             *sc2.wtgs[4:]])
     text2 = serialize_scenario(sc2)
     assert "converter wtg04" in text2
     back = parse_scenario_text(text2)
