@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from windcosim.bench import bench_scaling, format_bench_table
+from windcosim.bench import MIN_REPETITIONS, bench_scaling, format_bench_table
+from windcosim.cli import repetitions
 from windcosim.collector import WppLayout
 from windcosim.compare import compare_traces, oscillation_metrics
 from windcosim.frt import Mode, envelope_check
@@ -134,8 +135,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="results", type=Path,
                         help="directory for traces and metadata")
-    parser.add_argument("--reps", default=3, type=int,
-                        help="benchmark repetitions (minimum 3)")
+    parser.add_argument("--reps", default=MIN_REPETITIONS, type=repetitions,
+                        help=f"benchmark repetitions (at least {MIN_REPETITIONS})")
     args = parser.parse_args()
 
     fidelity(args.out)

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from .scenario import Scenario, run_scenario
 from .trace import TraceSet
 
+MIN_REPETITIONS = 3                  # the fewest runs a median is taken over
+
 
 @dataclass
 class BenchRow:
@@ -26,7 +28,7 @@ class BenchRow:
     trace: TraceSet = field(repr=False)
 
 
-def bench_scaling(scenarios: list[Scenario], repetitions: int = 3) -> list[BenchRow]:
+def bench_scaling(scenarios: list[Scenario], repetitions: int = MIN_REPETITIONS) -> list[BenchRow]:
     """Run each scenario ``repetitions`` times, report the median time and
     keep the first repetition's trace.
 
@@ -34,8 +36,8 @@ def bench_scaling(scenarios: list[Scenario], repetitions: int = 3) -> list[Bench
     repetition instantiates fresh components, so repetitions are
     independent and must produce identical step counts.
     """
-    if repetitions < 3:
-        raise ValueError(f"need >= 3 repetitions for a median, got {repetitions}")
+    if repetitions < MIN_REPETITIONS:
+        raise ValueError(f"need >= {MIN_REPETITIONS} repetitions for a median, got {repetitions}")
     rows = []
     for sc in scenarios:
         times = []

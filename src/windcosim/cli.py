@@ -19,14 +19,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
-from .bench import bench_scaling, format_bench_table
+from .bench import MIN_REPETITIONS, bench_scaling, format_bench_table
 from .compare import compare_traces
-from .errors import CosimError, ScenarioError, TraceError
+from .errors import FINITE, NON_NEGATIVE, POSITIVE, CosimError, ScenarioError, TraceError
 from .frt import DEFAULT_ENVELOPE_POINTS, FrtEnvelope, envelope_check
 from .scenario import run_scenario
 from .scenario_io import parse_scenario
@@ -38,6 +39,26 @@ EXIT_RUN_FAILURE = 2
 EXIT_TOLERANCE = 3
 
 
+def _checked(cast, low: float, closed: bool, text: str):
+    """An argparse ``type``: a value outside its domain is a usage error naming the flag."""
+    def parse(arg: str):
+        value = cast(arg)
+        if not (low <= value < math.inf if closed else low < value < math.inf):  # nan fails too
+            raise argparse.ArgumentTypeError(f"must be {text}, got {arg}")
+        return value
+    parse.__name__ = cast.__name__           # a failed cast reads "invalid float value"
+    return parse
+
+
+_FINITE, _NON_NEGATIVE, _POSITIVE = (_checked(float, *domain["domain"])
+                                     for domain in (FINITE, NON_NEGATIVE, POSITIVE))
+repetitions = _checked(int, MIN_REPETITIONS, True, f"at least {MIN_REPETITIONS}")
+
+
+def _times(arg: str) -> list[float]:
+    return [_FINITE(t) for t in arg.split(",") if t]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="windcosim",
@@ -47,8 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a scenario and write trace + metadata")
     p_run.add_argument("--scenario", required=True, help="scenario file")
     p_run.add_argument("--scheme", choices=["serial", "parallel"], default=None)
-    p_run.add_argument("--macro-step", type=float, default=None, metavar="S")
-    p_run.add_argument("--t-end", type=float, default=None, metavar="S")
+    p_run.add_argument("--macro-step", type=_POSITIVE, default=None, metavar="S")
+    p_run.add_argument("--t-end", type=_NON_NEGATIVE, default=None, metavar="S")
     p_run.add_argument("--out", required=True, help="output directory")
 
     p_cmp = sub.add_parser("compare", help="compare two trace files")
@@ -56,10 +77,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--b", required=True, help="second trace CSV")
     p_cmp.add_argument("--channels", default=None,
                        help="comma-separated channel names (default: common channels)")
-    p_cmp.add_argument("--tol", type=float, default=None,
+    p_cmp.add_argument("--tol", type=_NON_NEGATIVE, default=None,
                        help="max-abs tolerance; exit 3 when exceeded")
-    p_cmp.add_argument("--exclude-window", type=int, default=3, metavar="STEPS")
-    p_cmp.add_argument("--events", default=None,
+    p_cmp.add_argument("--exclude-window", type=_checked(int, *NON_NEGATIVE["domain"]),
+                       default=3, metavar="STEPS")
+    p_cmp.add_argument("--events", type=_times, default=None,
                        help="comma-separated event times to exclude around")
     p_cmp.add_argument("--meta", default=None,
                        help="metadata JSON supplying the event schedule "
@@ -70,23 +92,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_env.add_argument("--trace", required=True)
     p_env.add_argument("--envelope", default=None,
                        help="envelope file of 't v' lines (default: built-in)")
-    p_env.add_argument("--onset", type=float, required=True, metavar="S")
+    p_env.add_argument("--onset", type=_FINITE, required=True, metavar="S")
     p_env.add_argument("--channel", default="grid.v_pcc")
 
     p_bench = sub.add_parser("bench", help="timing table over scenario files")
     p_bench.add_argument("--scenarios", required=True,
                          help="comma-separated scenario files")
-    p_bench.add_argument("--reps", type=int, default=3)
+    p_bench.add_argument("--reps", type=repetitions, default=MIN_REPETITIONS)
     p_bench.add_argument("--out", default=None, help="also write the table here")
     return parser
 
 
 def _event_times(meta: dict) -> list[float]:
-    times = []
-    for ev in meta.get("events", []):
-        times.append(float(ev["start"]))
-        times.append(float(ev["start"]) + float(ev["duration"]))
-    return times
+    return [t for ev in meta.get("events", [])
+            for t in (float(ev["start"]), float(ev["start"]) + float(ev["duration"]))]
 
 
 def _gnuplot_script(channels: list[str]) -> str:
@@ -123,9 +142,8 @@ def _cmd_compare(args) -> int:
     a = read_csv(args.a)
     b = read_csv(args.b)
     channels = args.channels.split(",") if args.channels else None
-    if args.events is not None:
-        events = [float(t) for t in args.events.split(",") if t]
-    else:
+    events = args.events
+    if events is None:
         meta_path = args.meta
         if meta_path is None:
             candidate = os.path.join(os.path.dirname(os.path.abspath(args.a)), "meta.json")

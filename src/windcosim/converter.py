@@ -90,12 +90,11 @@ def current_limit(i_d: float, i_q: float, i_max: float,
 class ConverterControl:
     """PI current-reference controller, usable standalone or embedded."""
 
-    def __init__(self, params: ConverterParams, p_ref: float, q_ref: float = 0.0,
-                 v_ref: float = 1.0):
+    def __init__(self, params: ConverterParams, p_ref: float, q_ref: float = 0.0):
         self.params = params
         self.p_ref = p_ref
         self.q_ref = q_ref
-        self.v_ref = v_ref
+        self.v_ref = 1.0
         self.integ_d = 0.0
         self.integ_q = 0.0
         self.i_d_cmd = 0.0

@@ -332,9 +332,6 @@ class Master:
     def component(self, component_id: str) -> SimComponent:
         return self._components[component_id]
 
-    def execution_order(self) -> list[str]:
-        return [self._by_priority[p].component_id for p in sorted(self._by_priority)]
-
     # -- value movement ----------------------------------------------------
 
     def _compile(self) -> None:
@@ -422,14 +419,12 @@ class Master:
         if not self._initialized:
             self.initialize()
         sources = [(self._components[ref.component_id]._values, ref.vr) for ref in refs]
-        times = [0.0]
-        rows = [[float(values[vr]) for values, vr in sources]]
+        rows = [[values[vr] for values, vr in sources]]
         for _ in range(n_steps):
             self.step_macro()
-            times.append(self.current_step * dt)
-            rows.append([float(values[vr]) for values, vr in sources])
+            rows.append([values[vr] for values, vr in sources])
         meta.wall_clock_s = _time.perf_counter() - started
 
-        data = np.asarray(rows, dtype=float).reshape(len(times), len(refs))
+        data = np.asarray(rows, dtype=float).reshape(n_steps + 1, len(refs))
         channels = {str(ref): data[:, i] for i, ref in enumerate(refs)}
-        return TraceSet(time=np.asarray(times), channels=channels), meta
+        return TraceSet(time=np.arange(n_steps + 1) * dt, channels=channels), meta

@@ -169,10 +169,8 @@ class RmsModel:
         # fault schedule: the shunts, and their factorization cache key, on
         # each interval [b_{j-1}, b_j) between consecutive breakpoints
         self._fault_bounds = fault_breakpoints(self.events)
-        firsts = [math.nextafter(self._fault_bounds[0], -math.inf)
-                  if self._fault_bounds else 0.0] + self._fault_bounds
         self._fault_schedule = []
-        for t in firsts:
+        for t in [-math.inf] + self._fault_bounds:
             shunts = fault_shunts(network, self.events, t)
             key = tuple(sorted((i, y.real, y.imag) for i, y in shunts.items()))
             self._fault_schedule.append((shunts, key))

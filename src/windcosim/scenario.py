@@ -41,6 +41,7 @@ from .wscc9 import wscc9_without_g3
 
 PCC_BUS = 3                          # plant couples at the former generator-3 bus
 COLLECTOR_BUS = 10
+PLANT_MVA = 85.0                     # rating of every shipped plant
 DEFAULT_FAULT = FaultEvent(bus=6, start=1.0, duration=0.18, admittance=1e6)
 # 10% impedance on the 85 MVA plant rating, expressed on the 100 MVA system base
 PARK_TRANSFORMER = Branch(from_bus=PCC_BUS, to_bus=COLLECTOR_BUS,
@@ -191,68 +192,60 @@ def standard_wiring(wtg_ids: list[str]) -> list[ConnectionSpec]:
     return conns
 
 
+def _plant_scenario(name: str, mode: str, network: NetworkData, wtg_ids: list[str],
+                    record: list[str], t_end: float, macro_step: float, micro_step: float,
+                    fault: FaultEvent | None, plant_mw: float, frt_ramp: bool, scheme: Scheme,
+                    pcc_branch: tuple[int, int] | None = None) -> Scenario:
+    """The tail every shipped plant shares: voltage-mode turbines dispatched
+    evenly at zero reactive power, the master, and the standard wiring."""
+    conv = ConverterParams(q_mode=QMode.VOLTAGE)
+    frt = FrtParams(ramp_enabled=frt_ramp)
+    wtgs = [WtgSpec(id=wid, p_ref=plant_mw / PLANT_MVA, q_ref=0.0, converter=conv, frt=frt)
+            for wid in wtg_ids]
+    return Scenario(
+        name=name, mode=mode, network=network, wtgs=wtgs,
+        wpp_rating_mva=PLANT_MVA, pcc_bus=PCC_BUS,
+        master=MasterConfig(macro_step=macro_step, t_end=t_end, scheme=scheme, record=record),
+        micro_step=micro_step, pcc_branch=pcc_branch, events=[fault] if fault else [],
+        connections=standard_wiring(wtg_ids) if mode == "cosim" else [], export_bus_v=(6,))
+
+
 def _aggregated_scenario(name: str, mode: str, t_end: float, macro_step: float,
                          micro_step: float, fault: FaultEvent | None,
-                         plant_mw: float, plant_mvar: float, rating_mva: float,
-                         frt_ramp: bool, scheme: Scheme) -> Scenario:
+                         plant_mw: float, frt_ramp: bool, scheme: Scheme) -> Scenario:
     network = replace(wscc9_without_g3(),
-                      sgens=[StaticGenerator(id="wpp", bus=PCC_BUS, mva=rating_mva)])
-    wtg = WtgSpec(
-        id="wpp",
-        p_ref=plant_mw / rating_mva,
-        q_ref=plant_mvar / rating_mva,
-        converter=ConverterParams(q_mode=QMode.VOLTAGE),
-        frt=FrtParams(ramp_enabled=frt_ramp))
-    if mode == "monolithic":
-        record = ["grid.v_pcc", "grid.p_wpp_mw", "grid.q_wpp_mvar", "grid.v_bus6",
-                  "grid.i_d_wpp", "grid.i_q_wpp", "grid.mode_wpp",
-                  "grid.p_balance_residual"]
-        connections: list[ConnectionSpec] = []
-    else:
-        record = ["grid.v_pcc", "grid.p_wpp_mw", "grid.q_wpp_mvar", "grid.v_bus6",
-                  "conv_wpp.i_d_cmd", "conv_wpp.i_q_cmd", "frt_wpp.mode",
-                  "grid.p_balance_residual"]
-        connections = standard_wiring(["wpp"])
-    return Scenario(
-        name=name, mode=mode, network=network, wtgs=[wtg],
-        wpp_rating_mva=rating_mva, pcc_bus=PCC_BUS,
-        master=MasterConfig(macro_step=macro_step, t_end=t_end, scheme=scheme,
-                            record=record),
-        micro_step=micro_step,
-        events=[fault] if fault else [],
-        connections=connections,
-        export_bus_v=(6,))
+                      sgens=[StaticGenerator(id="wpp", bus=PCC_BUS, mva=PLANT_MVA)])
+    control = (["grid.i_d_wpp", "grid.i_q_wpp", "grid.mode_wpp"] if mode == "monolithic"
+               else ["conv_wpp.i_d_cmd", "conv_wpp.i_q_cmd", "frt_wpp.mode"])
+    record = ["grid.v_pcc", "grid.p_wpp_mw", "grid.q_wpp_mvar", "grid.v_bus6", *control,
+              "grid.p_balance_residual"]
+    return _plant_scenario(name, mode, network, ["wpp"], record, t_end, macro_step,
+                           micro_step, fault, plant_mw, frt_ramp, scheme)
 
 
 def build_monolithic(t_end: float = 2.0, macro_step: float = 1e-3,
                      micro_step: float = 5e-4, fault: FaultEvent | None = DEFAULT_FAULT,
-                     plant_mw: float = 85.0, plant_mvar: float = 0.0,
-                     rating_mva: float = 85.0, frt_ramp: bool = True,
+                     plant_mw: float = 85.0, frt_ramp: bool = True,
                      scheme: Scheme = Scheme.SERIAL) -> Scenario:
     return _aggregated_scenario("monolithic", "monolithic", t_end, macro_step,
-                                micro_step, fault, plant_mw, plant_mvar,
-                                rating_mva, frt_ramp, scheme)
+                                micro_step, fault, plant_mw, frt_ramp, scheme)
 
 
 def build_small_scale(t_end: float = 2.0, macro_step: float = 1e-3,
                       micro_step: float = 5e-4, fault: FaultEvent | None = DEFAULT_FAULT,
-                      plant_mw: float = 85.0, plant_mvar: float = 0.0,
-                      rating_mva: float = 85.0, frt_ramp: bool = True,
+                      plant_mw: float = 85.0, frt_ramp: bool = True,
                       scheme: Scheme = Scheme.SERIAL) -> Scenario:
     return _aggregated_scenario("small_scale", "cosim", t_end, macro_step,
-                                micro_step, fault, plant_mw, plant_mvar,
-                                rating_mva, frt_ramp, scheme)
+                                micro_step, fault, plant_mw, frt_ramp, scheme)
 
 
 def build_large_scale(t_end: float = 2.0, macro_step: float = 1e-3,
                       micro_step: float = 5e-4, fault: FaultEvent | None = DEFAULT_FAULT,
-                      plant_mw: float = 85.0, plant_mvar: float = 0.0,
-                      rating_mva: float = 85.0, frt_ramp: bool = False,
+                      plant_mw: float = 85.0, frt_ramp: bool = False,
                       layout: WppLayout | None = None,
                       scheme: Scheme = Scheme.SERIAL) -> Scenario:
     layout = layout or WppLayout()
     network = wscc9_without_g3()
-    n = layout.n_turbines
     r_seg, x_seg, b_seg = layout.segment_pu(network.base_mva)
 
     buses = list(network.buses)
@@ -270,30 +263,16 @@ def build_large_scale(t_end: float = 2.0, macro_step: float = 1e-3,
             buses.append(Bus(id=bus_id, base_kv=layout.collector_kv))
             branches.append(Branch(from_bus=prev, to_bus=bus_id,
                                    r=r_seg, x=x_seg, b=b_seg))
-            sgens.append(StaticGenerator(id=wid, bus=bus_id, mva=rating_mva / n))
+            sgens.append(StaticGenerator(id=wid, bus=bus_id, mva=PLANT_MVA / layout.n_turbines))
             wtg_ids.append(wid)
             prev = bus_id
     network = replace(network, buses=buses, branches=branches, sgens=sgens)
-
-    # voltage-mode q loop, as in the aggregated scenarios; the park-level
-    # reactive setpoint still enters through each turbine's q_ref dispatch
-    conv = ConverterParams(q_mode=QMode.VOLTAGE)
-    frt = FrtParams(ramp_enabled=frt_ramp)
-    wtgs = [WtgSpec(id=wid, p_ref=plant_mw / rating_mva, q_ref=plant_mvar / rating_mva,
-                    converter=conv, frt=frt) for wid in wtg_ids]
     record = ["grid.v_pcc", "grid.p_wpp_mw", "grid.q_wpp_mvar", "grid.v_bus6",
               "grid.v_wtg01", "conv_wtg01.i_d_cmd", "conv_wtg01.i_q_cmd",
               "frt_wtg01.mode", "grid.p_balance_residual"]
-    return Scenario(
-        name="large_scale", mode="cosim", network=network, wtgs=wtgs,
-        wpp_rating_mva=rating_mva, pcc_bus=PCC_BUS,
-        master=MasterConfig(macro_step=macro_step, t_end=t_end, scheme=scheme,
-                            record=record),
-        micro_step=micro_step,
-        pcc_branch=(PCC_BUS, COLLECTOR_BUS),
-        events=[fault] if fault else [],
-        connections=standard_wiring(wtg_ids),
-        export_bus_v=(6,))
+    return _plant_scenario("large_scale", "cosim", network, wtg_ids, record, t_end,
+                           macro_step, micro_step, fault, plant_mw, frt_ramp, scheme,
+                           pcc_branch=(PCC_BUS, COLLECTOR_BUS))
 
 
 def instantiate(scenario: Scenario) -> Master:

@@ -101,7 +101,7 @@ def test_pi_tracks_references_in_q_mode():
 
 def test_pi_tracks_voltage_reference_direction():
     # voltage mode pushes i_q up while the terminal runs below v_ref
-    c = ConverterControl(ConverterParams(q_mode=QMode.VOLTAGE), p_ref=0.5, v_ref=1.0)
+    c = ConverterControl(ConverterParams(q_mode=QMode.VOLTAGE), p_ref=0.5)
     for _ in range(50):
         c.step(1e-3, 0.95, 0.5, 0.0)
     assert c.i_q_cmd > 0.0                        # at q = q_ref: only the v loop moves i_q
@@ -119,8 +119,7 @@ def test_equilibrium_is_a_fixed_point():
 
 
 def test_equilibrium_keeps_q_reference_in_q_mode():
-    c = ConverterControl(ConverterParams(q_mode=QMode.REACTIVE_POWER),
-                         p_ref=0.5, q_ref=0.0, v_ref=1.0)
+    c = ConverterControl(ConverterParams(q_mode=QMode.REACTIVE_POWER), p_ref=0.5, q_ref=0.0)
     c.equilibrium(0.97)
     assert c.v_ref == 1.0
 
@@ -171,7 +170,7 @@ def test_block_zeroes_active_axis_and_integrator():
 
 
 def test_boost_enters_additively():
-    c = ConverterControl(ConverterParams(kp_q=0.0, ki_q=0.0), p_ref=0.0, v_ref=1.0)
+    c = ConverterControl(ConverterParams(kp_q=0.0, ki_q=0.0), p_ref=0.0)
     _, i_q = c.step(1e-3, 1.0, 0.0, 0.0, Mode.FAULT, True, 0.7, 0.0)
     assert i_q == pytest.approx(0.7, abs=1e-15)
 

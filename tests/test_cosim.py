@@ -401,12 +401,13 @@ def test_random_cyclic_graph_runs_and_repeats_bit_identically(seed):
         assert np.all(np.isfinite(trace_a[name]))
 
 
-def test_execution_order_is_priority_order():
+def test_execution_order_is_priority_order(stepped_order):
     master = Master(MasterConfig())
     master.register(Counter("z"), priority=5)
     master.register(Counter("a"), priority=1)
     master.register(Counter("m"), priority=3)
-    assert master.execution_order() == ["a", "m", "z"]
+    master.initialize()
+    assert stepped_order(master) == ["a", "m", "z"]
 
 
 def test_recording_inputs_reads_component_state():
@@ -425,13 +426,13 @@ def test_recording_inputs_reads_component_state():
 # -- lifecycle and settings ---------------------------------------------------------
 
 
-def test_register_after_initialize_rejected():
+def test_register_after_initialize_rejected(stepped_order):
     master = Master(MasterConfig())
     master.register(Counter("a"), priority=0)
     master.initialize()
     with pytest.raises(WiringError, match="after initialize"):
         master.register(Counter("b"), priority=1)
-    assert master.execution_order() == ["a"]
+    assert stepped_order(master) == ["a"]
 
 
 def test_connect_after_initialize_rejected():
@@ -582,11 +583,12 @@ def test_identity_edges_are_copies_and_affine_edges_transform(scheme):
 
 @pytest.mark.parametrize("build", [build_monolithic, build_small_scale])
 def test_component_values_are_addressed_by_value_reference(build):
-    master = instantiate(build(t_end=0.01))
+    sc = build(t_end=0.01)
+    master = instantiate(sc)
     master.initialize()
     for _ in range(3):
         master.step_macro()
-    comps = [master.component(cid) for cid in master.execution_order()]
+    comps = [master.component(cid) for cid in sc.component_ids()]
     kinds = {GridComponent} if build is build_monolithic else \
         {GridComponent, ConverterComponent, FrtComponent}
     assert {type(comp) for comp in comps} == kinds

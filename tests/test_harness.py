@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +337,37 @@ def test_cli_rejects_out_of_domain_inputs_with_exit_1(tmp_path, capsys, old, new
     assert not (tmp_path / "o").exists()
 
 
+@pytest.fixture(scope="module")
+def written_trace(tmp_path_factory):
+    """A short study's scenario file and the trace ``windcosim run`` wrote for it."""
+    root = tmp_path_factory.mktemp("cli")
+    scenario = root / "small.scn"
+    write_scenario(build_small_scale(t_end=0.02, fault=None), scenario)
+    assert main(["run", "--scenario", str(scenario), "--out", str(root / "run")]) == 0
+    return str(scenario), str(root / "run" / "trace.csv")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["compare", "--exclude-window", "-5"], "--exclude-window"),
+    (["compare", "--tol", "nan"], "--tol"),
+    (["compare", "--tol", "-1"], "--tol"),
+    (["compare", "--events", "1.0,nan"], "--events"),
+    (["envelope", "--onset", "nan"], "--onset"),
+    (["run", "--macro-step", "0"], "--macro-step"),
+    (["run", "--t-end", "-1"], "--t-end"),
+    (["bench", "--reps", "1"], "--reps"),
+])
+def test_cli_rejects_an_out_of_domain_numeric_flag_naming_it(written_trace, tmp_path, capsys,
+                                                              argv, flag):
+    scenario, trace = written_trace
+    files = {"compare": ["--a", trace, "--b", trace], "envelope": ["--trace", trace],
+             "run": ["--scenario", scenario, "--out", str(tmp_path / "o")],
+             "bench": ["--scenarios", scenario]}
+    assert main(argv + files[argv[0]]) == 1
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("old, new, field", [
     ("bus 1 16.5 slack v_set=1.04", "bus 1 16.5 slack v_set=0", "bus 1: v_set"),
     ("bus 2 18.0 pv v_set=1.025", "bus 2 18.0 pv v_set=-1.025", "bus 2: v_set"),
@@ -407,3 +439,20 @@ def test_setup_scaling_script_times_a_small_plant(monkeypatch):
     assert all(np.isfinite(value) for value in row.values())
     assert row["buses"] == 18
     assert row["steps"] > 0.0            # script.STEPS macro steps after initialize
+
+
+def test_run_study_script_rejects_too_few_reps_before_any_study(monkeypatch, tmp_path):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_study.py"
+    spec = importlib.util.spec_from_file_location("run_study", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def no_study(out_dir):
+        raise AssertionError("a study ran before --reps was checked")
+
+    monkeypatch.setattr(script, "fidelity", no_study)
+    monkeypatch.setattr(sys, "argv", ["run_study.py", "--reps", "1", "--out", str(tmp_path / "o")])
+    with pytest.raises(SystemExit) as info:
+        script.main()
+    assert info.value.code == 2
+    assert not (tmp_path / "o").exists()

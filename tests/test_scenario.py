@@ -170,11 +170,13 @@ def test_instantiate_reports_wiring_errors_as_validation_errors(connection, reco
     assert type(info.value.__cause__) is cause
 
 
-def test_instantiate_orders_grid_then_converters_then_supervisors():
+def test_instantiate_orders_grid_then_converters_then_supervisors(stepped_order):
     master = instantiate(build_small_scale())
-    assert master.execution_order() == ["grid", "conv_wpp", "frt_wpp"]
+    master.initialize()
+    assert stepped_order(master) == ["grid", "conv_wpp", "frt_wpp"]
     master = instantiate(build_large_scale())
-    order = master.execution_order()
+    master.initialize()
+    order = stepped_order(master)
     assert order[0] == "grid"
     assert order[1:33] == [f"conv_wtg{k:02d}" for k in range(1, 33)]
     assert order[33:] == [f"frt_wtg{k:02d}" for k in range(1, 33)]
