@@ -24,7 +24,7 @@ import numpy as np
 from windcosim.bench import MIN_REPETITIONS, bench_scaling, format_bench_table
 from windcosim.cli import repetitions
 from windcosim.collector import WppLayout
-from windcosim.compare import compare_traces, oscillation_metrics
+from windcosim.compare import compare_traces, fault_edge_times, oscillation_metrics
 from windcosim.frt import Mode, envelope_check
 from windcosim.scenario import (COLLECTOR_BUS, build_large_scale,
                                 build_small_scale, run_scenario)
@@ -51,18 +51,15 @@ def fidelity(out_dir: Path) -> None:
     mono = parse_scenario(SCENARIO_DIR / "monolithic.scn")
     small = parse_scenario(SCENARIO_DIR / "small_scale.scn")
     for macro in (None, 5e-4):
-        trace_a, meta = run_scenario(mono, macro_step=macro)
-        trace_b, _ = run_scenario(small, macro_step=macro)
-        events = []
-        for ev in meta.events:
-            events += [ev["start"], ev["start"] + ev["duration"]]
+        trace_a, meta_a = run_scenario(mono, macro_step=macro)
+        trace_b, meta_b = run_scenario(small, macro_step=macro)
         rep = compare_traces(trace_a, trace_b, ["grid.p_wpp_mw", "grid.v_pcc"],
-                             event_times=events)
-        print(f"macro step {meta.macro_step:g} s:")
+                             event_times=fault_edge_times(meta_a.events))
+        print(f"macro step {meta_a.macro_step:g} s:")
         print(rep.format())
         if macro is None:
-            save(out_dir, "monolithic", trace_a, meta)
-            save(out_dir, "small_scale", trace_b, meta)
+            save(out_dir, "monolithic", trace_a, meta_a)
+            save(out_dir, "small_scale", trace_b, meta_b)
 
 
 def ride_through(out_dir: Path) -> None:
@@ -74,22 +71,22 @@ def ride_through(out_dir: Path) -> None:
 
     t = trace.time
     mode = trace["frt_wpp.mode"]
-    ev = meta.events[0]
+    onset = fault_edge_times(meta.events)[0]
     for m in (Mode.FAULT, Mode.RECOVERY):
         k = np.argmax(mode == float(m))
         print(f"{m.name:<9} entered at t = {t[k]:.4f} s")
-    back = np.where((mode == float(Mode.NORMAL)) & (t > ev["start"]))[0]
+    back = np.where((mode == float(Mode.NORMAL)) & (t > onset))[0]
     t_norm = t[back[0]]
     print(f"NORMAL    restored at t = {t_norm:.4f} s")
 
-    pre = t < ev["start"] - 1e-12
+    pre = t < onset - 1e-12
     latch = float(trace["conv_wpp.i_d_cmd"][pre][-1])
     rate = sc.wtgs[0].frt.ramp_rate
     t_rec = t[np.argmax(mode == float(Mode.RECOVERY))]
     print(f"latched i_d {latch:.4f} pu, ramp {t_norm - t_rec:.4f} s "
           f"(closed form {latch / rate:.4f} s at {rate:g} pu/s)")
 
-    env = envelope_check(t, np.asarray(trace["grid.v_pcc"]), onset=ev["start"])
+    env = envelope_check(t, np.asarray(trace["grid.v_pcc"]), onset=onset)
     verdict = "compliant" if env.compliant else f"violated at {env.first_violation_time:.3f} s"
     print(f"ride-through envelope: {verdict} (margin {env.margin:.3f} pu)")
 

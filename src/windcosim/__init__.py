@@ -10,7 +10,7 @@ from .bench import BenchRow, bench_scaling, format_bench_table
 from .collector import (CableData, CollectorString, WppLayout, plant_equivalent,
                         string_equivalent)
 from .compare import (ChannelComparison, ComparisonReport, OscillationMetrics,
-                      compare_traces, oscillation_metrics)
+                      compare_traces, fault_edge_times, oscillation_metrics)
 from .converter import (ConverterComponent, ConverterControl, ConverterParams,
                         Priority, QMode, current_limit)
 from .cosim import (Connection, Direction, Master, MasterConfig, RunMetadata,

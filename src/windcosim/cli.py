@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from .bench import MIN_REPETITIONS, bench_scaling, format_bench_table
-from .compare import compare_traces
+from .compare import compare_traces, fault_edge_times
 from .errors import FINITE, NON_NEGATIVE, POSITIVE, CosimError, ScenarioError, TraceError
 from .frt import DEFAULT_ENVELOPE_POINTS, FrtEnvelope, envelope_check
 from .scenario import run_scenario
@@ -103,11 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _event_times(meta: dict) -> list[float]:
-    return [t for ev in meta.get("events", [])
-            for t in (float(ev["start"]), float(ev["start"]) + float(ev["duration"]))]
-
-
 def _gnuplot_script(channels: list[str]) -> str:
     lines = [
         "# render with: gnuplot plots.gp",
@@ -151,7 +146,7 @@ def _cmd_compare(args) -> int:
         events = []
         if meta_path is not None:
             with open(meta_path, "r", encoding="utf-8") as fh:
-                events = _event_times(json.load(fh))
+                events = fault_edge_times(json.load(fh).get("events", []))
     report = compare_traces(a, b, channels, events, args.exclude_window)
     text = report.format(args.tol)
     print(text)

@@ -69,6 +69,12 @@ def exclusion_mask(time: np.ndarray, event_times, exclude_steps: int,
     return keep
 
 
+def fault_edge_times(events) -> list[float]:
+    """The start and clearance time of each fault in a run record's ``events``."""
+    return [t for ev in events
+            for t in (float(ev["start"]), float(ev["start"]) + float(ev["duration"]))]
+
+
 def compare_traces(a: TraceSet, b: TraceSet, channels: list[str] | None = None,
                    event_times=(), exclude_steps: int = 3) -> ComparisonReport:
     a.require_same_axis(b)

@@ -117,8 +117,8 @@ class SimComponent:
 
     Subclasses declare variables in ``__init__`` and implement
     ``_do_step(t, dt)``.  The declared start values are the nominal
-    outputs initialization starts from; the two initialization hooks
-    default to no-ops so trivial components only need the step body.
+    outputs initialization starts from; the two initialization hooks and
+    ``report`` default to no-ops, so trivial components only need the step body.
 
     ``get``/``set`` are the checked public contract: an undeclared name
     raises ``UnknownVariableError`` and ``set`` casts to the declared
@@ -184,6 +184,9 @@ class SimComponent:
 
     def finish_init(self) -> None:
         """Stage 2: commit state consistent with the final exchanged values."""
+
+    def report(self, meta: RunMetadata) -> None:
+        """After the run: add what this component knows to the run record."""
 
     def step(self, t: float, dt: float) -> None:
         if not dt > 0.0:          # written so that a NaN fails too
@@ -424,6 +427,8 @@ class Master:
             self.step_macro()
             rows.append([values[vr] for values, vr in sources])
         meta.wall_clock_s = _time.perf_counter() - started
+        for comp in self._components.values():
+            comp.report(meta)
 
         data = np.asarray(rows, dtype=float).reshape(n_steps + 1, len(refs))
         channels = {str(ref): data[:, i] for i, ref in enumerate(refs)}

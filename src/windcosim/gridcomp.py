@@ -35,13 +35,16 @@ the supervisor sees the fresh converter command.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .converter import ConverterControl
-from .cosim import SimComponent, VarKind
-from .dynamics import GridMeasurements, RmsModel
+from .cosim import RunMetadata, SimComponent, VarKind
+from .dynamics import GridMeasurements, RmsModel, micro_grid
 from .errors import ComponentStepError, UnknownVariableError
 from .frt import FrtControl
+from .network import fault_switch_time
 from .powerflow import solve_power_flow
 
 
@@ -150,6 +153,26 @@ class GridComponent(SimComponent):
         except ValueError as exc:          # cmath.rect of an infinite machine angle
             raise ComponentStepError(self.component_id, t, f"machine states diverged ({exc})")
         self._publish_measurements(meas)
+
+    # -- reporting -----------------------------------------------------------
+
+    def report(self, meta: RunMetadata) -> None:
+        """Add the faults as requested, a warning for each one starting at or after the end
+        of the run and each edge off the micro-step grid, and the init diagnostics."""
+        meta.events += [dataclasses.asdict(ev) for ev in self.model.events]
+        _, h = micro_grid(meta.macro_step, self.model.micro_step)
+        for ev in self.model.events:
+            if ev.start >= meta.t_end:
+                meta.warnings.append(f"fault at bus {ev.bus}: start {ev.start:.12g} s is at or "
+                                     f"after the end of the run ({meta.t_end:.12g} s); it has "
+                                     f"no effect")
+            for what, t in (("start", ev.start), ("clearance", ev.clearance)):
+                applied = fault_switch_time(t, h)
+                if abs(applied - t) > 1e-9:
+                    meta.warnings.append(
+                        f"fault at bus {ev.bus}: {what} {t:.12g} s is off the {h:.12g} s "
+                        f"micro-step grid; applied at {applied:.12g} s")
+        meta.init = dict(self.model.init_diagnostics)
 
     # -- publishing ----------------------------------------------------------
 

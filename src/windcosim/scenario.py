@@ -35,8 +35,7 @@ from .errors import (FINITE, POSITIVE, ScenarioValidationError, UnresolvedRefere
                      WiringError, check_domains)
 from .frt import FrtComponent, FrtControl, FrtParams
 from .gridcomp import GridComponent
-from .network import (Bus, Branch, FaultEvent, NetworkData, StaticGenerator,
-                      fault_switch_time)
+from .network import Bus, Branch, FaultEvent, NetworkData, StaticGenerator
 from .wscc9 import wscc9_without_g3
 
 PCC_BUS = 3                          # plant couples at the former generator-3 bus
@@ -313,28 +312,4 @@ def run_scenario(scenario: Scenario, scheme: Scheme | str | None = None,
     overrides = dict(scheme=scheme, macro_step=macro_step, t_end=t_end)
     overrides = {key: value for key, value in overrides.items() if value is not None}
     sc = replace(scenario, master=replace(scenario.master, **overrides)) if overrides else scenario
-    master = instantiate(sc)
-    trace, meta = master.run(scenario_name=sc.name)
-    meta.events = [dict(bus=ev.bus, start=ev.start, duration=ev.duration,
-                        admittance=ev.admittance) for ev in sc.events]
-    meta.warnings += _fault_time_warnings(sc)
-    meta.init = dict(master.component("grid").model.init_diagnostics)
-    return trace, meta
-
-
-def _fault_time_warnings(sc: Scenario) -> list[str]:
-    """Name each fault starting at or after the end of the run, and each fault
-    start or clearance that the grid moves to the next micro-step boundary."""
-    _, h = micro_grid(sc.master.macro_step, sc.micro_step)
-    warnings = []
-    for ev in sc.events:
-        if ev.start >= sc.master.t_end:
-            warnings.append(f"fault at bus {ev.bus}: start {ev.start:.12g} s is at or after "
-                            f"the end of the run ({sc.master.t_end:.12g} s); it has no effect")
-        for what, t in (("start", ev.start), ("clearance", ev.clearance)):
-            applied = fault_switch_time(t, h)
-            if abs(applied - t) > 1e-9:
-                warnings.append(
-                    f"fault at bus {ev.bus}: {what} {t:.12g} s is off the {h:.12g} s "
-                    f"micro-step grid; applied at {applied:.12g} s")
-    return warnings
+    return instantiate(sc).run(scenario_name=sc.name)

@@ -441,11 +441,16 @@ def test_setup_scaling_script_times_a_small_plant(monkeypatch):
     assert row["steps"] > 0.0            # script.STEPS macro steps after initialize
 
 
-def test_run_study_script_rejects_too_few_reps_before_any_study(monkeypatch, tmp_path):
+def _run_study_script():
     path = Path(__file__).resolve().parents[1] / "scripts" / "run_study.py"
     spec = importlib.util.spec_from_file_location("run_study", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_run_study_script_rejects_too_few_reps_before_any_study(monkeypatch, tmp_path):
+    script = _run_study_script()
 
     def no_study(out_dir):
         raise AssertionError("a study ran before --reps was checked")
@@ -456,3 +461,16 @@ def test_run_study_script_rejects_too_few_reps_before_any_study(monkeypatch, tmp
         script.main()
     assert info.value.code == 2
     assert not (tmp_path / "o").exists()
+
+
+def test_run_study_fidelity_saves_each_study_with_its_own_record(monkeypatch, tmp_path, capsys):
+    script = _run_study_script()
+    fault = FaultEvent(bus=6, start=0.02, duration=0.01)
+    for name, build in (("monolithic", build_monolithic), ("small_scale", build_small_scale)):
+        write_scenario(build(t_end=0.05, fault=fault), tmp_path / f"{name}.scn")
+    monkeypatch.setattr(script, "SCENARIO_DIR", tmp_path)
+    script.fidelity(tmp_path / "out")
+    for name, components in (("monolithic", 1), ("small_scale", 3)):
+        meta = json.loads((tmp_path / "out" / f"{name}.meta.json").read_text())
+        assert (meta["scenario"], meta["components"]) == (name, components)
+    assert "around t = 0.02, 0.03" in capsys.readouterr().out

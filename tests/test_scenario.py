@@ -246,6 +246,28 @@ def test_run_scenario_reports_init_diagnostics():
         assert np.array_equal(trace[name], direct[name]), name
 
 
+@pytest.mark.parametrize("fault", [FaultEvent(bus=6, start=0.0203, duration=0.01),
+                                   FaultEvent(bus=6, start=0.03, duration=0.0101)])
+def test_master_run_writes_the_same_record_as_run_scenario(fault):
+    # the grid reports its own events, warnings and init block into Master.run's record
+    sc = build_small_scale(t_end=0.03, fault=fault)
+    _, direct = instantiate(sc).run(scenario_name=sc.name)
+    _, via = run_scenario(sc)
+    assert direct.warnings and direct.init and direct.events == [dataclasses.asdict(fault)]
+    assert (dataclasses.replace(direct, wall_clock_s=0.0)
+            == dataclasses.replace(via, wall_clock_s=0.0))
+
+
+def test_readme_run_record_section_names_every_key_a_run_writes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Run record\n", 1)[1].split("\n## ", 1)[0]
+    _, meta = run_scenario(build_small_scale(t_end=0.02, fault=FaultEvent(6, 0.005, 0.01)))
+    record = dataclasses.asdict(meta)
+    keys = [*record, *record["init"], *(key for ev in record["events"] for key in ev)]
+    assert record["init"] and record["events"]
+    assert [key for key in keys if f"`{key}`" not in section] == []
+
+
 @pytest.mark.parametrize("build", [build_monolithic, build_small_scale])
 def test_fault_at_time_zero_acts_from_the_first_step(build):
     fault = FaultEvent(bus=6, start=0.0, duration=0.01)
