@@ -33,29 +33,21 @@ def bench_scaling(scenarios: list[Scenario], repetitions: int = MIN_REPETITIONS)
     keep the first repetition's trace.
 
     Runs are sequential (no overlap that would distort timing).  Each
-    repetition instantiates fresh components, so repetitions are
-    independent and must produce identical step counts.
+    repetition instantiates fresh components from the same frozen
+    scenario, so repetitions are independent.
     """
     if repetitions < MIN_REPETITIONS:
         raise ValueError(f"need >= {MIN_REPETITIONS} repetitions for a median, got {repetitions}")
     rows = []
     for sc in scenarios:
-        times = []
-        steps = components = None
-        for _ in range(repetitions):
-            tr, meta = run_scenario(sc)
-            times.append(meta.wall_clock_s)
-            if steps is None:
-                steps, components = meta.steps, meta.components
-                trace = tr
-            elif steps != meta.steps:
-                raise AssertionError(
-                    f"{sc.name}: step count changed between repetitions")
+        runs = [run_scenario(sc) for _ in range(repetitions)]
+        trace, meta = runs[0]
+        times = [m.wall_clock_s for _, m in runs]
         med = statistics.median(times)
         rows.append(BenchRow(
-            scenario=sc.name, components=components, steps=steps,
+            scenario=sc.name, components=meta.components, steps=meta.steps,
             median_wall_s=med, min_wall_s=min(times), max_wall_s=max(times),
-            steps_per_s=steps / med if med > 0 else float("inf"),
+            steps_per_s=meta.steps / med if med > 0 else float("inf"),
             trace=trace))
     return rows
 

@@ -24,7 +24,6 @@ class ChannelComparison:
     max_abs: float          # outside exclusion windows
     rms: float              # outside exclusion windows
     max_abs_full: float     # every sample
-    rms_full: float
     n_excluded: int
 
 
@@ -96,7 +95,6 @@ def compare_traces(a: TraceSet, b: TraceSet, channels: list[str] | None = None,
             max_abs=float(kept.max()),
             rms=float(np.sqrt(np.mean(kept * kept))),
             max_abs_full=float(diff.max()),
-            rms_full=float(np.sqrt(np.mean(diff * diff))),
             n_excluded=int(n - kept.size)))
     return ComparisonReport(
         channels=tuple(out),

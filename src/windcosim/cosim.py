@@ -12,16 +12,16 @@ its index in the component's value list), as FMI 2.0 does with
 ``fmi2ValueReference``.  A refresh moves values along the edges into the
 sink's values, and every hook's real outputs are checked finite right
 after the hook, so a failing macro step names the first component in
-priority order.  No re-wiring follows, and a master that has stepped is
+registration order.  No re-wiring follows, and a master that has stepped is
 not initialized or run again.  Two coupling schemes are supported:
 
 ``serial``
-    Components step once per macro step in ascending priority order.
+    Components step once per macro step in registration order.
     Immediately before a component steps, each of its inputs is
     refreshed from the *latest available* value of its source.  A
-    connection from a lower-priority to a higher-priority component
-    therefore carries the current step's value (fresh), while a
-    back-edge carries the previous step's value (one-step lag).
+    connection to a later-registered component therefore carries the
+    current step's value (fresh), while a back-edge, to an earlier-
+    registered one, carries the previous step's value (one-step lag).
 
 ``parallel``
     All inputs are latched from the previous macro step's outputs
@@ -35,10 +35,10 @@ Initialization starts from the declared start values, which are every
 component's nominal outputs (each real one is checked finite), and runs
 two stages before the first step:
 
-1. in priority order, with inputs refreshed before each call, every
+1. in registration order, with inputs refreshed before each call, every
    component solves its internal equilibrium (``equilibrate``) -- the
    grid runs a power flow here and publishes terminal voltages,
-2. in priority order again, every component commits state consistent
+2. in registration order again, every component commits state consistent
    with the final exchanged values (``finish_init``).
 
 A disturbance-free run started this way stays at its operating point.
@@ -269,7 +269,6 @@ class Master:
     def __init__(self, config: MasterConfig):
         self.config = config
         self._components: dict[str, SimComponent] = {}
-        self._by_priority: dict[int, SimComponent] = {}
         self._by_sink: dict[str, list[Connection]] = {}
         self._driven: set[VariableRef] = set()
         self._plan: list[tuple] = []
@@ -279,16 +278,13 @@ class Master:
 
     # -- construction ------------------------------------------------------
 
-    def register(self, component: SimComponent, priority: int) -> SimComponent:
+    def register(self, component: SimComponent) -> SimComponent:
         if self._initialized:
             raise err.WiringError("register after initialize: the exchange plan is fixed")
         cid = component.component_id
         if cid in self._components:
             raise err.DuplicateComponentError(f"component id '{cid}' already registered")
-        if priority in self._by_priority:
-            raise err.DuplicatePriorityError(f"priority {priority} already taken")
         self._components[cid] = component
-        self._by_priority[priority] = component
         return component
 
     def resolve(self, qualified: str | VariableRef) -> VariableRef:
@@ -338,9 +334,10 @@ class Master:
     # -- value movement ----------------------------------------------------
 
     def _compile(self) -> None:
-        """Per component in priority order: (component, values, copies, affine, real outputs)."""
+        """Per component in registration order (an edge to an earlier one lags):
+        (component, values, copies, affine, real outputs)."""
         self._plan = []
-        for _, comp in sorted(self._by_priority.items()):
+        for comp in self._components.values():
             copies, affine = [], []
             for c in self._by_sink.get(comp.component_id, ()):
                 src = self._components[c.source.component_id]._values

@@ -14,7 +14,7 @@ from dataclasses import fields
 
 __all__ = [
     "CosimError", "WiringError", "DuplicateComponentError",
-    "DuplicatePriorityError", "UnknownVariableError", "DirectionMismatchError",
+    "UnknownVariableError", "DirectionMismatchError",
     "KindMismatchError", "SinkAlreadyDrivenError", "InitializationError",
     "EquilibriumInfeasibleError", "ComponentStepError", "FrtTransitionError",
     "TopologyError", "PowerFlowDivergedError", "SingularNetworkError",
@@ -35,10 +35,6 @@ class WiringError(CosimError):
 
 
 class DuplicateComponentError(WiringError):
-    pass
-
-
-class DuplicatePriorityError(WiringError):
     pass
 
 

@@ -286,14 +286,12 @@ def instantiate(scenario: Scenario) -> Master:
                      pcc_bus=scenario.pcc_bus, pcc_branch=scenario.pcc_branch)
     grid = GridComponent("grid", model, setpoints,
                          extra_bus_voltages=scenario.export_bus_v, embedded=embedded)
-    master.register(grid, 0)
+    master.register(grid)
     if scenario.mode == "cosim":
-        for i, w in enumerate(scenario.wtgs):
-            master.register(
-                ConverterComponent(f"conv_{w.id}", w.converter, w.p_ref, w.q_ref), 1 + i)
-        base = 1 + len(scenario.wtgs)
-        for i, w in enumerate(scenario.wtgs):
-            master.register(FrtComponent(f"frt_{w.id}", w.frt), base + i)
+        for w in scenario.wtgs:
+            master.register(ConverterComponent(f"conv_{w.id}", w.converter, w.p_ref, w.q_ref))
+        for w in scenario.wtgs:
+            master.register(FrtComponent(f"frt_{w.id}", w.frt))
         for c in scenario.connections:
             try:
                 master.connect(c.source, c.sink, c.gain, c.offset)

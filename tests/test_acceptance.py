@@ -16,7 +16,7 @@ import numpy as np
 
 from oracles import branch_loss_pu, naive_power_flow, two_bus_voltage
 from windcosim.collector import CollectorString, WppLayout, string_equivalent
-from windcosim.compare import compare_traces, oscillation_metrics
+from windcosim.compare import compare_traces, fault_edge_times, oscillation_metrics
 from windcosim.converter import Priority, current_limit
 from windcosim.cosim import Master, MasterConfig, Scheme, SimComponent, VarKind
 from windcosim.dynamics import RmsModel
@@ -74,9 +74,9 @@ def _probe_pair(scheme, n_steps):
     cfg = MasterConfig(macro_step=1e-3, t_end=n_steps * 1e-3, scheme=scheme,
                        record=["a.seen", "b.seen"])
     master = Master(cfg)
-    master.register(_Probe("a"), priority=0)
-    master.register(_Probe("b"), priority=1)
-    master.connect("a.idx", "b.inp")   # forward edge: low -> high priority
+    master.register(_Probe("a"))
+    master.register(_Probe("b"))
+    master.connect("a.idx", "b.inp")   # forward edge: to a later-registered component
     master.connect("b.idx", "a.inp")   # back edge closes the cycle
     return master.run()
 
@@ -127,7 +127,7 @@ def _random_graph(seed, n_steps=50):
                        record=[f"c{i}.out" for i in range(n)])
     master = Master(cfg)
     for i in range(n):
-        master.register(_Mixer(f"c{i}", coeff=rng.uniform(0.2, 2.0)), priority=i)
+        master.register(_Mixer(f"c{i}", coeff=rng.uniform(0.2, 2.0)))
     sources = [rng.randrange(n) for _ in range(n)]
     sources[0], sources[1] = 1, 0      # force at least one cycle
     for i, src in enumerate(sources):
@@ -227,6 +227,37 @@ def test_c4_cosim_matches_monolithic():
              f"(tol {tol_p:g}), dV {full['grid.v_pcc']:.3g}->"
              f"{half['grid.v_pcc']:.3g} pu (tol {tol_v:g})",
              time.perf_counter() - t0, 60.0)
+
+
+def test_coupling_error_converges():
+    """The co-simulation error is first order in the macro step ``h``.
+
+    The shipped serial plan steps the grid first, so only the grid's back-edge
+    lags and the plant is bit-identical to the monolithic run at 0.5 ms.  The
+    parallel scheme lags every edge, which costs about one more ``h``.  A window
+    of ``max(10 ms, 3 h)`` around each fault edge is excluded.
+    """
+    mono = _shipped("monolithic.scn")
+    small = _shipped("small_scale.scn")
+
+    def deviation(h, scheme):
+        ref, meta = run_scenario(mono, macro_step=h)
+        trace, _ = run_scenario(small, macro_step=h, scheme=scheme)
+        rep = compare_traces(ref, trace, ["grid.p_wpp_mw"],
+                             event_times=fault_edge_times(meta.events),
+                             exclude_steps=max(round(10e-3 / h), 3))
+        return rep.channels[0].max_abs, rep.channels[0].rms
+
+    steps = (1e-3, 2e-3, 4e-3)
+    dev = {(h, scheme): deviation(h, scheme) for h in steps for scheme in Scheme}
+    for scheme in Scheme:
+        for h in steps[:-1]:
+            for coarse, fine in zip(dev[2 * h, scheme], dev[h, scheme]):
+                assert coarse >= 1.8 * fine, (scheme, h, dev)
+    for h in steps[:-1]:
+        for lagged, serial in zip(dev[h, Scheme.PARALLEL], dev[2 * h, Scheme.SERIAL]):
+            assert abs(lagged - serial) <= 0.1 * serial, (h, dev)
+    assert deviation(5e-4, Scheme.SERIAL) == (0.0, 0.0)
 
 
 # -- 5: fault ride-through sequence -------------------------------------------------

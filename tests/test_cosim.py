@@ -20,7 +20,6 @@ from windcosim.errors import (
     ComponentStepError,
     DirectionMismatchError,
     DuplicateComponentError,
-    DuplicatePriorityError,
     InitializationError,
     KindMismatchError,
     SinkAlreadyDrivenError,
@@ -57,10 +56,10 @@ def _counter_pair(scheme, n_steps):
     cfg = MasterConfig(macro_step=1e-3, t_end=n_steps * 1e-3, scheme=scheme,
                        record=["a.idx", "a.seen", "b.idx", "b.seen"])
     master = Master(cfg)
-    master.register(Counter("a"), priority=0)
-    master.register(Counter("b"), priority=1)
-    master.connect("a.idx", "b.inp")   # forward edge: low -> high priority
-    master.connect("b.idx", "a.inp")   # back edge: high -> low priority
+    master.register(Counter("a"))
+    master.register(Counter("b"))
+    master.connect("a.idx", "b.inp")   # forward edge: to a later-registered component
+    master.connect("b.idx", "a.inp")   # back edge: to an earlier-registered component
     return master
 
 
@@ -104,15 +103,15 @@ class StageLogger(SimComponent):
 def test_staged_init_order_and_refresh():
     master = Master(MasterConfig(record=["a.out"]))
     log = []
-    master.register(StageLogger("a", log), priority=0)
-    master.register(StageLogger("b", log), priority=1)
+    master.register(StageLogger("a", log))
+    master.register(StageLogger("b", log))
     master.connect("a.out", "b.inp")
     master.initialize()
 
     stages = [entry[0] for entry in log]
     assert stages == ["equilibrate", "equilibrate", "finish", "finish"]
     order = [entry[1] for entry in log]
-    assert order == ["a", "b"] * 2, "each stage runs in priority order"
+    assert order == ["a", "b"] * 2, "each stage runs in registration order"
     # b equilibrates after a republished in its own equilibrate, so it sees 7
     assert log[1] == ("equilibrate", "b", 7.0)
     assert log[3] == ("finish", "b", 7.0)
@@ -127,8 +126,8 @@ class NonFiniteStart(StageLogger):
 def test_non_finite_start_value_fails_before_any_equilibrate():
     master = Master(MasterConfig())
     log = []
-    master.register(StageLogger("a", log), priority=0)
-    master.register(NonFiniteStart("b", log), priority=1)
+    master.register(StageLogger("a", log))
+    master.register(NonFiniteStart("b", log))
     with pytest.raises(ComponentStepError, match="output 'bad' is not finite") as info:
         master.initialize()
     assert info.value.component_id == "b"
@@ -175,8 +174,8 @@ def test_variable_ref_prints_its_qualified_name_and_its_fields():
 
 def test_connections_compare_and_hash_by_all_four_fields():
     master = Master(MasterConfig())
-    master.register(Counter("a"), priority=0)
-    master.register(Counter("b"), priority=1)
+    master.register(Counter("a"))
+    master.register(Counter("b"))
     made = master.connect("a.idx", "b.inp")
     src = VariableRef("a", "idx", Direction.OUTPUT, VarKind.INT)
     sink = VariableRef("b", "inp", Direction.INPUT, VarKind.INT)
@@ -208,7 +207,7 @@ def test_unknown_variable():
     with pytest.raises(UnknownVariableError):
         c.get("nope")
     master = Master(MasterConfig())
-    master.register(c, priority=0)
+    master.register(c)
     with pytest.raises(UnknownVariableError):
         master.resolve("c.nope")
     with pytest.raises(UnknownVariableError):
@@ -217,17 +216,15 @@ def test_unknown_variable():
 
 def test_duplicate_registration_errors():
     master = Master(MasterConfig())
-    master.register(Counter("a"), priority=0)
+    master.register(Counter("a"))
     with pytest.raises(DuplicateComponentError):
-        master.register(Counter("a"), priority=1)
-    with pytest.raises(DuplicatePriorityError):
-        master.register(Counter("b"), priority=0)
+        master.register(Counter("a"))
 
 
 def test_connect_validation():
     master = Master(MasterConfig())
-    master.register(Counter("a"), priority=0)
-    master.register(Counter("b"), priority=1)
+    master.register(Counter("a"))
+    master.register(Counter("b"))
     with pytest.raises(DirectionMismatchError):
         master.connect("a.inp", "b.inp")          # source must be an output
     with pytest.raises(DirectionMismatchError):
@@ -243,8 +240,8 @@ def test_connect_validation():
 
 def test_int_connection_requires_identity_transform():
     master = Master(MasterConfig())
-    master.register(Counter("a"), priority=0)
-    master.register(Counter("b"), priority=1)
+    master.register(Counter("a"))
+    master.register(Counter("b"))
     with pytest.raises(KindMismatchError):
         master.connect("a.idx", "b.inp", gain=2.0)
 
@@ -261,8 +258,8 @@ class RealRelay(SimComponent):
 
 def test_refs_built_by_the_caller_wire_like_declared_ones():
     master = Master(MasterConfig(macro_step=1e-3, t_end=2e-3))
-    a = master.register(RealRelay("a"), priority=0)
-    b = master.register(RealRelay("b"), priority=1)
+    a = master.register(RealRelay("a"))
+    b = master.register(RealRelay("b"))
     a.declare_output("pad", start=-1.0)          # so a wrong slot would show
     master.connect(VariableRef("b", "out", Direction.OUTPUT, VarKind.REAL),
                    VariableRef("a", "inp", Direction.INPUT, VarKind.REAL), gain=2.0)
@@ -276,8 +273,8 @@ def test_refs_built_by_the_caller_wire_like_declared_ones():
 
 def test_kind_mismatch_between_ends():
     master = Master(MasterConfig())
-    master.register(Counter("a"), priority=0)
-    master.register(RealRelay("r"), priority=1)
+    master.register(Counter("a"))
+    master.register(RealRelay("r"))
     with pytest.raises(KindMismatchError):
         master.connect("a.idx", "r.inp")
 
@@ -285,8 +282,8 @@ def test_kind_mismatch_between_ends():
 def test_affine_transform_applied():
     cfg = MasterConfig(macro_step=1.0, t_end=2.0, scheme=Scheme.PARALLEL, record=["b.out"])
     master = Master(cfg)
-    master.register(RealRelay("a"), priority=0)
-    master.register(RealRelay("b"), priority=1)
+    master.register(RealRelay("a"))
+    master.register(RealRelay("b"))
     master.connect("a.out", "b.inp", gain=2.0, offset=0.5)
     trace, _ = master.run()
     # parallel latches a.out from the previous step: 1.0 at init, 0.0 after step 1
@@ -296,7 +293,7 @@ def test_affine_transform_applied():
 
 def test_step_before_initialize_rejected():
     master = Master(MasterConfig())
-    master.register(Counter("a"), priority=0)
+    master.register(Counter("a"))
     with pytest.raises(InitializationError):
         master.step_macro()
 
@@ -335,7 +332,7 @@ class Exploder(SimComponent):
 def test_non_finite_output_detected():
     cfg = MasterConfig(macro_step=1e-3, t_end=10e-3, record=["e.out"])
     master = Master(cfg)
-    master.register(Exploder("e", blow_at=4), priority=0)
+    master.register(Exploder("e", blow_at=4))
     with pytest.raises(ComponentStepError, match="not finite"):
         master.run()
 
@@ -343,7 +340,7 @@ def test_non_finite_output_detected():
 def test_t_end_rounding_warns():
     cfg = MasterConfig(macro_step=1e-3, t_end=0.0105, record=["a.idx"])
     master = Master(cfg)
-    master.register(Counter("a"), priority=0)
+    master.register(Counter("a"))
     trace, meta = master.run()
     assert meta.steps == 10
     assert meta.warnings and "not a multiple" in meta.warnings[0]
@@ -353,7 +350,7 @@ def test_t_end_rounding_warns():
 def test_exact_t_end_does_not_warn():
     cfg = MasterConfig(macro_step=1e-3, t_end=0.01, record=["a.idx"])
     master = Master(cfg)
-    master.register(Counter("a"), priority=0)
+    master.register(Counter("a"))
     _, meta = master.run()
     assert meta.steps == 10 and not meta.warnings
 
@@ -381,8 +378,8 @@ def build_random_graph(seed, n_steps=100):
     cfg = MasterConfig(macro_step=1e-3, t_end=n_steps * 1e-3, scheme=scheme,
                        record=[f"{name}.out" for name in names])
     master = Master(cfg)
-    for i, name in enumerate(names):
-        master.register(Mixer(name, coeff=rng.uniform(0.2, 2.0)), priority=i)
+    for name in names:
+        master.register(Mixer(name, coeff=rng.uniform(0.2, 2.0)))
     sources = [rng.randrange(n) for _ in range(n)]
     sources[0], sources[1] = 1, 0  # guarantee at least one cycle
     for i, src in enumerate(sources):
@@ -401,20 +398,20 @@ def test_random_cyclic_graph_runs_and_repeats_bit_identically(seed):
         assert np.all(np.isfinite(trace_a[name]))
 
 
-def test_execution_order_is_priority_order(stepped_order):
+def test_execution_order_is_registration_order(stepped_order):
     master = Master(MasterConfig())
-    master.register(Counter("z"), priority=5)
-    master.register(Counter("a"), priority=1)
-    master.register(Counter("m"), priority=3)
+    master.register(Counter("z"))
+    master.register(Counter("a"))
+    master.register(Counter("m"))
     master.initialize()
-    assert stepped_order(master) == ["a", "m", "z"]
+    assert stepped_order(master) == ["z", "a", "m"]
 
 
 def test_recording_inputs_reads_component_state():
     cfg = MasterConfig(macro_step=1.0, t_end=1.0, record=["b.inp"])
     master = Master(cfg)
-    master.register(RealRelay("a"), priority=0)
-    master.register(RealRelay("b"), priority=1)
+    master.register(RealRelay("a"))
+    master.register(RealRelay("b"))
     master.connect("a.out", "b.inp")
     trace, _ = master.run()
     # inputs are sampled from component state: init exchange put a.out=1.0 there,
@@ -428,17 +425,17 @@ def test_recording_inputs_reads_component_state():
 
 def test_register_after_initialize_rejected(stepped_order):
     master = Master(MasterConfig())
-    master.register(Counter("a"), priority=0)
+    master.register(Counter("a"))
     master.initialize()
     with pytest.raises(WiringError, match="after initialize"):
-        master.register(Counter("b"), priority=1)
+        master.register(Counter("b"))
     assert stepped_order(master) == ["a"]
 
 
 def test_connect_after_initialize_rejected():
     master = Master(MasterConfig())
-    master.register(Counter("a"), priority=0)
-    master.register(Counter("b"), priority=1)
+    master.register(Counter("a"))
+    master.register(Counter("b"))
     master.initialize()
     with pytest.raises(WiringError, match="after initialize"):
         master.connect("a.idx", "b.inp")
@@ -505,8 +502,8 @@ def test_exchange_casts_to_sink_kind(scheme):
     cfg = MasterConfig(macro_step=1e-3, t_end=2e-3, scheme=scheme)
     master = Master(cfg)
     a, b = Typed("a"), Typed("b")
-    master.register(a, priority=0)
-    master.register(b, priority=1)
+    master.register(a)
+    master.register(b)
     affine = master.connect("a.x", "b.x_in", gain=2.0, offset=0.5)
     master.connect("a.n", "b.n_in")
     master.connect("a.flag", "b.flag_in")
@@ -558,8 +555,8 @@ class Receiver(SimComponent):
 @pytest.mark.parametrize("scheme", [Scheme.SERIAL, Scheme.PARALLEL])
 def test_identity_edges_are_copies_and_affine_edges_transform(scheme):
     master = Master(MasterConfig(macro_step=1e-3, t_end=3e-3, scheme=scheme))
-    master.register(Emitter("src"), priority=0)
-    dst = master.register(Receiver("dst"), priority=1)
+    master.register(Emitter("src"))
+    dst = master.register(Receiver("dst"))
     master.connect("src.x", "dst.copy", gain=1.0, offset=0.0)
     master.connect("src.x", "dst.affine", gain=2.0, offset=0.5)
     master.connect("src.n", "dst.n_in")
@@ -672,8 +669,8 @@ class EquilibriumExploder(RealRelay):
 
 def test_non_finite_output_detected_during_initialization():
     master = Master(MasterConfig())
-    master.register(RealRelay("a"), priority=0)
-    master.register(EquilibriumExploder("b"), priority=1)
+    master.register(RealRelay("a"))
+    master.register(EquilibriumExploder("b"))
     master.connect("a.out", "b.inp")
     with pytest.raises(ComponentStepError, match="'out' is not finite") as exc:
         master.initialize()
@@ -697,12 +694,12 @@ class SecondOutputExploder(SimComponent):
 
 
 def _assert_first_failure_named(scheme):
-    # both exploders fail in the fourth step; the one registered first has the
-    # later priority, so only priority order picks the component named
+    # both exploders fail in the fourth step; only the one registered first,
+    # which steps first, is named
     master = Master(MasterConfig(macro_step=1e-3, t_end=10e-3, scheme=scheme))
-    master.register(Exploder("late", blow_at=4), priority=2)
-    master.register(SecondOutputExploder("early", blow_at=4), priority=1)
-    master.register(RealRelay("r"), priority=3)
+    master.register(SecondOutputExploder("early", blow_at=4))
+    master.register(Exploder("late", blow_at=4))
+    master.register(RealRelay("r"))
     master.connect("early.fine", "r.inp")
     with pytest.raises(ComponentStepError, match=r"output 'out' is not finite \(nan\)") as exc:
         master.run()

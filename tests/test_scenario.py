@@ -171,15 +171,18 @@ def test_instantiate_reports_wiring_errors_as_validation_errors(connection, reco
 
 
 def test_instantiate_orders_grid_then_converters_then_supervisors(stepped_order):
-    master = instantiate(build_small_scale())
+    small = build_small_scale()
+    master = instantiate(small)
     master.initialize()
-    assert stepped_order(master) == ["grid", "conv_wpp", "frt_wpp"]
-    master = instantiate(build_large_scale())
+    assert stepped_order(master) == ["grid", "conv_wpp", "frt_wpp"] == small.component_ids()
+    large = build_large_scale()
+    master = instantiate(large)
     master.initialize()
     order = stepped_order(master)
     assert order[0] == "grid"
     assert order[1:33] == [f"conv_wtg{k:02d}" for k in range(1, 33)]
     assert order[33:] == [f"frt_wtg{k:02d}" for k in range(1, 33)]
+    assert order == large.component_ids()      # the layout is written in both places
 
 
 def test_run_scenario_applies_overrides_and_reports_events():
