@@ -9,7 +9,8 @@ Four parts, mirroring the acceptance criteria on the shipped scenarios:
                    the aggregated-vs-distributed ringdown contrast
 4. bench        -- wall-clock table over the three shipped scenarios
 
-Traces land in --out (default results/) as CSV plus a gnuplot script.
+Each study's trace lands in --out (default results/) as <name>.csv, with
+its run record as <name>.meta.json.
 
     python3 scripts/run_study.py [--out results] [--reps 3]
 """

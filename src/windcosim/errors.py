@@ -16,7 +16,7 @@ __all__ = [
     "CosimError", "WiringError", "DuplicateComponentError",
     "UnknownVariableError", "DirectionMismatchError",
     "KindMismatchError", "SinkAlreadyDrivenError", "InitializationError",
-    "EquilibriumInfeasibleError", "ComponentStepError", "FrtTransitionError",
+    "EquilibriumInfeasibleError", "ComponentStepError",
     "TopologyError", "PowerFlowDivergedError", "SingularNetworkError",
     "ScenarioError", "ScenarioParseError", "UnresolvedReferenceError",
     "ScenarioValidationError", "TraceError", "TraceAxisMismatchError",
@@ -69,10 +69,6 @@ class ComponentStepError(CosimError):
         super().__init__(f"component '{component_id}' at t={time:.6f}: {message}")
         self.component_id = component_id
         self.time = time
-
-
-class FrtTransitionError(CosimError):
-    """The ride-through state machine attempted a forbidden transition."""
 
 
 # --- network / solvers ----------------------------------------------------

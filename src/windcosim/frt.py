@@ -4,8 +4,9 @@ A three-state machine watches the terminal voltage magnitude:
 
 NORMAL --(V < v_enter)--> FAULT --(V >= v_exit held for the deglitch
 time)--> RECOVERY --(active-current ramp complete)--> NORMAL, with
-RECOVERY --(V < v_enter)--> FAULT allowed on a re-dip.  Any other
-transition is a bug and raises.
+RECOVERY --(V < v_enter)--> FAULT allowed on a re-dip.  No other
+transition can occur: each state's branch of ``FrtControl.step`` sets
+only these successors.
 
 While in FAULT the active current is blocked and the reactive command
 receives a boost proportional to the voltage shortfall,
@@ -28,8 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cosim import SimComponent, VarKind
-from .errors import (NON_NEGATIVE, POSITIVE, EnvelopeCoverageError, FrtTransitionError,
-                     check_domains)
+from .errors import NON_NEGATIVE, POSITIVE, EnvelopeCoverageError, check_domains
 
 
 class Mode(enum.IntEnum):
@@ -37,13 +37,6 @@ class Mode(enum.IntEnum):
     FAULT = 1
     RECOVERY = 2
 
-
-_ALLOWED = {
-    (Mode.NORMAL, Mode.NORMAL), (Mode.NORMAL, Mode.FAULT),
-    (Mode.FAULT, Mode.FAULT), (Mode.FAULT, Mode.RECOVERY),
-    (Mode.RECOVERY, Mode.RECOVERY), (Mode.RECOVERY, Mode.NORMAL),
-    (Mode.RECOVERY, Mode.FAULT),
-}
 
 # the members as module names: reading one off its enum class costs about 0.2 us
 _NORMAL, _FAULT, _RECOVERY = Mode.NORMAL, Mode.FAULT, Mode.RECOVERY
@@ -119,8 +112,6 @@ class FrtControl:
                     self.i_d_ref = self.prefault_i_d
                     self.mode = _NORMAL
         mode = self.mode
-        if mode is not prev and (prev, mode) not in _ALLOWED:     # staying is always allowed
-            raise FrtTransitionError(f"forbidden transition {prev.name} -> {mode.name}")
         self._prev_cmd = i_d_cmd_meas
         self.block_active = mode is _FAULT
         self.i_q_boost = p.k_boost * max(0.0, p.v_enter - v_mag) if mode is not _NORMAL else 0.0

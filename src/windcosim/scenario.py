@@ -103,6 +103,8 @@ class Scenario:
     def validate(self) -> None:
         if self.mode not in ("monolithic", "cosim"):
             raise ScenarioValidationError(f"unknown mode '{self.mode}'")
+        if not self.wtgs:
+            raise ScenarioValidationError("scenario declares no turbines")
         sgen_mva = {sg.id: sg.mva for sg in self.network.sgens}
         wtg_ids = [w.id for w in self.wtgs]
         if len(set(wtg_ids)) != len(wtg_ids):

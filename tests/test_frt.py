@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from windcosim.errors import EnvelopeCoverageError
-from windcosim.frt import (_ALLOWED, DEFAULT_ENVELOPE_POINTS, FrtComponent,
-                           FrtControl, FrtEnvelope, FrtParams, Mode,
-                           envelope_check)
+from windcosim.frt import (DEFAULT_ENVELOPE_POINTS, FrtComponent, FrtControl,
+                           FrtEnvelope, FrtParams, Mode, envelope_check)
 
 DT = 1e-3
 
@@ -149,10 +148,18 @@ def test_seed_sets_latch_reference_and_memory():
     assert c.mode is Mode.FAULT
 
 
+# the spec: staying put, plus the four moves of the module docstring
+ALLOWED_EDGES = {(m, m) for m in Mode} | {
+    (Mode.NORMAL, Mode.FAULT), (Mode.FAULT, Mode.RECOVERY),
+    (Mode.RECOVERY, Mode.NORMAL), (Mode.RECOVERY, Mode.FAULT),
+}
+
+
 @given(st.lists(st.floats(min_value=0.0, max_value=1.1, allow_nan=False),
-                min_size=1, max_size=300))
-def test_any_voltage_walk_follows_allowed_edges(voltages):
-    c = make_control(deglitch=0.005)
+                min_size=1, max_size=300),
+       st.sampled_from([0.0, 0.005]), st.booleans())
+def test_any_voltage_walk_follows_allowed_edges(voltages, deglitch, ramp_enabled):
+    c = make_control(deglitch=deglitch, ramp_enabled=ramp_enabled)
     cmd = 0.9
     seen = set()
     for v in voltages:
@@ -160,7 +167,7 @@ def test_any_voltage_walk_follows_allowed_edges(voltages):
         c.step(DT, v, cmd)
         seen.add((prev, c.mode))
         cmd = 0.0 if c.block_active else c.i_d_ref
-    assert seen <= _ALLOWED
+    assert seen <= ALLOWED_EDGES
 
 
 def test_params_validation():

@@ -99,6 +99,13 @@ def test_validate_rejects_unknown_mode():
         dataclasses.replace(sc, mode="distributed")
 
 
+def test_validate_rejects_a_scenario_without_turbines():
+    # the parser rejects an empty [wtg] table; a study built in code must fail too
+    for build in (build_monolithic, build_small_scale):
+        with pytest.raises(ScenarioValidationError, match="no turbines"):
+            dataclasses.replace(build(), wtgs=(), wpp_rating_mva=0.0)
+
+
 def test_validate_rejects_duplicate_wtg_ids():
     sc = build_small_scale()
     with pytest.raises(ScenarioValidationError, match="duplicate"):
