@@ -146,7 +146,13 @@ def _cmd_compare(args) -> int:
         events = []
         if meta_path is not None:
             with open(meta_path, "r", encoding="utf-8") as fh:
-                events = fault_edge_times(json.load(fh).get("events", []))
+                record = json.load(fh)
+            if not isinstance(record, dict):
+                raise TraceError(f"{meta_path}: not a run record (a JSON object)")
+            try:
+                events = fault_edge_times(record.get("events", []))
+            except TraceError as exc:
+                raise TraceError(f"{meta_path}: {exc}") from None
     report = compare_traces(a, b, channels, events, args.exclude_window)
     text = report.format(args.tol)
     print(text)

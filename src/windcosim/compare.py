@@ -70,8 +70,12 @@ def exclusion_mask(time: np.ndarray, event_times, exclude_steps: int,
 
 def fault_edge_times(events) -> list[float]:
     """The start and clearance time of each fault in a run record's ``events``."""
-    return [t for ev in events
-            for t in (float(ev["start"]), float(ev["start"]) + float(ev["duration"]))]
+    try:
+        return [t for ev in events
+                for t in (float(ev["start"]), float(ev["start"]) + float(ev["duration"]))]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TraceError(f"events need a list of faults with a numeric start and duration "
+                         f"({type(exc).__name__}: {exc})") from None
 
 
 def compare_traces(a: TraceSet, b: TraceSet, channels: list[str] | None = None,

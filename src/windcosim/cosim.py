@@ -2,18 +2,17 @@
 
 Components expose scalar variables (real, integer, boolean) through a
 get/set interface and advance in fixed macro steps.  ``initialize``
-compiles the wiring into a plan of input edges per component: plain
-copies (gain 1, offset 0: every integer and boolean edge and each
-identity real one, so ``-0.0`` passes as ``-0.0`` where ``1.0 * x + 0.0``
-gives ``+0.0``) and affine real edges.  Names are resolved once, when it
-is wired: from then on the plan, the output check, the recording and the
-step bodies address each value by its value reference (``VariableRef.vr``,
-its index in the component's value list), as FMI 2.0 does with
-``fmi2ValueReference``.  A refresh moves values along the edges into the
-sink's values, and every hook's real outputs are checked finite right
-after the hook, so a failing macro step names the first component in
-registration order.  No re-wiring follows, and a master that has stepped is
-not initialized or run again.  Two coupling schemes are supported:
+compiles the wiring into a plan of input edges per component; every edge
+is a copy, so ``-0.0`` passes unchanged.  Names are resolved once, when
+it is wired: from then on the plan, the output check, the recording and
+the step bodies address each value by its value reference
+(``VariableRef.vr``, its index in the component's value list), as FMI
+2.0 does with ``fmi2ValueReference``.  A refresh moves values along the
+edges into the sink's values, and every hook's real outputs are checked
+finite right after the hook, so a failing macro step names the first
+component in registration order.  No re-wiring follows, and a master
+that has stepped is not initialized or run again.  Two coupling schemes
+are supported:
 
 ``serial``
     Components step once per macro step in registration order.
@@ -95,21 +94,10 @@ class VariableRef:
 
 @dataclass(slots=True, unsafe_hash=True)
 class Connection:
-    """Directed signal path ``sink value := gain * source value + offset``.
-
-    The affine transform is only meaningful for real signals; integer and
-    boolean connections must use the identity transform.
-    """
+    """Directed signal path ``sink value := source value``."""
 
     source: VariableRef
     sink: VariableRef
-    gain: float = 1.0
-    offset: float = 0.0
-
-    def apply(self, value):
-        if self.source.kind is VarKind.REAL:
-            return self.gain * value + self.offset
-        return value
 
 
 class SimComponent:
@@ -245,14 +233,11 @@ class RunMetadata:
     init: dict = field(default_factory=dict)
 
 
-def _refresh(values: list, copies: list[tuple], affine: list[tuple]) -> None:
-    """Set each input from its source's current output, as ``Connection.apply``
-    (without a cast: connected kinds match, and values keep their kind),
-    except that a copy passes ``-0.0`` on where ``apply`` gives ``+0.0``."""
+def _refresh(values: list, copies: list[tuple]) -> None:
+    """Set each input from its source's current output (without a cast:
+    connected kinds match, and values keep their kind)."""
     for src, src_vr, vr in copies:
         values[vr] = src[src_vr]
-    for src, src_vr, vr, gain, offset in affine:
-        values[vr] = gain * src[src_vr] + offset
 
 
 def _check_finite(comp: SimComponent, values: list, outputs: list[int], t: float) -> None:
@@ -297,7 +282,7 @@ class Master:
             raise err.UnknownVariableError(f"cannot resolve '{qualified}'")
         return self._components[comp_id].ref(var)
 
-    def connect(self, source, sink, gain: float = 1.0, offset: float = 0.0) -> Connection:
+    def connect(self, source, sink) -> Connection:
         if self._initialized:
             raise err.WiringError("connect after initialize: the exchange plan is fixed")
         source, sink = self.resolve(source), self.resolve(sink)    # the declared refs, with vr
@@ -311,13 +296,7 @@ class Master:
             )
         if sink in self._driven:
             raise err.SinkAlreadyDrivenError(f"{sink} is already driven")
-        if not (math.isfinite(gain) and math.isfinite(offset)) or gain == 0.0:
-            raise err.WiringError(f"transform gain={gain} offset={offset} is not usable")
-        if source.kind is not VarKind.REAL and (gain != 1.0 or offset != 0.0):
-            raise err.KindMismatchError(
-                f"{source.kind.value} connection {source} -> {sink} must use the identity transform"
-            )
-        conn = Connection(source, sink, gain, offset)
+        conn = Connection(source, sink)
         self._by_sink.setdefault(sink.component_id, []).append(conn)
         self._driven.add(sink)
         return conn
@@ -335,17 +314,12 @@ class Master:
 
     def _compile(self) -> None:
         """Per component in registration order (an edge to an earlier one lags):
-        (component, values, copies, affine, real outputs)."""
+        (component, values, copies, real outputs)."""
         self._plan = []
         for comp in self._components.values():
-            copies, affine = [], []
-            for c in self._by_sink.get(comp.component_id, ()):
-                src = self._components[c.source.component_id]._values
-                if c.gain == 1.0 and c.offset == 0.0:      # every int and bool edge
-                    copies.append((src, c.source.vr, c.sink.vr))
-                else:
-                    affine.append((src, c.source.vr, c.sink.vr, c.gain, c.offset))
-            self._plan.append((comp, comp._values, copies, affine, list(comp._real_outputs)))
+            copies = [(self._components[c.source.component_id]._values, c.source.vr, c.sink.vr)
+                      for c in self._by_sink.get(comp.component_id, ())]
+            self._plan.append((comp, comp._values, copies, list(comp._real_outputs)))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -355,15 +329,15 @@ class Master:
         if self.current_step:
             raise err.InitializationError("master has already stepped; build a new Master")
         self._compile()
-        for comp, values, _, _, outputs in self._plan:      # the declared start values
+        for comp, values, _, outputs in self._plan:      # the declared start values
             _check_finite(comp, values, outputs, 0.0)
         for stage in ("equilibrate", "finish_init"):
-            for comp, values, copies, affine, outputs in self._plan:
-                _refresh(values, copies, affine)
+            for comp, values, copies, outputs in self._plan:
+                _refresh(values, copies)
                 getattr(comp, stage)()
                 _check_finite(comp, values, outputs, 0.0)
-        for _, values, copies, affine, _ in self._plan:
-            _refresh(values, copies, affine)
+        for _, values, copies, _ in self._plan:
+            _refresh(values, copies)
         self._initialized = True
 
     def step_macro(self) -> None:
@@ -375,17 +349,13 @@ class Master:
         serial = self.config.scheme is Scheme.SERIAL
         # _refresh and _check_finite inline; the check is called only to name a failure
         if not serial:              # latch every input before any component steps
-            for _, values, copies, affine, _ in self._plan:
+            for _, values, copies, _ in self._plan:
                 for src, src_vr, vr in copies:
                     values[vr] = src[src_vr]
-                for src, src_vr, vr, gain, offset in affine:
-                    values[vr] = gain * src[src_vr] + offset
-        for comp, values, copies, affine, outputs in self._plan:
+        for comp, values, copies, outputs in self._plan:
             if serial:
                 for src, src_vr, vr in copies:
                     values[vr] = src[src_vr]
-                for src, src_vr, vr, gain, offset in affine:
-                    values[vr] = gain * src[src_vr] + offset
             comp.step(t, dt)
             for vr in outputs:
                 if not isfinite(values[vr]):

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cosim import SimComponent, VarKind
-from .errors import NON_NEGATIVE, POSITIVE, EnvelopeCoverageError, check_domains
+from .errors import NON_NEGATIVE, POSITIVE, EnvelopeCoverageError, TraceError, check_domains
 
 
 class Mode(enum.IntEnum):
@@ -159,8 +159,8 @@ class FrtEnvelope:
         vs = [p[1] for p in self.points]
         if len(self.points) < 2 or ts[0] != 0.0:
             raise ValueError("envelope needs >= 2 points starting at t=0")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("envelope times must be strictly increasing")
+        if not (np.isfinite(ts).all() and (np.diff(ts) > 0.0).all()):
+            raise ValueError("envelope times must be finite and strictly increasing")
         if any(not (0.0 <= v < 1.0) for v in vs):
             raise ValueError("envelope voltages must lie in [0, 1)")
 
@@ -196,6 +196,9 @@ def envelope_check(time: np.ndarray, voltage: np.ndarray, onset: float,
     mask = (time >= onset - 1e-12) & (time <= onset + env.horizon + 1e-12)
     ts = time[mask]
     margins = voltage[mask] - env.min_voltage(ts - onset)
+    finite = np.isfinite(margins)
+    if not finite.all():                # a NaN sample compares false: it would never violate
+        raise TraceError(f"voltage sample at t = {ts[~finite][0]:.6g} s is not finite")
     worst = float(margins.min())
     bad = margins < -1e-12
     if bad.any():

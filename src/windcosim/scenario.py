@@ -63,8 +63,6 @@ class WtgSpec:
 class ConnectionSpec:
     source: str
     sink: str
-    gain: float = field(default=1.0, metadata=FINITE)
-    offset: float = field(default=0.0, metadata=FINITE)
 
 
 @dataclass(frozen=True)
@@ -157,8 +155,6 @@ class Scenario:
                     cid = ref.split(".", 1)[0]
                     if cid not in comp_ids:
                         raise UnresolvedReferenceError(ref, "unknown component")
-                if c.gain != 1.0 or c.offset != 0.0:    # an identity edge is in the domain
-                    check_domains(c, ScenarioValidationError, f"connect {c.source} {c.sink}")
                 driven.add(c.sink)
             for w in self.wtgs:
                 for needed in (f"grid.i_d_{w.id}", f"grid.i_q_{w.id}",
@@ -296,7 +292,7 @@ def instantiate(scenario: Scenario) -> Master:
             master.register(FrtComponent(f"frt_{w.id}", w.frt))
         for c in scenario.connections:
             try:
-                master.connect(c.source, c.sink, c.gain, c.offset)
+                master.connect(c.source, c.sink)
             except WiringError as exc:
                 raise ScenarioValidationError(f"connect {c.source} {c.sink}: {exc}") from exc
     try:

@@ -133,8 +133,7 @@ _RECORDS = {
     "converter": _Record("controller", ConverterParams, ("target",),
                          _field_names(ConverterParams)),
     "frt": _Record("controller", FrtParams, ("target",), _field_names(FrtParams)),
-    "connect": _Record("connections", ConnectionSpec, ("source", "sink"), ("gain", "offset"),
-                       "connections", sparse=True),
+    "connect": _Record("connections", ConnectionSpec, ("source", "sink"), (), "connections"),
     "fault": _Record("events", FaultEvent, (), ("bus", "start", "duration", "admittance"),
                      "events"),
 }

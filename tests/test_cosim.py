@@ -172,23 +172,22 @@ def test_variable_ref_prints_its_qualified_name_and_its_fields():
     assert ref != VariableRef("c", "idx", Direction.OUTPUT, VarKind.REAL)
 
 
-def test_connections_compare_and_hash_by_all_four_fields():
+def test_connections_compare_and_hash_by_source_and_sink():
     master = Master(MasterConfig())
     master.register(Counter("a"))
     master.register(Counter("b"))
     made = master.connect("a.idx", "b.inp")
     src = VariableRef("a", "idx", Direction.OUTPUT, VarKind.INT)
     sink = VariableRef("b", "inp", Direction.INPUT, VarKind.INT)
-    same = Connection(src, sink)                  # refs without vr, default transform
+    same = Connection(src, sink)                  # refs without vr
     assert made == same and made is not same and hash(made) == hash(same)
     assert len({made, same}) == 1
-    others = [Connection(sink, src), Connection(src, sink, gain=2.0),
-              Connection(src, sink, offset=0.5),
+    others = [Connection(sink, src),
               Connection(src, VariableRef("b", "seen", Direction.INPUT, VarKind.INT))]
     assert all(made != other for other in others)
-    assert len({made, *others}) == 5
-    assert made != (src, sink, 1.0, 0.0)
-    assert repr(same) == f"Connection(source={src!r}, sink={sink!r}, gain=1.0, offset=0.0)"
+    assert len({made, *others}) == 3
+    assert made != (src, sink)
+    assert repr(same) == f"Connection(source={src!r}, sink={sink!r})"
 
 
 def test_variable_refs_and_connections_are_slotted_dataclasses():
@@ -232,18 +231,6 @@ def test_connect_validation():
     master.connect("a.idx", "b.inp")
     with pytest.raises(SinkAlreadyDrivenError):
         master.connect("a.seen", "b.inp")
-    with pytest.raises(WiringError):
-        master.connect("b.idx", "a.inp", gain=0.0)
-    with pytest.raises(WiringError):
-        master.connect("b.idx", "a.inp", offset=math.inf)
-
-
-def test_int_connection_requires_identity_transform():
-    master = Master(MasterConfig())
-    master.register(Counter("a"))
-    master.register(Counter("b"))
-    with pytest.raises(KindMismatchError):
-        master.connect("a.idx", "b.inp", gain=2.0)
 
 
 class RealRelay(SimComponent):
@@ -262,13 +249,13 @@ def test_refs_built_by_the_caller_wire_like_declared_ones():
     b = master.register(RealRelay("b"))
     a.declare_output("pad", start=-1.0)          # so a wrong slot would show
     master.connect(VariableRef("b", "out", Direction.OUTPUT, VarKind.REAL),
-                   VariableRef("a", "inp", Direction.INPUT, VarKind.REAL), gain=2.0)
+                   VariableRef("a", "inp", Direction.INPUT, VarKind.REAL))
     master.connect(a.ref("out"), b.ref("inp"))
     with pytest.raises(UnknownVariableError, match="ghost.out"):
         master.connect(VariableRef("ghost", "out", Direction.OUTPUT, VarKind.REAL), "b.inp")
     master.initialize()
     master.step_macro()
-    assert (a.get("inp"), a.get("out"), b.get("out")) == (2.0, 2.0, 2.0)
+    assert (a.get("inp"), a.get("out"), b.get("out")) == (1.0, 1.0, 1.0)
 
 
 def test_kind_mismatch_between_ends():
@@ -277,18 +264,6 @@ def test_kind_mismatch_between_ends():
     master.register(RealRelay("r"))
     with pytest.raises(KindMismatchError):
         master.connect("a.idx", "r.inp")
-
-
-def test_affine_transform_applied():
-    cfg = MasterConfig(macro_step=1.0, t_end=2.0, scheme=Scheme.PARALLEL, record=["b.out"])
-    master = Master(cfg)
-    master.register(RealRelay("a"))
-    master.register(RealRelay("b"))
-    master.connect("a.out", "b.inp", gain=2.0, offset=0.5)
-    trace, _ = master.run()
-    # parallel latches a.out from the previous step: 1.0 at init, 0.0 after step 1
-    assert trace["b.out"][1] == 2.0 * 1.0 + 0.5
-    assert trace["b.out"][2] == 2.0 * 0.0 + 0.5
 
 
 def test_step_before_initialize_rejected():
@@ -504,14 +479,14 @@ def test_exchange_casts_to_sink_kind(scheme):
     a, b = Typed("a"), Typed("b")
     master.register(a)
     master.register(b)
-    affine = master.connect("a.x", "b.x_in", gain=2.0, offset=0.5)
+    master.connect("a.x", "b.x_in")
     master.connect("a.n", "b.n_in")
     master.connect("a.flag", "b.flag_in")
-    identity = master.connect("b.x", "a.x_in")
+    master.connect("b.x", "a.x_in")
     master.initialize()
     for _ in range(2):
-        for comp, conn in ((b, affine), (a, identity)):
-            assert type(comp.get("x_in")) is float and comp.get("x_in") == conn.apply(3)
+        for comp, src in ((b, a), (a, b)):
+            assert type(comp.get("x_in")) is float and comp.get("x_in") == src.get("x")
         assert type(b.get("n_in")) is int and b.get("n_in") == 2
         assert b.get("flag_in") is True
         master.step_macro()
@@ -539,8 +514,7 @@ class Emitter(SimComponent):
 class Receiver(SimComponent):
     """Records the inputs it sees at each step."""
 
-    INPUTS = (("copy", VarKind.REAL), ("affine", VarKind.REAL),
-              ("n_in", VarKind.INT), ("flag_in", VarKind.BOOL))
+    INPUTS = (("x_in", VarKind.REAL), ("n_in", VarKind.INT), ("flag_in", VarKind.BOOL))
 
     def __init__(self, cid):
         super().__init__(cid)
@@ -553,27 +527,23 @@ class Receiver(SimComponent):
 
 
 @pytest.mark.parametrize("scheme", [Scheme.SERIAL, Scheme.PARALLEL])
-def test_identity_edges_are_copies_and_affine_edges_transform(scheme):
+def test_every_edge_is_a_copy(scheme):
     master = Master(MasterConfig(macro_step=1e-3, t_end=3e-3, scheme=scheme))
     master.register(Emitter("src"))
     dst = master.register(Receiver("dst"))
-    master.connect("src.x", "dst.copy", gain=1.0, offset=0.0)
-    master.connect("src.x", "dst.affine", gain=2.0, offset=0.5)
+    master.connect("src.x", "dst.x_in")
     master.connect("src.n", "dst.n_in")
     master.connect("src.flag", "dst.flag_in")
     master.initialize()
-    # the identity connections, the real one included, compile to copies only
-    (_, _, copies, affine, _), = [entry for entry in master._plan if entry[0] is dst]
-    assert [vr for _, _, vr in copies] == [dst.ref(n).vr for n in ("copy", "n_in", "flag_in")]
-    assert [edge[2:] for edge in affine] == [(dst.ref("affine").vr, 2.0, 0.5)]
+    (_, _, copies, _), = [entry for entry in master._plan if entry[0] is dst]
+    assert [vr for _, _, vr in copies] == [dst.ref(name).vr for name, _ in Receiver.INPUTS]
     for _ in range(3):
         master.step_macro()
     lag = 0 if scheme is Scheme.SERIAL else 1
     assert len(dst.seen) == 3
-    for k, (copy, transformed, n, flag) in enumerate(dst.seen, start=1):
+    for k, (copy, n, flag) in enumerate(dst.seen, start=1):
         x, n_src, flag_src = Emitter.ROWS[k - lag]
         assert copy.hex() == x.hex(), k          # -0.0 arrives as -0.0, not 1.0 * x + 0.0
-        assert transformed == 2.0 * x + 0.5, k
         assert type(n) is int and n == n_src, k
         assert type(flag) is bool and flag is flag_src, k
 

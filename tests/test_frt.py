@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from windcosim.errors import EnvelopeCoverageError
+from windcosim.errors import EnvelopeCoverageError, TraceError
 from windcosim.frt import (DEFAULT_ENVELOPE_POINTS, FrtComponent, FrtControl,
                            FrtEnvelope, FrtParams, Mode, envelope_check)
 
@@ -243,6 +243,8 @@ def test_envelope_validation():
         FrtEnvelope(points=((0.0, 0.0), (0.5, 0.2), (0.5, 0.3)))
     with pytest.raises(ValueError):
         FrtEnvelope(points=((0.0, 0.0), (1.0, 1.0)))
+    with pytest.raises(ValueError, match="finite"):
+        FrtEnvelope(points=((0.0, 0.0), (math.nan, 0.95), (1.5, 0.9)))
 
 
 def test_envelope_interpolation():
@@ -283,6 +285,17 @@ def test_envelope_check_margin_value():
     res = envelope_check(t, v, onset=0.0, envelope=env)
     assert res.compliant
     assert res.margin == pytest.approx(0.05, abs=1e-12)
+
+
+def test_envelope_check_rejects_a_sample_that_is_not_finite():
+    t = np.arange(0.0, 3.0, 1e-3)
+    v = np.full_like(t, 1.0)
+    v[(t >= 1.05) & (t <= 1.2)] = math.nan          # would compare false against the floor
+    with pytest.raises(TraceError, match=r"t = 1\.05 s is not finite"):
+        envelope_check(t, v, onset=1.0)
+    v[:] = 1.0
+    v[0] = math.nan                                 # outside the window: not checked
+    assert envelope_check(t, v, onset=1.0).compliant
 
 
 def test_envelope_check_requires_full_coverage():

@@ -245,6 +245,19 @@ def test_cli_compare_discovers_events_from_metadata(tmp_path):
     assert main(args + ["--events", ""]) == 3
 
 
+@pytest.mark.parametrize("record", [{"events": [{"start": 0.05}]}, [{"start": 0.05}],
+                                    {"events": 0.05}],
+                         ids=["event-without-duration", "top-level-list", "events-not-a-list"])
+def test_cli_compare_rejects_a_malformed_metadata_record(tmp_path, capsys, record):
+    write_csv(make_trace({"x": np.zeros(10)}), tmp_path / "a.csv")
+    (tmp_path / "meta.json").write_text(json.dumps(record))
+    args = ["compare", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "a.csv")]
+    assert main(args) == 1
+    assert main(args + ["--meta", str(tmp_path / "meta.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"error: {tmp_path / 'meta.json'}: ") == 2 and "Traceback" not in err
+
+
 def test_cli_envelope(tmp_path):
     t = np.arange(0.0, 3.2, 1e-3)
     good = make_trace({"grid.v_pcc": np.full(t.size, 1.0)})

@@ -413,12 +413,12 @@ def test_rejects_pcc_branch_and_export_bus_outside_the_network(text, old, new, f
         parse_scenario_text(text.replace(old, new, 1))
 
 
-@pytest.mark.parametrize("transform", ["gain=nan", "gain=inf", "offset=inf"])
-def test_rejects_a_connection_transform_that_is_not_finite(transform):
+@pytest.mark.parametrize("transform", ["gain=2.0", "offset=0.5"])
+def test_rejects_a_connection_transform(transform):
+    # every edge is a plain copy: a file written for an affine edge fails to parse
     edge = "connect grid.v_wpp conv_wpp.v_meas"
     assert edge in SMALL_SCALE
-    with pytest.raises(ScenarioValidationError,
-                       match=f"{edge}: {transform.split('=')[0]} must be finite, got"):
+    with pytest.raises(ScenarioParseError, match=f"unknown key '{transform.split('=')[0]}'"):
         parse_scenario_text(SMALL_SCALE.replace(edge, f"{edge} {transform}", 1))
 
 
