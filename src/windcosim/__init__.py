@@ -7,8 +7,7 @@ co-simulation master, and ships the three canonical study scenarios
 """
 
 from .bench import BenchRow, bench_scaling, format_bench_table
-from .collector import (CableData, CollectorString, WppLayout, plant_equivalent,
-                        string_equivalent)
+from .collector import CollectorString, WppLayout, plant_equivalent, string_equivalent
 from .compare import (ChannelComparison, ComparisonReport, OscillationMetrics,
                       compare_traces, fault_edge_times, oscillation_metrics)
 from .converter import (ConverterComponent, ConverterControl, ConverterParams,

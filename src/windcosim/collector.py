@@ -15,30 +15,14 @@ uniform turbine dispatch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import FINITE, NON_NEGATIVE, POSITIVE, TopologyError, check_domains
+from .errors import TopologyError
 
-
-@dataclass(frozen=True)
-class CableData:
-    """Per-km cable constants; charging is quoted at the rating frequency."""
-
-    r_ohm_per_km: float = field(default=0.10, metadata=NON_NEGATIVE)
-    x_ohm_per_km: float = field(default=0.12, metadata=FINITE)
-    c_uf_per_km: float = field(default=0.19, metadata=NON_NEGATIVE)
-    rating_frequency_hz: float = field(default=50.0, metadata=POSITIVE)
-
-    def __post_init__(self):
-        check_domains(self, TopologyError, "cable")
-
-    def pu_per_km(self, base_mva: float, base_kv: float) -> tuple[float, float, float]:
-        """(r, x, b) per km on the given system base."""
-        z_base = base_kv * base_kv / base_mva
-        b_s_per_km = 2.0 * math.pi * self.rating_frequency_hz * self.c_uf_per_km * 1e-6
-        return (self.r_ohm_per_km / z_base,
-                self.x_ohm_per_km / z_base,
-                b_s_per_km * z_base)
+# the shipped collector: a 33 kV cable with 0.7 km between turbines; its per-km
+# resistance and reactance (ohm) and capacitance (uF), the charging quoted at 50 Hz
+COLLECTOR_KV, SPACING_KM = 33.0, 0.7
+CABLE_R_OHM, CABLE_X_OHM, CABLE_C_UF, CABLE_HZ = 0.10, 0.12, 0.19, 50.0
 
 
 @dataclass(frozen=True)
@@ -81,27 +65,24 @@ def plant_equivalent(strings: list[CollectorString]) -> complex:
 @dataclass(frozen=True)
 class WppLayout:
     """Regular rectangular plant layout: ``n_strings`` radial feeders of
-    ``turbines_per_string`` turbines at uniform ``spacing_km``."""
+    ``turbines_per_string`` turbines on the shipped collector cable."""
 
     n_strings: int = 4
     turbines_per_string: int = 8
-    spacing_km: float = field(default=0.7, metadata=POSITIVE)
-    collector_kv: float = field(default=33.0, metadata=POSITIVE)
-    cable: CableData = CableData()
 
     def __post_init__(self):
         if self.n_strings < 1 or self.turbines_per_string < 1:
             raise TopologyError("layout needs at least one string and one turbine")
-        check_domains(self, TopologyError, "layout")
 
     @property
     def n_turbines(self) -> int:
         return self.n_strings * self.turbines_per_string
 
     def segment_pu(self, base_mva: float) -> tuple[float, float, float]:
-        r, x, b = self.cable.pu_per_km(base_mva, self.collector_kv)
-        d = self.spacing_km
-        return r * d, x * d, b * d
+        """(r, x, b) of one cable segment on the given system base."""
+        z_base = COLLECTOR_KV * COLLECTOR_KV / base_mva
+        return (CABLE_R_OHM / z_base * SPACING_KM, CABLE_X_OHM / z_base * SPACING_KM,
+                2.0 * math.pi * CABLE_HZ * CABLE_C_UF * 1e-6 * z_base * SPACING_KM)
 
     def strings(self, base_mva: float) -> list[CollectorString]:
         r, x, _ = self.segment_pu(base_mva)

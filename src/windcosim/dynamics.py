@@ -13,8 +13,8 @@ Model structure
   voltage phasor; the rotation angle is taken from the previous
   committed network solve (one micro-step lag), which is exact at any
   equilibrium.  Setting a command stores it as one phasor ``i_d - 1j i_q``
-  and one gain ``s_scale * status`` per sgen, so the injected current,
-  ``phasor * unit * gain``, is two multiplies per micro step.
+  per sgen, so the injected current, ``phasor * unit * s_scale``, is two
+  multiplies per micro step.
 * If the power-flow slack bus hosts no machine it is retained as a
   stiff Norton source (constant EMF behind a very small reactance), so
   source-free test networks stay energized.
@@ -155,7 +155,6 @@ class RmsModel:
         # complex, as are _load_g and _at_pcc: NumPy would cast a float array at each use
         self.s_scale = np.array([sg.mva / network.base_mva for sg in network.sgens], dtype=complex)
         self._s_cmd = np.zeros(len(network.sgens), dtype=complex)   # i_d - 1j i_q
-        self._s_gain = self.s_scale.copy()                           # s_scale * status
         self._s_unit = np.ones(len(network.sgens), dtype=complex)
 
         self._slack_idx = next(i for i, b in enumerate(network.buses) if b.btype == "slack")
@@ -195,15 +194,14 @@ class RmsModel:
 
     # -- commands ------------------------------------------------------------
 
-    def set_sgen_commands(self, k: np.ndarray | int, i_d, i_q, status) -> None:
-        """Set the currents and status of the sgens at position(s) ``k`` of ``sgen_ids``:
-        numbers at one position, arrays (``status`` also a list) at several."""
+    def set_sgen_commands(self, k: np.ndarray | int, i_d, i_q) -> None:
+        """Set the currents of the sgens at position(s) ``k`` of ``sgen_ids``:
+        numbers at one position, arrays at several."""
         self._s_cmd[k] = i_d - 1j * i_q
-        self._s_gain[k] = self.s_scale[k] * status
 
     def _sgen_currents(self) -> np.ndarray:
         """Injected network-frame currents on the system base."""
-        return self._s_cmd * self._s_unit * self._s_gain
+        return self._s_cmd * self._s_unit * self.s_scale
 
     # -- initialization --------------------------------------------------------
 
@@ -301,7 +299,7 @@ class RmsModel:
         committed at its start, as lists in ``sgen_ids`` order; it may
         update static generator commands (used by embedded plant
         controllers), not the machine states, which the interval carries
-        as numbers.
+        as numbers and commits to ``delta`` and ``domega`` at its end.
         """
         self._require_init()
         n, h = micro_grid(duration, self.micro_step)
@@ -333,7 +331,6 @@ class RmsModel:
             k4 = rates([x + h * k for x, k in zip(y, k3)])
             y = [x + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
                  for x, r1, r2, r3, r4 in zip(y, k1, k2, k3, k4)]
-            self.delta, self.domega = np.array(y[:nm]), np.array(y[nm:])
             tau_next = t0 + (m + 1) * h
             lu_start, (lu, shunts) = lu, self._lu_at(tau_next)
             if lu is not lu_start:                  # a fault edge at tau_next
@@ -350,6 +347,7 @@ class RmsModel:
             elif on_micro is not None:
                 columns = self._sgen_columns(vb, vm, cur)
             self._s_unit = vb / vm
+        self.delta, self.domega = np.array(y[:nm]), np.array(y[nm:])
         return self.last_measurements
 
     def _require_init(self):

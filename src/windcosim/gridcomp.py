@@ -1,17 +1,17 @@
 """Grid simulator wrapped as a co-simulation component.
 
 Per static generator the component exposes current-command inputs
-(``i_d_<id>``, ``i_q_<id>``, machine base) plus a connection-status
-boolean, and measurement outputs (``v_<id>``, ``theta_<id>``,
-``p_<id>``, ``q_<id>``).  Plant-level outputs give the PCC voltage,
-the plant active/reactive power in physical units and the active-power
-balance residual of the last network solution.  Additional bus voltage
-magnitudes can be exported by id (``v_bus<k>``).  Each kind of sgen
-variable is declared as one run in network sgen order (inputs ``i_d_*``,
-``i_q_*``, ``status_*`` of the commanded sgens, then the embedded ones'
-outputs, then ``v_*``, ``theta_*``, ``p_*``, ``q_*``), so ``variables()``
-lists them run by run: a step reads the commands as three slices of the
-values and writes the measurement columns as four.
+(``i_d_<id>``, ``i_q_<id>``, machine base) and measurement outputs
+(``v_<id>``, ``theta_<id>``, ``p_<id>``, ``q_<id>``).  Plant-level
+outputs give the PCC voltage, the plant active/reactive power in
+physical units and the active-power balance residual of the last
+network solution.  Additional bus voltage magnitudes can be exported by
+id (``v_bus<k>``).  Each kind of sgen
+variable is declared as one run in network sgen order (inputs ``i_d_*``
+and ``i_q_*`` of the commanded sgens, then the embedded ones' outputs,
+then ``v_*``, ``theta_*``, ``p_*``, ``q_*``), so ``variables()`` lists
+them run by run: a step reads the commands as two slices of the values
+and writes the measurement columns as four.
 
 The component wraps an ``RmsModel`` built by its caller, which has
 built the network's one bus admittance matrix (a ``NetworkData`` checks
@@ -73,18 +73,16 @@ class GridComponent(SimComponent):
         p0 = [self.setpoints.get(sid, (0.0, 0.0))[0] for sid in sids]
         q0 = [self.setpoints.get(sid, (0.0, 0.0))[1] for sid in sids]
 
-        def run(declare, prefix, starts, at=range(len(sids)), kind=VarKind.REAL) -> slice:
+        def run(declare, prefix, starts, at=range(len(sids))) -> slice:
             first = len(self._values)
             for k in at:
-                declare(f"{prefix}{sids[k]}", kind=kind, start=starts[k])
+                declare(f"{prefix}{sids[k]}", start=starts[k])
             return slice(first, len(self._values))
 
         commanded = [k for k, sid in enumerate(sids) if sid not in self.embedded]
         self._command_k = np.array(commanded, dtype=int)
         self._command_runs = (run(self.declare_input, "i_d_", p0, commanded),
-                              run(self.declare_input, "i_q_", q0, commanded),
-                              run(self.declare_input, "status_", [True] * len(sids), commanded,
-                                  VarKind.BOOL))
+                              run(self.declare_input, "i_q_", q0, commanded))
         self._embedded_at = [(k, *self.embedded[sid],
                               self.declare_output(f"i_d_{sid}", start=p0[k]).vr,
                               self.declare_output(f"i_q_{sid}", start=q0[k]).vr,
@@ -115,7 +113,7 @@ class GridComponent(SimComponent):
         for k, conv, sup, _, _, _ in self._embedded_at:
             i_d, i_q = conv.equilibrium(self.get(f"v_{self.model.sgen_ids[k]}"))
             sup.seed(i_d)
-            self.model.set_sgen_commands(k, i_d, i_q, True)
+            self.model.set_sgen_commands(k, i_d, i_q)
 
     def finish_init(self) -> None:
         self._take_commands()
@@ -125,12 +123,12 @@ class GridComponent(SimComponent):
     # -- stepping --------------------------------------------------------------
 
     def _take_commands(self) -> None:
-        """Set the commanded turbines' currents and status from the inputs."""
+        """Set the commanded turbines' currents from the inputs."""
         if self._command_k.size:
             values = self._values
-            i_d, i_q, status = self._command_runs
+            i_d, i_q = self._command_runs
             self.model.set_sgen_commands(self._command_k, np.array(values[i_d]),
-                                         np.array(values[i_q]), values[status])
+                                         np.array(values[i_q]))
 
     def _on_micro(self, tau: float, columns: tuple[list[float], ...], h: float) -> None:
         if not self._ran_micro:
@@ -144,7 +142,7 @@ class GridComponent(SimComponent):
             i_d, i_q = conv.step(h, v_mag[k], p[k], q[k], sup.mode, sup.block_active,
                                  sup.i_q_boost, sup.i_d_ref)
             sup.step(h, v_mag[k], i_d)
-            self.model.set_sgen_commands(k, i_d, i_q, True)
+            self.model.set_sgen_commands(k, i_d, i_q)
 
     def _do_step(self, t: float, dt: float) -> None:
         self._take_commands()

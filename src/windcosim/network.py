@@ -9,12 +9,16 @@ standard pi model with an off-nominal tap on the ``from`` side.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import FINITE, NON_NEGATIVE, POSITIVE, TopologyError, check_domains
+
+# an sgen id is part of variable names (conv_<id>.v_meas) and trace column headers
+_SGEN_ID = re.compile(r"[A-Za-z0-9_-]+")
 
 
 @dataclass(frozen=True)
@@ -154,6 +158,9 @@ class NetworkData:
             check_domains(m, TopologyError, f"machine at bus {m.bus}")
         seen = set()
         for sg in self.sgens:
+            if not _SGEN_ID.fullmatch(sg.id):
+                raise TopologyError(f"static generator id '{sg.id}' may hold only letters, "
+                                    f"digits, '_' and '-'")
             if sg.bus not in index:
                 raise TopologyError(f"static generator '{sg.id}' at unknown bus {sg.bus}")
             check_domains(sg, TopologyError, f"static generator '{sg.id}'")

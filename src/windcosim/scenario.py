@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .collector import WppLayout
+from .collector import COLLECTOR_KV, WppLayout
 from .converter import ConverterComponent, ConverterControl, ConverterParams, QMode
 from .cosim import MAX_MACRO_STEPS, Master, MasterConfig, Scheme
 from .dynamics import RmsModel, micro_grid
@@ -190,9 +190,8 @@ def standard_wiring(wtg_ids: list[str]) -> list[ConnectionSpec]:
 
 
 def _plant_scenario(name: str, mode: str, network: NetworkData, wtg_ids: list[str],
-                    record: list[str], t_end: float, macro_step: float, micro_step: float,
-                    fault: FaultEvent | None, plant_mw: float, frt_ramp: bool, scheme: Scheme,
-                    pcc_branch: tuple[int, int] | None = None) -> Scenario:
+                    record: list[str], t_end: float, fault: FaultEvent | None, plant_mw: float,
+                    frt_ramp: bool, pcc_branch: tuple[int, int] | None = None) -> Scenario:
     """The tail every shipped plant shares: voltage-mode turbines dispatched
     evenly at zero reactive power, the master, and the standard wiring."""
     conv = ConverterParams(q_mode=QMode.VOLTAGE)
@@ -201,46 +200,36 @@ def _plant_scenario(name: str, mode: str, network: NetworkData, wtg_ids: list[st
             for wid in wtg_ids]
     return Scenario(
         name=name, mode=mode, network=network, wtgs=wtgs,
-        wpp_rating_mva=PLANT_MVA, pcc_bus=PCC_BUS,
-        master=MasterConfig(macro_step=macro_step, t_end=t_end, scheme=scheme, record=record),
-        micro_step=micro_step, pcc_branch=pcc_branch, events=[fault] if fault else [],
+        wpp_rating_mva=PLANT_MVA, pcc_bus=PCC_BUS, master=MasterConfig(t_end=t_end, record=record),
+        pcc_branch=pcc_branch, events=[fault] if fault else [],
         connections=standard_wiring(wtg_ids) if mode == "cosim" else [], export_bus_v=(6,))
 
 
-def _aggregated_scenario(name: str, mode: str, t_end: float, macro_step: float,
-                         micro_step: float, fault: FaultEvent | None,
-                         plant_mw: float, frt_ramp: bool, scheme: Scheme) -> Scenario:
+def _aggregated_scenario(name: str, mode: str, t_end: float, fault: FaultEvent | None,
+                         plant_mw: float, frt_ramp: bool) -> Scenario:
     network = replace(wscc9_without_g3(),
                       sgens=[StaticGenerator(id="wpp", bus=PCC_BUS, mva=PLANT_MVA)])
     control = (["grid.i_d_wpp", "grid.i_q_wpp", "grid.mode_wpp"] if mode == "monolithic"
                else ["conv_wpp.i_d_cmd", "conv_wpp.i_q_cmd", "frt_wpp.mode"])
     record = ["grid.v_pcc", "grid.p_wpp_mw", "grid.q_wpp_mvar", "grid.v_bus6", *control,
               "grid.p_balance_residual"]
-    return _plant_scenario(name, mode, network, ["wpp"], record, t_end, macro_step,
-                           micro_step, fault, plant_mw, frt_ramp, scheme)
+    return _plant_scenario(name, mode, network, ["wpp"], record, t_end, fault, plant_mw,
+                           frt_ramp)
 
 
-def build_monolithic(t_end: float = 2.0, macro_step: float = 1e-3,
-                     micro_step: float = 5e-4, fault: FaultEvent | None = DEFAULT_FAULT,
-                     plant_mw: float = 85.0, frt_ramp: bool = True,
-                     scheme: Scheme = Scheme.SERIAL) -> Scenario:
-    return _aggregated_scenario("monolithic", "monolithic", t_end, macro_step,
-                                micro_step, fault, plant_mw, frt_ramp, scheme)
+def build_monolithic(t_end: float = 2.0, fault: FaultEvent | None = DEFAULT_FAULT,
+                     plant_mw: float = 85.0, frt_ramp: bool = True) -> Scenario:
+    return _aggregated_scenario("monolithic", "monolithic", t_end, fault, plant_mw, frt_ramp)
 
 
-def build_small_scale(t_end: float = 2.0, macro_step: float = 1e-3,
-                      micro_step: float = 5e-4, fault: FaultEvent | None = DEFAULT_FAULT,
-                      plant_mw: float = 85.0, frt_ramp: bool = True,
-                      scheme: Scheme = Scheme.SERIAL) -> Scenario:
-    return _aggregated_scenario("small_scale", "cosim", t_end, macro_step,
-                                micro_step, fault, plant_mw, frt_ramp, scheme)
+def build_small_scale(t_end: float = 2.0, fault: FaultEvent | None = DEFAULT_FAULT,
+                      plant_mw: float = 85.0, frt_ramp: bool = True) -> Scenario:
+    return _aggregated_scenario("small_scale", "cosim", t_end, fault, plant_mw, frt_ramp)
 
 
-def build_large_scale(t_end: float = 2.0, macro_step: float = 1e-3,
-                      micro_step: float = 5e-4, fault: FaultEvent | None = DEFAULT_FAULT,
+def build_large_scale(t_end: float = 2.0, fault: FaultEvent | None = DEFAULT_FAULT,
                       plant_mw: float = 85.0, frt_ramp: bool = False,
-                      layout: WppLayout | None = None,
-                      scheme: Scheme = Scheme.SERIAL) -> Scenario:
+                      layout: WppLayout | None = None) -> Scenario:
     layout = layout or WppLayout()
     network = wscc9_without_g3()
     r_seg, x_seg, b_seg = layout.segment_pu(network.base_mva)
@@ -248,7 +237,7 @@ def build_large_scale(t_end: float = 2.0, macro_step: float = 1e-3,
     buses = list(network.buses)
     branches = list(network.branches)
     sgens: list[StaticGenerator] = []
-    buses.append(Bus(id=COLLECTOR_BUS, base_kv=layout.collector_kv))
+    buses.append(Bus(id=COLLECTOR_BUS, base_kv=COLLECTOR_KV))
     branches.append(PARK_TRANSFORMER)
     wtg_ids = []
     for s in range(layout.n_strings):
@@ -257,7 +246,7 @@ def build_large_scale(t_end: float = 2.0, macro_step: float = 1e-3,
             k = s * layout.turbines_per_string + j + 1
             bus_id = COLLECTOR_BUS + k
             wid = f"wtg{k:02d}"
-            buses.append(Bus(id=bus_id, base_kv=layout.collector_kv))
+            buses.append(Bus(id=bus_id, base_kv=COLLECTOR_KV))
             branches.append(Branch(from_bus=prev, to_bus=bus_id,
                                    r=r_seg, x=x_seg, b=b_seg))
             sgens.append(StaticGenerator(id=wid, bus=bus_id, mva=PLANT_MVA / layout.n_turbines))
@@ -267,9 +256,8 @@ def build_large_scale(t_end: float = 2.0, macro_step: float = 1e-3,
     record = ["grid.v_pcc", "grid.p_wpp_mw", "grid.q_wpp_mvar", "grid.v_bus6",
               "grid.v_wtg01", "conv_wtg01.i_d_cmd", "conv_wtg01.i_q_cmd",
               "frt_wtg01.mode", "grid.p_balance_residual"]
-    return _plant_scenario("large_scale", "cosim", network, wtg_ids, record, t_end,
-                           macro_step, micro_step, fault, plant_mw, frt_ramp, scheme,
-                           pcc_branch=(PCC_BUS, COLLECTOR_BUS))
+    return _plant_scenario("large_scale", "cosim", network, wtg_ids, record, t_end, fault,
+                           plant_mw, frt_ramp, pcc_branch=(PCC_BUS, COLLECTOR_BUS))
 
 
 def instantiate(scenario: Scenario) -> Master:

@@ -242,8 +242,6 @@ def parse_scenario_text(text: str) -> Scenario:
             raise ScenarioParseError(0, f"[master] is missing '{key}'")
     if "wpp_rating_mva" not in top or "pcc_bus" not in top:
         raise ScenarioParseError(0, "[wtg] needs rating_mva and pcc_bus")
-    if not top["wtgs"]:
-        raise ScenarioParseError(0, "[wtg] declares no turbines")
 
     wtg_ids = {row["id"] for row in top["wtgs"]}
     params = {}                             # controller keyword -> wtg id -> params

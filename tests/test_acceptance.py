@@ -389,7 +389,7 @@ def _equilibrated(net, sgen_pq, micro_step=5e-4, events=None):
     for k, sg in enumerate(net.sgens):
         p, q = sgen_pq.get(sg.id, (0.0, 0.0))
         vm = abs(pf.voltage(sg.bus))
-        model.set_sgen_commands(k, p / vm, q / vm, True)
+        model.set_sgen_commands(k, p / vm, q / vm)
     model.init_equilibrium(pf)
     return model
 

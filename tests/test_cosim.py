@@ -618,7 +618,9 @@ def _poison_supervisor(master):
     (build_small_scale, _poison_supervisor, "frt_wpp", "i_d_ref_limited"),
 ])
 def test_nan_output_fails_the_macro_step_naming_it(scheme, build, poison, cid, output):
-    master = instantiate(build(t_end=0.01, scheme=scheme))
+    sc = build(t_end=0.01)
+    master = instantiate(dataclasses.replace(sc, master=dataclasses.replace(sc.master,
+                                                                            scheme=scheme)))
     master.initialize()
     master.step_macro()
     poison(master)
@@ -689,10 +691,9 @@ def test_non_finite_output_detected_in_serial_scheme():
 
 @pytest.mark.parametrize("scheme", [Scheme.SERIAL, Scheme.PARALLEL])
 def test_large_scale_repeats_bit_identically(scheme):
-    sc = build_large_scale(t_end=0.02, scheme=scheme,
-                           fault=FaultEvent(bus=6, start=0.005, duration=0.005))
-    trace_a, _ = run_scenario(sc)
-    trace_b, _ = run_scenario(sc)
+    sc = build_large_scale(t_end=0.02, fault=FaultEvent(bus=6, start=0.005, duration=0.005))
+    trace_a, _ = run_scenario(sc, scheme=scheme)
+    trace_b, _ = run_scenario(sc, scheme=scheme)
     assert trace_a.names() == trace_b.names()
     for name in trace_a.names():
         assert np.array_equal(trace_a[name], trace_b[name]), name

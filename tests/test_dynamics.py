@@ -38,7 +38,7 @@ def equilibrated(net, sgen_pq, micro_step=5e-4, events=None, **kw):
     for k, sg in enumerate(net.sgens):
         p, q = sgen_pq.get(sg.id, (0.0, 0.0))
         vm = abs(pf.voltage(sg.bus))
-        model.set_sgen_commands(k, p / vm, q / vm, True)
+        model.set_sgen_commands(k, p / vm, q / vm)
     model.init_equilibrium(pf)
     return model, pf
 
@@ -192,15 +192,6 @@ def test_fault_add_remove_restores_factorization():
     assert np.array_equal(va, vb)
 
 
-def test_disconnected_sgen_injects_nothing():
-    net = nine_bus_with_plant()
-    model, _ = equilibrated(net, {"wpp": (0.85, 0.0)})
-    model.set_sgen_commands(0, 0.85, 0.0, False)           # a live command, tripped
-    model.advance(0.0, 5e-4)
-    _, _, p, q = model.last_measurements.sgen_columns
-    assert p == [0.0] and q == [0.0]
-
-
 def test_on_micro_callback_drives_commands():
     net = nine_bus_with_plant()
     model, pf = equilibrated(net, {"wpp": (0.85, 0.0)})
@@ -208,7 +199,7 @@ def test_on_micro_callback_drives_commands():
 
     def on_micro(t, meas, h):
         calls.append((t, h))
-        model.set_sgen_commands(0, 0.0, 0.0, True)
+        model.set_sgen_commands(0, 0.0, 0.0)
 
     model.advance(0.0, 2e-3, on_micro=on_micro)
     assert len(calls) == 4
@@ -298,13 +289,13 @@ def test_pcc_branch_is_measured_at_the_pcc_end_in_either_order():
 
 
 def test_sgen_currents_match_the_separate_command_formula_bit_for_bit():
-    # the stored phasor i_d - 1j i_q and gain s_scale * status give the bits of
-    # (i_d - 1j i_q) * unit * s_scale * on, also for signed zeros and a tripped sgen
+    # the stored phasor i_d - 1j i_q gives the bits of (i_d - 1j i_q) * unit * s_scale,
+    # also for signed zeros
     net = dataclasses.replace(wscc9_without_g3(), sgens=[
         StaticGenerator(id=f"w{b}", bus=b, mva=10.0 * b) for b in (3, 5, 6, 8, 9)])
     model, _ = equilibrated(net, {sg.id: (0.3, 0.1) for sg in net.sgens})
     n, rng = len(net.sgens), np.random.default_rng(7)
-    i_d, i_q, on = np.zeros(n), np.zeros(n), np.ones(n)
+    i_d, i_q = np.zeros(n), np.zeros(n)
 
     def draw(size):
         x = rng.normal(0.0, 1.0, size)
@@ -312,25 +303,22 @@ def test_sgen_currents_match_the_separate_command_formula_bit_for_bit():
         return np.where(rng.random(size) < 0.5, x, -x)      # -x: also -0.0
 
     def check():
-        old = (i_d - 1j * i_q) * model._s_unit * model.s_scale.real * on
+        old = (i_d - 1j * i_q) * model._s_unit * model.s_scale
         assert model._sgen_currents().tobytes() == old.tobytes()
 
     for _ in range(50):
-        d, q, status = draw(n), draw(n), rng.random(n) < 0.7
+        d, q = draw(n), draw(n)
         for k in range(n):                                  # each sgen at its position
-            model.set_sgen_commands(k, d[k], q[k], bool(status[k]))
-        i_d[:], i_q[:], on[:] = d, q, status
+            model.set_sgen_commands(k, d[k], q[k])
+        i_d[:], i_q[:] = d, q
         check()
         k = rng.permutation(n)[:3]                          # several by position
-        i_d[k], i_q[k], on[k] = draw(3), draw(3), rng.random(3) < 0.7
-        model.set_sgen_commands(k, i_d[k], i_q[k], on[k].astype(bool).tolist())
+        i_d[k], i_q[k] = draw(3), draw(3)
+        model.set_sgen_commands(k, i_d[k], i_q[k])
         check()
         k = int(rng.integers(n))                            # one by position, as numbers
-        i_d[k], i_q[k], on[k] = float(draw(1)[0]), float(draw(1)[0]), True
-        model.set_sgen_commands(k, float(i_d[k]), float(i_q[k]), True)
-        check()
-        model.set_sgen_commands(k, i_d[k], i_q[k], False)      # tripped, the same phasor
-        on[k] = 0.0
+        i_d[k], i_q[k] = float(draw(1)[0]), float(draw(1)[0])
+        model.set_sgen_commands(k, float(i_d[k]), float(i_q[k]))
         check()
 
 
@@ -427,11 +415,13 @@ def three_machines():
         machines=[*net.machines, SynchronousMachine(bus=3, h=3.01, d=6.0, xd_p=0.1813)])
 
 
-def direct_solve(model, t, cur):
-    """The network solved from the full injection vector at the model's
-    states, with its own factorization of ``Y`` and the shunts active at ``t``."""
+def direct_solve(model, t, cur, delta=None):
+    """The network solved from the full injection vector at the machine angles
+    ``delta`` (the model's committed ones if None), with its own factorization
+    of ``Y`` and the shunts active at ``t``."""
+    delta = model.delta if delta is None else delta
     i_inj = np.zeros(len(model.network.buses), dtype=complex)
-    np.add.at(i_inj, model.m_bus, model.e_mag * np.exp(1j * model.delta) * model.y_m)
+    np.add.at(i_inj, model.m_bus, model.e_mag * np.exp(1j * delta) * model.y_m)
     if model._stiff_slack:
         i_inj[model._slack_idx] += model._slack_e * model._y_stiff
     np.add.at(i_inj, model.s_bus, cur)
@@ -468,6 +458,9 @@ def test_committed_voltages_match_a_direct_solve(monkeypatch, net, sgen_pq, faul
     cur = model._sgen_currents()
     at = [model.sgen_ids.index(sid) for sid in sgen_pq]
     i_d = model._s_cmd.real[at]            # the equilibrium currents the micro steps keep
+    # the machine states at the start of the micro step, and that start: the model
+    # commits its states once per advance, so inside one the test steps its own copy
+    state = t_prev = None
 
     def check(t, v):
         nonlocal worst, checked
@@ -476,13 +469,18 @@ def test_committed_voltages_match_a_direct_solve(monkeypatch, net, sgen_pq, faul
 
     def on_micro(t, columns, h):
         # the sgen columns committed at t against those of a direct solve
-        nonlocal worst, checked, cur
-        vb = direct_solve(model, t, cur)[model.s_bus]
+        nonlocal worst, checked, cur, state, t_prev
+        if state is None:
+            state = model.delta, model.domega
+        else:
+            state = array_rk4_step(model, model._lu_at(t_prev)[0], cur, h, *state)
+        t_prev = t
+        vb = direct_solve(model, t, cur, state[0])[model.s_bus]
         s_mach = vb * np.conj(cur) / model.s_scale
         for got, want in zip(columns, (np.abs(vb), s_mach.real, s_mach.imag)):
             worst = max(worst, float(np.max(np.abs(np.array(got) - want), initial=0.0)))
         checked += 1
-        model.set_sgen_commands(at, i_d, 0.1 + 0.05 * math.sin(2e3 * t), True)
+        model.set_sgen_commands(at, i_d, 0.1 + 0.05 * math.sin(2e3 * t))
         cur = model._sgen_currents()       # what enters this micro step's network
 
     monkeypatch.setattr(spla, "splu", counting_splu)
@@ -490,6 +488,7 @@ def test_committed_voltages_match_a_direct_solve(monkeypatch, net, sgen_pq, faul
     for k in range(5):
         factorized.clear()
         solves.clear()
+        state = None
         meas = model.advance(k * macro, macro, on_micro=on_micro)
         check(meas.t, meas.v)
         # one multi-column solve per newly built factorization, none per micro step
@@ -525,7 +524,7 @@ def test_stage_power_matches_a_full_network_solve(net, sgen_pq, fault_bus):
             model.delta = model.delta + rng.uniform(-0.3, 0.3, nm)
             for sid in sgen_pq:
                 model.set_sgen_commands(model.sgen_ids.index(sid), rng.uniform(0.2, 1.0),
-                                        rng.uniform(-0.2, 0.2), True)
+                                        rng.uniform(-0.2, 0.2))
             cur = model._sgen_currents()
             e = model.e_mag * np.exp(1j * model.delta)
             v_m = direct_solve(model, t, cur)[model.m_bus]
@@ -573,9 +572,10 @@ def test_measure_matches_per_branch_bookkeeping(net, sgen_pq, fault_bus, flip):
         assert lu.r_0.shape == (nm + n,)
 
 
-def array_rk4_step(model, lu, cur, h):
-    """One micro step of the swing equation in NumPy arrays: the same RK4 with
-    ``y = [delta, domega]``, ``dy/dt = rate_lin y + rate_acc (Pm - Pe)``."""
+def array_rk4_step(model, lu, cur, h, delta, domega):
+    """One micro step of the swing equation from ``delta`` and ``domega`` in NumPy
+    arrays: the same RK4 with ``y = [delta, domega]``,
+    ``dy/dt = rate_lin y + rate_acc (Pm - Pe)``."""
     nm = len(model.pm)
     rate_acc = np.vstack([np.zeros((nm, nm)), np.diag(0.5 / model.h)])
     rate_lin = np.hstack([np.zeros((2 * nm, nm)), np.vstack(
@@ -584,7 +584,7 @@ def array_rk4_step(model, lu, cur, h):
     def rates(y):
         return rate_lin.dot(y) + rate_acc.dot(model.pm - reduced_power(lu, cur, y[:nm]))
 
-    y0 = np.concatenate((model.delta, model.domega))
+    y0 = np.concatenate((delta, domega))
     k1 = rates(y0)
     k2 = rates(y0 + 0.5 * h * k1)
     k3 = rates(y0 + 0.5 * h * k2)
@@ -606,8 +606,9 @@ def test_micro_step_matches_an_array_rk4(net, sgen_pq, fault_bus):
             model.domega = rng.uniform(-0.01, 0.01, nm)
             for sid in sgen_pq:
                 model.set_sgen_commands(model.sgen_ids.index(sid), rng.uniform(0.2, 1.0),
-                                        rng.uniform(-0.2, 0.2), True)
-            delta, domega = array_rk4_step(model, model._lu_at(t)[0], model._sgen_currents(), h)
+                                        rng.uniform(-0.2, 0.2))
+            delta, domega = array_rk4_step(model, model._lu_at(t)[0], model._sgen_currents(), h,
+                                           model.delta, model.domega)
             meas = model.advance(t, h)
             assert meas.t == t + h
             assert model.delta.shape == model.domega.shape == (nm,)

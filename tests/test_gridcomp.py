@@ -41,13 +41,14 @@ def test_rejects_unknown_export_bus():
 def test_variable_set_depends_on_embedding():
     coupled = GridComponent("grid", RmsModel(plant_network()), SETPOINT)
     names = {v.name for v in coupled.variables()}
-    assert {"i_d_wpp", "i_q_wpp", "status_wpp"} <= names
+    assert {"i_d_wpp", "i_q_wpp"} <= names
     assert "mode_wpp" not in names
 
     mono = GridComponent("grid", RmsModel(plant_network()), SETPOINT, embedded=make_embedded())
     names = {v.name for v in mono.variables()}
     assert "mode_wpp" in names
-    assert "status_wpp" not in names    # nothing external can drive it
+    # the embedded controllers drive the turbine: no input is left to connect
+    assert all(v.direction is Direction.OUTPUT for v in mono.variables())
 
 
 def test_equilibrate_publishes_power_flow_operating_point():
@@ -93,19 +94,6 @@ def test_cosim_flat_run_stays_flat():
     assert np.ptp(trace["grid.p_wpp_mw"]) < 1e-6
 
 
-def test_disconnect_removes_plant_injection():
-    net = plant_network()
-    comp = GridComponent("grid", RmsModel(net, pcc_bus=3), SETPOINT)
-    comp.equilibrate()
-    comp.set("i_d_wpp", 0.85 / comp.get("v_wpp"))
-    comp.finish_init()
-    comp.set("status_wpp", False)
-    comp.step(0.0, 1e-3)
-    assert comp.get("p_wpp_mw") == 0.0
-    assert comp.get("q_wpp_mvar") == 0.0
-    assert comp.get("v_pcc") > 0.5      # machines keep the grid up
-
-
 def test_fault_dips_and_recovers_the_faulted_bus():
     trace, _ = run_scenario(build_monolithic())
     t = trace.time
@@ -121,9 +109,9 @@ def test_monolithic_equals_cosim_bitwise_when_steps_align():
     """With the exchange interval equal to the integrator step the serial
     co-simulation and the embedded-controller run produce the same grid
     trajectory bit for bit."""
-    kw = dict(t_end=1.5, macro_step=5e-4, micro_step=5e-4)
-    mono, _ = run_scenario(build_monolithic(**kw))
-    cosim, _ = run_scenario(build_small_scale(**kw))
+    mono, cosim = build_monolithic(t_end=1.5), build_small_scale(t_end=1.5)
+    mono, _ = run_scenario(mono, macro_step=mono.micro_step)
+    cosim, _ = run_scenario(cosim, macro_step=cosim.micro_step)
     assert np.array_equal(mono.time, cosim.time)
     for ch in ("grid.v_pcc", "grid.p_wpp_mw", "grid.q_wpp_mvar",
                "grid.v_bus6", "grid.p_balance_residual"):
@@ -206,7 +194,7 @@ def test_sgen_variables_are_declared_as_runs_in_network_order():
         assert vrs == list(range(vrs[0], vrs[0] + len(sids))), prefix
         return slice(vrs[0], vrs[0] + len(sids))
 
-    for prefix in ("i_d_", "i_q_", "status_"):
+    for prefix in ("i_d_", "i_q_"):
         run(prefix, ("a", "c", "d"))
     outputs = [run(prefix, ("a", "emb", "c", "d")) for prefix in ("v_", "theta_", "p_", "q_")]
     comp.equilibrate()
@@ -226,34 +214,23 @@ def test_column_commands_address_the_right_sgens():
                                              StaticGenerator(id="c", bus=8, mva=20.0)])
     setpoints = {"a": (0.6, 0.0), "emb": (0.5, 0.0), "c": (0.7, 0.1)}
 
-    def run(trip):
-        embedded = {"emb": (ConverterControl(ConverterParams(), 0.5, 0.0),
-                            FrtControl(FrtParams()))}
-        comp = GridComponent("grid", RmsModel(net), setpoints, embedded=embedded)
-        comp.equilibrate()
-        for sid in ("a", "c"):
-            p, q = setpoints[sid]
-            comp.set(f"i_d_{sid}", p / comp.get(f"v_{sid}"))
-            comp.set(f"i_q_{sid}", q / comp.get(f"v_{sid}"))
-        comp.finish_init()
-        comp.step(0.0, 1e-3)
-        comp.set("i_d_a", 0.5 * comp.get("i_d_a"))     # a stale slot would keep the old value
-        if trip:
-            comp.set("status_c", False)
-        comp.step(1e-3, 1e-3)
-        return comp
-
-    tripped, healthy = run(trip=True), run(trip=False)
-    model = tripped.model
+    embedded = {"emb": (ConverterControl(ConverterParams(), 0.5, 0.0), FrtControl(FrtParams()))}
+    comp = GridComponent("grid", RmsModel(net), setpoints, embedded=embedded)
+    comp.equilibrate()
+    for sid in ("a", "c"):
+        p, q = setpoints[sid]
+        comp.set(f"i_d_{sid}", p / comp.get(f"v_{sid}"))
+        comp.set(f"i_q_{sid}", q / comp.get(f"v_{sid}"))
+    comp.finish_init()
+    comp.step(0.0, 1e-3)
+    comp.set("i_d_a", 0.5 * comp.get("i_d_a"))     # a stale slot would keep the old value
+    comp.step(1e-3, 1e-3)
+    model = comp.model
     assert model.sgen_ids == ["a", "emb", "c"]
-    assert model._s_gain.tolist() == [model.s_scale[0], model.s_scale[1], 0.0]
-    assert model._s_cmd.tolist() == [tripped.get(f"i_d_{sid}") - 1j * tripped.get(f"i_q_{sid}")
+    assert model._s_cmd.tolist() == [comp.get(f"i_d_{sid}") - 1j * comp.get(f"i_q_{sid}")
                                      for sid in ("a", "emb", "c")]
-    assert tripped.get("p_c") == 0.0 and tripped.get("q_c") == 0.0
-    # the others keep their commands; their power moves only with the grid
-    # voltage, which the trip shifts by well under 2 %
-    for sid in ("a", "emb"):
-        for name in (f"p_{sid}", f"q_{sid}"):
-            assert tripped.get(name) == pytest.approx(healthy.get(name), rel=2e-2, abs=1e-3), name
-    assert tripped.get("p_a") == pytest.approx(0.5 * 0.6, rel=2e-2)
-    assert tripped.get("p_emb") == pytest.approx(0.5, rel=2e-2)
+    # each sgen injects its own command: halved at a, the setpoints elsewhere
+    assert comp.get("p_a") == pytest.approx(0.5 * 0.6, rel=2e-2)
+    assert comp.get("p_emb") == pytest.approx(0.5, rel=2e-2)
+    assert comp.get("p_c") == pytest.approx(0.7, rel=2e-2)
+    assert comp.get("q_c") == pytest.approx(0.1, rel=2e-2, abs=1e-3)

@@ -2,7 +2,9 @@
 
 import importlib.util
 import json
+import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -156,7 +158,8 @@ def test_bench_rows_and_timing_purity():
     # a short fault makes every exchanged signal move, under both schemes
     fault = FaultEvent(bus=6, start=0.02, duration=0.01)
     for scheme in (Scheme.SERIAL, Scheme.PARALLEL):
-        sc = build_small_scale(t_end=0.05, fault=fault, scheme=scheme)
+        sc = build_small_scale(t_end=0.05, fault=fault)
+        sc = replace(sc, master=replace(sc.master, scheme=scheme))
         rows = bench_scaling([sc], repetitions=3)
         assert len(rows) == 1
         row = rows[0]
@@ -347,6 +350,20 @@ def test_cli_rejects_out_of_domain_inputs_with_exit_1(tmp_path, capsys, old, new
     bad.write_text(text.replace(old, new))
     assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 1
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("sid", ["w,p", "w.p"])
+def test_cli_rejects_a_turbine_id_that_would_split_a_name_or_a_trace_column(tmp_path, capsys,
+                                                                             sid):
+    # the id only: grid.p_wpp_mw keeps its name
+    text = re.sub(r"wpp(?=[ .]|$)", sid, serialize_scenario(build_small_scale(t_end=0.05)),
+                  flags=re.M)
+    assert f"sgen {sid} 3 " in text and "grid.p_wpp_mw" in text
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text)
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert f"static generator id '{sid}'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -179,6 +179,10 @@ def _invalid_cases():
         "ghost-sgen-bus": derived(sgens=[sgen(bus=99)]),
         "bad-sgen-mva": derived(sgens=[sgen(mva=0.0)]),
         "duplicate-sgen-id": derived(sgens=[sgen(), sgen()]),
+        # an sgen id is part of variable names (conv_<id>.v_meas) and trace column headers
+        "comma-in-sgen-id": derived(sgens=[sgen(sid="w,p")]),
+        "dot-in-sgen-id": derived(sgens=[sgen(sid="w.p")]),
+        "empty-sgen-id": derived(sgens=[sgen(sid="")]),
         "inf-sgen-mva": derived(sgens=[sgen(mva=float("inf"))]),
         "nan-sgen-mva": derived(sgens=[sgen(mva=float("nan"))]),
         "zero-base-mva": derived(base_mva=0.0),

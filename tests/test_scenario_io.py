@@ -77,7 +77,8 @@ def test_shipped_files_match_builders(name, build):
 
 
 def test_write_then_parse(tmp_path):
-    sc = build_small_scale(t_end=0.5, macro_step=2e-3)
+    sc = build_small_scale(t_end=0.5)
+    sc = replace(sc, master=replace(sc.master, macro_step=2e-3))
     path = tmp_path / "case.scn"
     write_scenario(sc, path)
     back = parse_scenario(path)
@@ -115,7 +116,8 @@ def test_controller_override_roundtrip():
 
 
 def test_float_precision_survives():
-    sc = build_small_scale(macro_step=1.0 / 3.0)
+    sc = build_small_scale()
+    sc = replace(sc, master=replace(sc.master, macro_step=1.0 / 3.0))
     back = parse_scenario_text(serialize_scenario(sc))
     assert back.master.macro_step == 1.0 / 3.0
 
@@ -201,7 +203,8 @@ def test_rejects_wtg_without_rating():
 
 
 def test_rejects_empty_turbine_list():
-    reject(BASE.replace("wtg w p_ref=0.8 q_ref=0.0\n", ""), "no turbines")
+    with pytest.raises(ScenarioValidationError, match="no turbines"):
+        parse_scenario_text(BASE.replace("wtg w p_ref=0.8 q_ref=0.0\n", ""))
 
 
 def test_rejects_duplicate_controller_default():
