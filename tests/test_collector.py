@@ -92,6 +92,12 @@ def test_cable_pu_conversion():
     assert b == pytest.approx(2 * math.pi * 50.0 * 0.19e-6 * z_base * 0.7, abs=1e-15)
 
 
+def test_shipped_cable_segment_is_bit_identical_to_the_benchmark_branch_data():
+    # large_scale.scn and the benchmark's collector strings write these floats
+    assert WppLayout().segment_pu(100.0) == (0.006427915518824609, 0.00771349862258953,
+                                             0.00045501885516798483)
+
+
 def test_layout_validation_and_counts():
     with pytest.raises(TopologyError):
         WppLayout(n_strings=0)

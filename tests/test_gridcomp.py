@@ -13,7 +13,8 @@ from windcosim.frt import FrtControl, FrtParams, Mode
 from windcosim.gridcomp import GridComponent
 from windcosim.network import FaultEvent, StaticGenerator
 from windcosim.powerflow import solve_power_flow
-from windcosim.scenario import build_monolithic, build_small_scale, run_scenario
+from windcosim.scenario import (build_large_scale, build_monolithic, build_small_scale,
+                                instantiate, run_scenario)
 from windcosim.wscc9 import wscc9_without_g3
 
 SETPOINT = {"wpp": (0.85, 0.0)}
@@ -49,6 +50,14 @@ def test_variable_set_depends_on_embedding():
     assert "mode_wpp" in names
     # the embedded controllers drive the turbine: no input is left to connect
     assert all(v.direction is Direction.OUTPUT for v in mono.variables())
+
+
+@pytest.mark.parametrize("build", [build_small_scale, build_large_scale])
+def test_coupled_grid_inputs_are_the_turbine_currents(build):
+    sc = build(t_end=0.01)
+    grid = instantiate(sc).component("grid")
+    inputs = {v.name: v.kind for v in grid.variables() if v.direction is Direction.INPUT}
+    assert inputs == {f"i_{axis}_{w.id}": VarKind.REAL for w in sc.wtgs for axis in "dq"}
 
 
 def test_equilibrate_publishes_power_flow_operating_point():

@@ -367,6 +367,19 @@ def test_cli_rejects_a_turbine_id_that_would_split_a_name_or_a_trace_column(tmp_
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_rejects_a_turbine_status_connection(tmp_path, capsys):
+    # the grid declares no trip input: the supervisor's block_active, which
+    # starts False, once tripped the turbine at t = 0 through it
+    text = serialize_scenario(build_small_scale(t_end=0.05))
+    line = "connect grid.q_wpp conv_wpp.q_meas"
+    assert line in text
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text.replace(line, f"{line}\nconnect frt_wpp.block_active grid.status_wpp"))
+    assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert "grid has no variable 'status_wpp'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.fixture(scope="module")
 def written_trace(tmp_path_factory):
     """A short study's scenario file and the trace ``windcosim run`` wrote for it."""

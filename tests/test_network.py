@@ -183,6 +183,8 @@ def _invalid_cases():
         "comma-in-sgen-id": derived(sgens=[sgen(sid="w,p")]),
         "dot-in-sgen-id": derived(sgens=[sgen(sid="w.p")]),
         "empty-sgen-id": derived(sgens=[sgen(sid="")]),
+        "space-in-sgen-id": derived(sgens=[sgen(sid="w p")]),
+        "non-ascii-sgen-id": derived(sgens=[sgen(sid="w\u00e9")]),
         "inf-sgen-mva": derived(sgens=[sgen(mva=float("inf"))]),
         "nan-sgen-mva": derived(sgens=[sgen(mva=float("nan"))]),
         "zero-base-mva": derived(base_mva=0.0),
@@ -222,6 +224,12 @@ def test_validate_rejects(label):
     build = _invalid_cases()[label]
     with pytest.raises(TopologyError):
         build()
+
+
+@pytest.mark.parametrize("sid", ["wpp", "wtg01", "a", "emb", "t1", "w_p", "W-1"])
+def test_validate_accepts_an_sgen_id_of_letters_digits_underscores_and_hyphens(sid):
+    net = replace(wscc9_without_g3(), sgens=[StaticGenerator(id=sid, bus=3, mva=10.0)])
+    assert [sg.id for sg in net.sgens] == [sid]
 
 
 def test_model_rejects_a_zero_base_before_dividing_by_it():

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -12,7 +13,7 @@ import pytest
 import scipy.sparse.linalg
 
 from windcosim import gridcomp, network
-from windcosim.cosim import Scheme, SimComponent
+from windcosim.cosim import MasterConfig, Scheme, SimComponent
 from windcosim.dynamics import RmsModel
 from windcosim.errors import (ScenarioValidationError, SinkAlreadyDrivenError,
                               UnknownVariableError, UnresolvedReferenceError)
@@ -104,6 +105,16 @@ def test_validate_rejects_a_scenario_without_turbines():
     for build in (build_monolithic, build_small_scale):
         with pytest.raises(ScenarioValidationError, match="no turbines"):
             dataclasses.replace(build(), wtgs=(), wpp_rating_mva=0.0)
+
+
+@pytest.mark.parametrize("build", [build_monolithic, build_small_scale, build_large_scale])
+def test_builders_take_the_declared_step_and_scheme_defaults(build):
+    # a study sets another step or scheme through run_scenario or replace
+    assert not {"macro_step", "micro_step", "scheme"} & set(inspect.signature(build).parameters)
+    sc = build()
+    default = MasterConfig()
+    assert (sc.master.macro_step, sc.master.scheme) == (default.macro_step, default.scheme)
+    assert sc.micro_step == Scenario.__dataclass_fields__["micro_step"].default
 
 
 def test_validate_rejects_duplicate_wtg_ids():
