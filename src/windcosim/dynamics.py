@@ -33,9 +33,12 @@ and ``b = (E/x') w_m = b_s i_s + b_0``.  Stacked, ``r_c = [b_s; z_s]``
 and ``r_0 = [b_0; w_0]`` give ``b`` and the sgen part of ``v`` in one
 ``r_c i_s + r_0`` per micro step (``i_s`` is fixed over it).  The stages
 run over Python numbers: on a few machines NumPy's per-call overhead
-would cost more than the arithmetic: each stage is one comprehension for
-the accelerations, with ``Pe`` inline.  The sgen angle lag is the unit
-phasor ``v / |v|`` of the previous terminal voltage.
+would cost more than the arithmetic.  The derivative of
+``[delta, domega]`` is generated once per machine count as straight-line
+Python, every rate written out term by term with ``Pe`` inline, and
+compiled; each model binds its constants to that code, and the RK4
+around it is generic.  The sgen angle lag is the unit phasor ``v / |v|``
+of the previous terminal voltage.
 
 A ``GridMeasurements`` is committed only at a macro-step boundary; inside
 a macro step the embedded controllers' callback gets the sgens' ``v_mag``,
@@ -50,9 +53,9 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import math
 from dataclasses import dataclass
-from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -112,6 +115,32 @@ def micro_grid(duration: float, micro_step: float) -> tuple[int, float]:
     return n, duration / n
 
 
+@functools.cache
+def _swing_equations(nm: int):
+    """``bind(w_s, rect, c0.., k0..)``, compiled once per machine count ``nm``,
+    returns ``rates(z, a, b, pm)``: the derivative of ``z = [delta, domega]``,
+    ``w_s domega`` and ``c (pm - Pe) - k domega`` with
+    ``Pe_i = Im(u_i conj(sum_j a_ij u_j + b_i))``, ``u = rect(1, delta)``, written
+    out term by term.  The sum starts from ``0`` as ``sum()`` does, which can
+    change the sign of a zero."""
+    rates = [f"w_s * z[{nm + i}]" for i in range(nm)]
+    for i in range(nm):
+        pe = "0"
+        for j in range(nm):
+            pe = f"({pe} + a[{i}][{j}] * u{j})"
+        rates.append(f"c{i} * (pm[{i}] - (u{i} * ({pe} + b[{i}]).conjugate()).imag)"
+                     f" - k{i} * z[{nm + i}]")
+    params = ["w_s", "rect"] + [f"c{i}" for i in range(nm)] + [f"k{i}" for i in range(nm)]
+    src = "\n".join([f"def bind({', '.join(params)}):",
+                     "    def rates(z, a, b, pm):",
+                     *(f"        u{i} = rect(1.0, z[{i}])" for i in range(nm)),
+                     f"        return [{', '.join(rates)}]",
+                     "    return rates\n"])
+    namespace = {}
+    exec(compile(src, f"<swing equations, {nm} machines>", "exec"), namespace)
+    return namespace["bind"]
+
+
 class RmsModel:
     """Time-domain network model stepping machines and injections together."""
 
@@ -141,9 +170,10 @@ class RmsModel:
         self.d = np.array([m.d for m in machines])
         self.xd_p = np.array([m.xd_p for m in machines])
         self.y_m = 1.0 / (1j * self.xd_p)
-        # swing-equation terms: d(domega)/dt = (Pm - Pe) / 2H - (D / 2H) domega
-        self._inv_2h = (0.5 / self.h).tolist()
-        self._d_2h = (self.d * (0.5 / self.h)).tolist()
+        # swing equations: d(domega)/dt = (Pm - Pe) / 2H - (D / 2H) domega
+        inv_2h = 0.5 / self.h
+        self._swing = _swing_equations(len(machines))(
+            self.omega_s, cmath.rect, *inv_2h.tolist(), *(self.d * inv_2h).tolist())
         # dynamic states and setpoints, filled by init_equilibrium
         self.delta = np.zeros(len(machines))
         self.domega = np.zeros(len(machines))
@@ -303,8 +333,8 @@ class RmsModel:
         """
         self._require_init()
         n, h = micro_grid(duration, self.micro_step)
-        nm, hh, h6, w_s = len(self.m_bus), 0.5 * h, h / 6.0, self.omega_s
-        pm, inv_2h, d_2h, e_mag = self.pm.tolist(), self._inv_2h, self._d_2h, self.e_mag.tolist()
+        nm, hh, h6, swing = len(self.m_bus), 0.5 * h, h / 6.0, self._swing
+        pm, e_mag = self.pm.tolist(), self.e_mag.tolist()
         y = self.delta.tolist() + self.domega.tolist()       # [delta, domega]
         lu = self._lu_at(t0)[0]
         if on_micro is not None:
@@ -317,18 +347,10 @@ class RmsModel:
             cur = self._sgen_currents()
             r = lu.r_c.dot(cur) + lu.r_0
             a, b = lu.a, r[:nm].tolist()
-
-            def rates(z):
-                # Pe_i = Im(u_i conj(sum_j a_ij u_j + b_i)), u = exp(j delta), inline
-                u, dw = [cmath.rect(1.0, d) for d in z[:nm]], z[nm:]
-                return [w_s * x for x in dw] + [
-                    c * (p - (ui * (sum(map(mul, row, u)) + bi).conjugate()).imag) - k * x
-                    for c, k, p, ui, row, bi, x in zip(inv_2h, d_2h, pm, u, a, b, dw)]
-
-            k1 = rates(y)
-            k2 = rates([x + hh * k for x, k in zip(y, k1)])
-            k3 = rates([x + hh * k for x, k in zip(y, k2)])
-            k4 = rates([x + h * k for x, k in zip(y, k3)])
+            k1 = swing(y, a, b, pm)
+            k2 = swing([x + hh * k for x, k in zip(y, k1)], a, b, pm)
+            k3 = swing([x + hh * k for x, k in zip(y, k2)], a, b, pm)
+            k4 = swing([x + h * k for x, k in zip(y, k3)], a, b, pm)
             y = [x + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
                  for x, r1, r2, r3, r4 in zip(y, k1, k2, k3, k4)]
             tau_next = t0 + (m + 1) * h

@@ -1,6 +1,8 @@
+import cmath
 import dataclasses
 import math
 import types
+from operator import mul
 
 import numpy as np
 import pytest
@@ -614,6 +616,65 @@ def test_micro_step_matches_an_array_rk4(net, sgen_pq, fault_bus):
             assert model.delta.shape == model.domega.shape == (nm,)
             assert np.all(np.abs(model.delta - delta) <= 1e-13), (t, model.delta, delta)
             assert np.all(np.abs(model.domega - domega) <= 1e-13), (t, model.domega, domega)
+
+
+def comprehension_rates(nm, w_s, inv_2h, d_2h):
+    """The swing-equation derivative of ``z = [delta, domega]`` as one generic
+    comprehension over the machines: the reference the generated code must match
+    bit for bit (where ``sum`` adds complex numbers left to right, as CPython 3.11)."""
+    def rates(z, a, b, pm):
+        u, dw = [cmath.rect(1.0, d) for d in z[:nm]], z[nm:]
+        return [w_s * x for x in dw] + [
+            c * (p - (ui * (sum(map(mul, row, u)) + bi).conjugate()).imag) - k * x
+            for c, k, p, ui, row, bi, x in zip(inv_2h, d_2h, pm, u, a, b, dw)]
+    return rates
+
+
+@pytest.mark.parametrize("nm", range(7))
+def test_generated_swing_equations_match_the_comprehension_bit_for_bit(nm):
+    rng = np.random.default_rng(31 + nm)
+
+    def reals(k, scale=1.0, zeros=0.3):
+        # a share of the entries are signed zeros
+        return [float(rng.choice([-0.0, 0.0])) if rng.random() < zeros else x
+                for x in (scale * rng.standard_normal(k)).tolist()]
+
+    def phasors(k, zeros=0.3):
+        return [complex(re, im) for re, im in zip(reals(k, zeros=zeros), reals(k, zeros=zeros))]
+
+    for trial in range(360):
+        # everything but the inertia a signed zero after the first 60 trials, where
+        # the sign of a zero Pe depends on sum()'s start
+        zeros = 1.0 if trial >= 60 else 0.3
+        w_s = float(rng.uniform(300.0, 400.0))
+        inv_2h, d_2h = rng.uniform(0.05, 0.5, nm).tolist(), reals(nm, 2.0, zeros)
+        a = [phasors(nm, zeros) for _ in range(nm)]
+        b, pm = phasors(nm, zeros), reals(nm, zeros=zeros)
+        # angles near +-1e3 rad in half of the trials
+        offset = float(rng.choice([-1e3, 1e3])) if trial % 2 else 0.0
+        z = [offset + d for d in reals(nm, 3.0, zeros)] + reals(nm, 0.01, zeros)
+        both = (comprehension_rates(nm, w_s, inv_2h, d_2h),
+                dynamics._swing_equations(nm)(w_s, cmath.rect, *inv_2h, *d_2h))
+        want, got = (rates(z, a, b, pm) for rates in both)
+        assert [x.hex() for x in got] == [x.hex() for x in want], (trial, got, want)
+    if nm:
+        # an infinite angle fails cmath.rect in both, which the grid reports as divergence
+        z[nm - 1] = math.inf
+        for rates in both:
+            with pytest.raises(ValueError):
+                rates(z, a, b, pm)
+
+
+def test_swing_equations_are_compiled_once_per_machine_count():
+    net = nine_bus_with_plant()
+    heavier = dataclasses.replace(net, machines=[dataclasses.replace(m, h=2.0 * m.h, d=1.0)
+                                                 for m in net.machines])
+    m1, m2, m3 = RmsModel(net), RmsModel(heavier), RmsModel(three_machines())
+    assert m1._swing is not m2._swing
+    assert m1._swing.__code__ is m2._swing.__code__
+    assert m3._swing.__code__ is not m1._swing.__code__
+    assert m1._swing.__code__.co_filename == "<swing equations, 2 machines>"
+    assert m3._swing.__code__.co_filename == "<swing equations, 3 machines>"
 
 
 def test_sgen_measurements_inside_a_macro_step_match_a_full_measure():

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from windcosim.collector import WppLayout
 from windcosim.converter import ConverterControl, ConverterParams
 from windcosim.cosim import Direction, VarKind
 from windcosim.dynamics import RmsModel
@@ -101,6 +102,18 @@ def test_cosim_flat_run_stays_flat():
     trace, _ = run_scenario(sc)
     assert np.ptp(trace["grid.v_pcc"]) < 1e-9
     assert np.ptp(trace["grid.p_wpp_mw"]) < 1e-6
+
+
+@pytest.mark.parametrize("scheme", ["serial", "parallel"])
+@pytest.mark.parametrize("n_strings, turbines_per_string",
+                         [(s, n) for s in (1, 2, 8) for n in (1, 5, 16)])
+def test_every_plant_layout_starts_flat(n_strings, turbines_per_string, scheme):
+    layout = WppLayout(n_strings=n_strings, turbines_per_string=turbines_per_string)
+    trace, _ = run_scenario(build_large_scale(t_end=0.2, fault=None, layout=layout),
+                            scheme=scheme)
+    assert np.ptp(trace["grid.v_pcc"]) < 1e-9
+    assert np.ptp(trace["grid.p_wpp_mw"]) < 1e-6
+    assert np.all(np.abs(trace["grid.p_balance_residual"]) < 1e-9)
 
 
 def test_fault_dips_and_recovers_the_faulted_bus():
