@@ -33,12 +33,13 @@ and ``b = (E/x') w_m = b_s i_s + b_0``.  Stacked, ``r_c = [b_s; z_s]``
 and ``r_0 = [b_0; w_0]`` give ``b`` and the sgen part of ``v`` in one
 ``r_c i_s + r_0`` per micro step (``i_s`` is fixed over it).  The stages
 run over Python numbers: on a few machines NumPy's per-call overhead
-would cost more than the arithmetic.  The derivative of
+would cost more than the arithmetic.  The whole RK4 micro step of
 ``[delta, domega]`` is generated once per machine count as straight-line
-Python, every rate written out term by term with ``Pe`` inline, and
-compiled; each model binds its constants to that code, and the RK4
-around it is generic.  The sgen angle lag is the unit phasor ``v / |v|``
-of the previous terminal voltage.
+Python, its four stages, every rate with ``Pe`` inline, the weighted sum
+and the step-end EMFs written out term by term, and compiled; each model
+binds its constants to that code and calls it once per micro step.  The
+sgen angle lag is the unit phasor ``v / |v|`` of the previous terminal
+voltage.
 
 A ``GridMeasurements`` is committed only at a macro-step boundary; inside
 a macro step the embedded controllers' callback gets the sgens' ``v_mag``,
@@ -116,28 +117,44 @@ def micro_grid(duration: float, micro_step: float) -> tuple[int, float]:
 
 
 @functools.cache
-def _swing_equations(nm: int):
+def _rk4_step(nm: int):
     """``bind(w_s, rect, c0.., k0..)``, compiled once per machine count ``nm``,
-    returns ``rates(z, a, b, pm)``: the derivative of ``z = [delta, domega]``,
+    returns ``step(y, a, b, pm, e_mag, h, hh, h6)``: one RK4 step of length ``h``
+    (``hh = h/2``, ``h6 = h/6``) of ``y = [delta, domega]``, whose derivative is
     ``w_s domega`` and ``c (pm - Pe) - k domega`` with
-    ``Pe_i = Im(u_i conj(sum_j a_ij u_j + b_i))``, ``u = rect(1, delta)``, written
-    out term by term.  The sum starts from ``0`` as ``sum()`` does, which can
-    change the sign of a zero."""
-    rates = [f"w_s * z[{nm + i}]" for i in range(nm)]
-    for i in range(nm):
-        pe = "0"
-        for j in range(nm):
-            pe = f"({pe} + a[{i}][{j}] * u{j})"
-        rates.append(f"c{i} * (pm[{i}] - (u{i} * ({pe} + b[{i}]).conjugate()).imag)"
-                     f" - k{i} * z[{nm + i}]")
-    params = ["w_s", "rect"] + [f"c{i}" for i in range(nm)] + [f"k{i}" for i in range(nm)]
+    ``Pe_i = Im(u_i conj(sum_j a_ij u_j + b_i))``, ``u = rect(1, delta)``.  It
+    returns the next ``y`` and the EMFs ``e_mag rect(1, delta)`` at its end.
+    The four stages are written out term by term in the arithmetic order of
+    the generic RK4 (``x + hh k`` into a stage, ``x + h6 (k1 + 2 k2 + 2 k3 + k4)``
+    out); the sum starts from ``0`` as ``sum()`` does, which can change the
+    sign of a zero."""
+    ms, ys = range(nm), range(2 * nm)
+    body = [f"[{', '.join(f'y{i}' for i in ys)}] = y",
+            f"[{', '.join('[' + ', '.join(f'a{i}_{j}' for j in ms) + ']' for i in ms)}] = a",
+            *(f"[{', '.join(f'{v}{i}' for i in ms)}] = {v}" for v in ("b", "pm", "e_mag"))]
+    z = [f"y{i}" for i in ys]                       # the stage input, first y itself
+    for s, hs in enumerate(("hh", "hh", "h", None), start=1):
+        body += [f"u{i} = rect(1.0, {z[i]})" for i in ms]
+        body += [f"r{s}_{i} = w_s * {z[nm + i]}" for i in ms]
+        for i in ms:
+            pe = "0"
+            for j in ms:
+                pe = f"({pe} + a{i}_{j} * u{j})"
+            body.append(f"r{s}_{nm + i} = c{i} * (pm{i} - (u{i} * ({pe} + b{i}).conjugate())"
+                        f".imag) - k{i} * {z[nm + i]}")
+        if hs:
+            z = [f"z{s}_{i}" for i in ys]
+            body += [f"z{s}_{i} = y{i} + {hs} * r{s}_{i}" for i in ys]
+    body += [f"y{i} = y{i} + h6 * (r1_{i} + 2.0 * r2_{i} + 2.0 * r3_{i} + r4_{i})" for i in ys]
+    body.append(f"return [{', '.join(f'y{i}' for i in ys)}], "
+                f"[{', '.join(f'e_mag{i} * rect(1.0, y{i})' for i in ms)}]")
+    params = ["w_s", "rect"] + [f"c{i}" for i in ms] + [f"k{i}" for i in ms]
     src = "\n".join([f"def bind({', '.join(params)}):",
-                     "    def rates(z, a, b, pm):",
-                     *(f"        u{i} = rect(1.0, z[{i}])" for i in range(nm)),
-                     f"        return [{', '.join(rates)}]",
-                     "    return rates\n"])
+                     "    def step(y, a, b, pm, e_mag, h, hh, h6):",
+                     *(f"        {line}" for line in body),
+                     "    return step\n"])
     namespace = {}
-    exec(compile(src, f"<swing equations, {nm} machines>", "exec"), namespace)
+    exec(compile(src, f"<RK4 step, {nm} machines>", "exec"), namespace)
     return namespace["bind"]
 
 
@@ -172,7 +189,7 @@ class RmsModel:
         self.y_m = 1.0 / (1j * self.xd_p)
         # swing equations: d(domega)/dt = (Pm - Pe) / 2H - (D / 2H) domega
         inv_2h = 0.5 / self.h
-        self._swing = _swing_equations(len(machines))(
+        self._step = _rk4_step(len(machines))(
             self.omega_s, cmath.rect, *inv_2h.tolist(), *(self.d * inv_2h).tolist())
         # dynamic states and setpoints, filled by init_equilibrium
         self.delta = np.zeros(len(machines))
@@ -333,7 +350,7 @@ class RmsModel:
         """
         self._require_init()
         n, h = micro_grid(duration, self.micro_step)
-        nm, hh, h6, swing = len(self.m_bus), 0.5 * h, h / 6.0, self._swing
+        nm, hh, h6, step = len(self.m_bus), 0.5 * h, h / 6.0, self._step
         pm, e_mag = self.pm.tolist(), self.e_mag.tolist()
         y = self.delta.tolist() + self.domega.tolist()       # [delta, domega]
         lu = self._lu_at(t0)[0]
@@ -346,18 +363,11 @@ class RmsModel:
             # commands, the angle lag and the topology are fixed over the micro step
             cur = self._sgen_currents()
             r = lu.r_c.dot(cur) + lu.r_0
-            a, b = lu.a, r[:nm].tolist()
-            k1 = swing(y, a, b, pm)
-            k2 = swing([x + hh * k for x, k in zip(y, k1)], a, b, pm)
-            k3 = swing([x + hh * k for x, k in zip(y, k2)], a, b, pm)
-            k4 = swing([x + h * k for x, k in zip(y, k3)], a, b, pm)
-            y = [x + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-                 for x, r1, r2, r3, r4 in zip(y, k1, k2, k3, k4)]
+            y, e = step(y, lu.a, r[:nm].tolist(), pm, e_mag, h, hh, h6)
             tau_next = t0 + (m + 1) * h
             lu_start, (lu, shunts) = lu, self._lu_at(tau_next)
             if lu is not lu_start:                  # a fault edge at tau_next
                 r = lu.r_c.dot(cur) + lu.r_0
-            e = [x * cmath.rect(1.0, d) for x, d in zip(e_mag, y)]
             v = lu.z_m.dot(e) + r[nm:]
             # measure with the currents that actually entered the solve, then
             # advance the angle lag for the next step; anything else breaks

@@ -630,8 +630,26 @@ def comprehension_rates(nm, w_s, inv_2h, d_2h):
     return rates
 
 
+def comprehension_step(nm, w_s, inv_2h, d_2h):
+    """One RK4 step of ``y = [delta, domega]`` as the generic comprehensions over
+    ``comprehension_rates``, and the EMFs at its end: the reference the generated
+    step must match bit for bit."""
+    rates = comprehension_rates(nm, w_s, inv_2h, d_2h)
+
+    def step(y, a, b, pm, e_mag, h, hh, h6):
+        k1 = rates(y, a, b, pm)
+        k2 = rates([x + hh * k for x, k in zip(y, k1)], a, b, pm)
+        k3 = rates([x + hh * k for x, k in zip(y, k2)], a, b, pm)
+        k4 = rates([x + h * k for x, k in zip(y, k3)], a, b, pm)
+        y = [x + h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+             for x, r1, r2, r3, r4 in zip(y, k1, k2, k3, k4)]
+        return y, [x * cmath.rect(1.0, d) for x, d in zip(e_mag, y)]
+    return step
+
+
+@pytest.mark.parametrize("h", [5e-4, 1e-3 / 3])
 @pytest.mark.parametrize("nm", range(7))
-def test_generated_swing_equations_match_the_comprehension_bit_for_bit(nm):
+def test_generated_rk4_step_matches_the_comprehensions_bit_for_bit(nm, h):
     rng = np.random.default_rng(31 + nm)
 
     def reals(k, scale=1.0, zeros=0.3):
@@ -642,6 +660,9 @@ def test_generated_swing_equations_match_the_comprehension_bit_for_bit(nm):
     def phasors(k, zeros=0.3):
         return [complex(re, im) for re, im in zip(reals(k, zeros=zeros), reals(k, zeros=zeros))]
 
+    def bits(numbers):
+        return [x.hex() for c in numbers for x in ((c.real, c.imag) if type(c) is complex else (c,))]
+
     for trial in range(360):
         # everything but the inertia a signed zero after the first 60 trials, where
         # the sign of a zero Pe depends on sum()'s start
@@ -650,31 +671,38 @@ def test_generated_swing_equations_match_the_comprehension_bit_for_bit(nm):
         inv_2h, d_2h = rng.uniform(0.05, 0.5, nm).tolist(), reals(nm, 2.0, zeros)
         a = [phasors(nm, zeros) for _ in range(nm)]
         b, pm = phasors(nm, zeros), reals(nm, zeros=zeros)
+        e_mag = rng.uniform(0.8, 1.2, nm).tolist()
         # angles near +-1e3 rad in half of the trials
         offset = float(rng.choice([-1e3, 1e3])) if trial % 2 else 0.0
-        z = [offset + d for d in reals(nm, 3.0, zeros)] + reals(nm, 0.01, zeros)
-        both = (comprehension_rates(nm, w_s, inv_2h, d_2h),
-                dynamics._swing_equations(nm)(w_s, cmath.rect, *inv_2h, *d_2h))
-        want, got = (rates(z, a, b, pm) for rates in both)
-        assert [x.hex() for x in got] == [x.hex() for x in want], (trial, got, want)
+        y = [offset + d for d in reals(nm, 3.0, zeros)] + reals(nm, 0.01, zeros)
+        args = (a, b, pm, e_mag, h, 0.5 * h, h / 6.0)
+        both = (comprehension_step(nm, w_s, inv_2h, d_2h),
+                dynamics._rk4_step(nm)(w_s, cmath.rect, *inv_2h, *d_2h))
+        (want_y, want_e), (got_y, got_e) = (step(y, *args) for step in both)
+        assert len(got_y) == 2 * nm and len(got_e) == nm
+        assert bits(got_y) == bits(want_y), (trial, got_y, want_y)
+        assert bits(got_e) == bits(want_e), (trial, got_e, want_e)
     if nm:
         # an infinite angle fails cmath.rect in both, which the grid reports as divergence
-        z[nm - 1] = math.inf
-        for rates in both:
+        y[nm - 1] = math.inf
+        for step in both:
             with pytest.raises(ValueError):
-                rates(z, a, b, pm)
+                step(y, *args)
 
 
-def test_swing_equations_are_compiled_once_per_machine_count():
+def test_rk4_step_is_compiled_once_per_machine_count():
     net = nine_bus_with_plant()
     heavier = dataclasses.replace(net, machines=[dataclasses.replace(m, h=2.0 * m.h, d=1.0)
                                                  for m in net.machines])
     m1, m2, m3 = RmsModel(net), RmsModel(heavier), RmsModel(three_machines())
-    assert m1._swing is not m2._swing
-    assert m1._swing.__code__ is m2._swing.__code__
-    assert m3._swing.__code__ is not m1._swing.__code__
-    assert m1._swing.__code__.co_filename == "<swing equations, 2 machines>"
-    assert m3._swing.__code__.co_filename == "<swing equations, 3 machines>"
+    assert m1._step is not m2._step
+    assert m1._step.__code__ is m2._step.__code__
+    # the same code, each model's own inertia and damping bound to it
+    consts = [[c.cell_contents for c in m._step.__closure__] for m in (m1, m2)]
+    assert consts[0] != consts[1]
+    assert m3._step.__code__ is not m1._step.__code__
+    assert m1._step.__code__.co_filename == "<RK4 step, 2 machines>"
+    assert m3._step.__code__.co_filename == "<RK4 step, 3 machines>"
 
 
 def test_sgen_measurements_inside_a_macro_step_match_a_full_measure():

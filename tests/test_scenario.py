@@ -15,14 +15,15 @@ import scipy.sparse.linalg
 from windcosim import gridcomp, network
 from windcosim.cosim import MasterConfig, Scheme, SimComponent
 from windcosim.dynamics import RmsModel
-from windcosim.errors import (ScenarioValidationError, SinkAlreadyDrivenError,
-                              UnknownVariableError, UnresolvedReferenceError)
+from windcosim.errors import (ComponentStepError, ScenarioValidationError,
+                              SinkAlreadyDrivenError, UnknownVariableError,
+                              UnresolvedReferenceError)
 from windcosim.network import FaultEvent, NetworkData, assemble_ybus, branch_stamps
 from windcosim.powerflow import solve_power_flow
 from windcosim.scenario import (DEFAULT_FAULT, ConnectionSpec, Scenario, build_large_scale,
                                 build_monolithic, build_small_scale, instantiate,
                                 run_scenario, standard_wiring)
-from windcosim.scenario_io import parse_scenario
+from windcosim.scenario_io import parse_scenario, parse_scenario_text
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -356,6 +357,18 @@ def test_each_shipped_study_does_exactly_its_budgeted_work(scheme, monkeypatch):
         calls.clear()
         run_scenario(parse_scenario(SCENARIO_DIR / f"{name}.scn"), scheme=scheme)
         assert dict(calls) == {op: row[k] for op, row in WORK_BUDGET.items()}, name
+
+
+@pytest.mark.parametrize("scheme", ["serial", "parallel"])
+def test_a_diverging_machine_fails_the_grid_step_at_its_macro_step(scheme):
+    # an absurd damping makes the explicit RK4 blow up: cmath.rect of the infinite
+    # angle raises inside the RK4 step, and the grid reports the macro step it began
+    text = (SCENARIO_DIR / "small_scale.scn").read_text()
+    assert "machine 1 h=23.64 xd_p=0.0608 d=6.0" in text
+    sc = parse_scenario_text(text.replace("xd_p=0.0608 d=6.0", "xd_p=0.0608 d=1e7", 1))
+    with pytest.raises(ComponentStepError, match="machine states diverged") as err:
+        run_scenario(sc, scheme=scheme, t_end=0.05)
+    assert (err.value.component_id, err.value.time) == ("grid", 0.024)
 
 
 def test_instantiate_rejects_overrides_that_break_a_check():
