@@ -11,24 +11,19 @@ the step bodies address each value by its value reference
 edges into the sink's values, and every hook's real outputs are checked
 finite right after the hook, so a failing macro step names the first
 component in registration order.  No re-wiring follows, and a master
-that has stepped is not initialized or run again.  Two coupling schemes
-are supported:
+that has stepped is not initialized or run again.
 
-``serial``
-    Components step once per macro step in registration order.
-    Immediately before a component steps, each of its inputs is
-    refreshed from the *latest available* value of its source.  A
-    connection to a later-registered component therefore carries the
-    current step's value (fresh), while a back-edge, to an earlier-
-    registered one, carries the previous step's value (one-step lag).
-
-``parallel``
-    All inputs are latched from the previous macro step's outputs
-    before any component steps, so every connection carries a
-    one-step lag (Jacobi style).
-
-Neither scheme iterates within a step and no component is ever asked to
-roll back, so any topology, cyclic or not, completes without deadlock.
+Only ``_compile`` acts on the coupling scheme.  It splits each component's
+input edges once: *lagged* edges are latched from the previous macro
+step's outputs before any component steps, *fresh* ones are copied right
+before their sink steps.  In the ``serial`` scheme (Gauss-Seidel style) an
+edge from a component registered before its sink is fresh, while a
+back-edge or a self-edge lags one step; in the ``parallel`` scheme (Jacobi
+style) every edge lags.  So ``step_macro`` has one path: copy the lagged
+edges, then, in registration order, copy each component's fresh edges,
+step it and check its outputs.  Neither scheme iterates within a step and
+no component is ever asked to roll back, so any topology, cyclic or not,
+completes without deadlock.
 
 Initialization starts from the declared start values, which are every
 component's nominal outputs (each real one is checked finite), and runs
@@ -313,13 +308,20 @@ class Master:
     # -- value movement ----------------------------------------------------
 
     def _compile(self) -> None:
-        """Per component in registration order (an edge to an earlier one lags):
-        (component, values, copies, real outputs)."""
+        """Per component in registration order: (component, values, lagged
+        copies, fresh copies, real outputs), split as the module docstring says."""
+        serial = self.config.scheme is Scheme.SERIAL
+        earlier: set[str] = set()          # ids a sink's fresh edges may come from
         self._plan = []
-        for comp in self._components.values():
-            copies = [(self._components[c.source.component_id]._values, c.source.vr, c.sink.vr)
-                      for c in self._by_sink.get(comp.component_id, ())]
-            self._plan.append((comp, comp._values, copies, list(comp._real_outputs)))
+        for cid, comp in self._components.items():
+            lagged, fresh = [], []
+            for c in self._by_sink.get(cid, ()):
+                src = c.source.component_id
+                (fresh if src in earlier else lagged).append(
+                    (self._components[src]._values, c.source.vr, c.sink.vr))
+            if serial:
+                earlier.add(cid)           # after its own edges: a self-edge lags
+            self._plan.append((comp, comp._values, lagged, fresh, list(comp._real_outputs)))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -329,15 +331,15 @@ class Master:
         if self.current_step:
             raise err.InitializationError("master has already stepped; build a new Master")
         self._compile()
-        for comp, values, _, outputs in self._plan:      # the declared start values
+        for comp, values, _, _, outputs in self._plan:      # the declared start values
             _check_finite(comp, values, outputs, 0.0)
         for stage in ("equilibrate", "finish_init"):
-            for comp, values, copies, outputs in self._plan:
-                _refresh(values, copies)
+            for comp, values, lagged, fresh, outputs in self._plan:
+                _refresh(values, lagged + fresh)
                 getattr(comp, stage)()
                 _check_finite(comp, values, outputs, 0.0)
-        for _, values, copies, _ in self._plan:
-            _refresh(values, copies)
+        for _, values, lagged, fresh, _ in self._plan:
+            _refresh(values, lagged + fresh)
         self._initialized = True
 
     def step_macro(self) -> None:
@@ -346,16 +348,13 @@ class Master:
         dt = self.config.macro_step
         t = self.current_step * dt
         isfinite = math.isfinite
-        serial = self.config.scheme is Scheme.SERIAL
         # _refresh and _check_finite inline; the check is called only to name a failure
-        if not serial:              # latch every input before any component steps
-            for _, values, copies, _ in self._plan:
-                for src, src_vr, vr in copies:
-                    values[vr] = src[src_vr]
-        for comp, values, copies, outputs in self._plan:
-            if serial:
-                for src, src_vr, vr in copies:
-                    values[vr] = src[src_vr]
+        for _, values, lagged, _, _ in self._plan:
+            for src, src_vr, vr in lagged:
+                values[vr] = src[src_vr]
+        for comp, values, _, fresh, outputs in self._plan:
+            for src, src_vr, vr in fresh:
+                values[vr] = src[src_vr]
             comp.step(t, dt)
             for vr in outputs:
                 if not isfinite(values[vr]):

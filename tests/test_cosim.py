@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +37,9 @@ from windcosim.scenario import (
     instantiate,
     run_scenario,
 )
+from windcosim.scenario_io import parse_scenario
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 class Counter(SimComponent):
@@ -52,33 +56,42 @@ class Counter(SimComponent):
         self.set("idx", self.get("idx") + 1)
 
 
-def _counter_pair(scheme, n_steps):
+def _counters(scheme, n_steps):
     cfg = MasterConfig(macro_step=1e-3, t_end=n_steps * 1e-3, scheme=scheme,
-                       record=["a.idx", "a.seen", "b.idx", "b.seen"])
+                       record=["a.idx", "a.seen", "b.idx", "b.seen", "c.seen"])
     master = Master(cfg)
     master.register(Counter("a"))
     master.register(Counter("b"))
+    master.register(Counter("c"))
     master.connect("a.idx", "b.inp")   # forward edge: to a later-registered component
     master.connect("b.idx", "a.inp")   # back edge: to an earlier-registered component
+    master.connect("c.idx", "c.inp")   # self-edge: the sink is its own source
     return master
 
 
 def test_serial_lag_law():
-    # Forward edges are fresh (same-step), back edges lag one step.
-    trace, meta = _counter_pair(Scheme.SERIAL, 50).run()
+    # Forward edges are fresh (same-step); back edges and self-edges lag one step.
+    master = _counters(Scheme.SERIAL, 50)
+    trace, meta = master.run()
+    assert _split_edges(master) == ({"b.idx -> a.inp", "c.idx -> c.inp"}, {"a.idx -> b.inp"})
     for k in range(1, meta.steps + 1):
         assert trace["a.idx"][k] == k
         assert trace["b.idx"][k] == k
         assert trace["b.seen"][k] == k, "forward edge must carry the current step"
         assert trace["a.seen"][k] == k - 1, "back edge must carry the previous step"
+        assert trace["c.seen"][k] == k - 1, "self-edge must carry the previous step"
 
 
 def test_parallel_lag_law():
     # Every edge is latched before stepping: uniform one-step lag.
-    trace, meta = _counter_pair(Scheme.PARALLEL, 50).run()
+    master = _counters(Scheme.PARALLEL, 50)
+    trace, meta = master.run()
+    assert _split_edges(master) == ({"a.idx -> b.inp", "b.idx -> a.inp", "c.idx -> c.inp"},
+                                    set())
     for k in range(1, meta.steps + 1):
         assert trace["a.seen"][k] == k - 1
         assert trace["b.seen"][k] == k - 1
+        assert trace["c.seen"][k] == k - 1
 
 
 class StageLogger(SimComponent):
@@ -417,7 +430,7 @@ def test_connect_after_initialize_rejected():
 
 
 def test_second_run_rejected():
-    master = _counter_pair(Scheme.SERIAL, 3)
+    master = _counters(Scheme.SERIAL, 3)
     trace, _ = master.run()
     assert list(trace.time) == pytest.approx([0.0, 0.001, 0.002, 0.003])
     with pytest.raises(InitializationError, match="already run"):
@@ -427,7 +440,7 @@ def test_second_run_rejected():
 def test_initialize_after_run_rejected():
     # re-initializing would reset the step counter and let run() start
     # again at t=0 on components that have already advanced
-    master = _counter_pair(Scheme.SERIAL, 3)
+    master = _counters(Scheme.SERIAL, 3)
     master.run()
     with pytest.raises(InitializationError, match="already stepped"):
         master.initialize()
@@ -437,7 +450,7 @@ def test_initialize_after_run_rejected():
 
 
 def test_run_after_explicit_initialize_is_allowed():
-    master = _counter_pair(Scheme.SERIAL, 3)
+    master = _counters(Scheme.SERIAL, 3)
     master.initialize()
     trace, _ = master.run()
     assert list(trace["a.idx"]) == [0, 1, 2, 3]
@@ -535,7 +548,9 @@ def test_every_edge_is_a_copy(scheme):
     master.connect("src.n", "dst.n_in")
     master.connect("src.flag", "dst.flag_in")
     master.initialize()
-    (_, _, copies, _), = [entry for entry in master._plan if entry[0] is dst]
+    (_, _, lagged, fresh, _), = [entry for entry in master._plan if entry[0] is dst]
+    copies, none = (fresh, lagged) if scheme is Scheme.SERIAL else (lagged, fresh)
+    assert none == []
     assert [vr for _, _, vr in copies] == [dst.ref(name).vr for name, _ in Receiver.INPUTS]
     for _ in range(3):
         master.step_macro()
@@ -546,6 +561,56 @@ def test_every_edge_is_a_copy(scheme):
         assert copy.hex() == x.hex(), k          # -0.0 arrives as -0.0, not 1.0 * x + 0.0
         assert type(n) is int and n == n_src, k
         assert type(flag) is bool and flag is flag_src, k
+
+
+def _initialized(sc, scheme):
+    master = instantiate(dataclasses.replace(sc, master=dataclasses.replace(sc.master,
+                                                                            scheme=scheme)))
+    master.initialize()
+    return master
+
+
+def _split_edges(master):
+    """The compiled plan's (lagged, fresh) edges, each as 'source -> sink' by name."""
+    owner = {id(values): comp for comp, values, *_ in master._plan}
+
+    def name(values, vr):
+        comp = owner[id(values)]
+        return f"{comp.component_id}.{comp.variables()[vr].name}"
+
+    split = (set(), set())
+    for _, values, *edges, _ in master._plan:
+        for named, copies in zip(split, edges):
+            named.update(f"{name(src, src_vr)} -> {name(values, vr)}"
+                         for src, src_vr, vr in copies)
+    return split
+
+
+SMALL_SCALE_BACK_EDGES = {
+    "conv_wpp.i_d_cmd -> grid.i_d_wpp",
+    "conv_wpp.i_q_cmd -> grid.i_q_wpp",
+    "frt_wpp.mode -> conv_wpp.frt_mode",
+    "frt_wpp.block_active -> conv_wpp.block_active",
+    "frt_wpp.i_q_boost -> conv_wpp.i_q_boost",
+    "frt_wpp.i_d_ref_limited -> conv_wpp.i_d_ref_frt",
+}
+
+
+def test_compile_names_the_lagged_edges_of_small_scale():
+    sc = parse_scenario(SCENARIO_DIR / "small_scale.scn")
+    every = {f"{c.source} -> {c.sink}" for c in sc.connections}
+    assert len(every) == 11
+    lagged, fresh = _split_edges(_initialized(sc, Scheme.SERIAL))
+    assert lagged == SMALL_SCALE_BACK_EDGES       # 2 converter -> grid, 4 FRT -> converter
+    assert fresh == every - SMALL_SCALE_BACK_EDGES
+    assert _split_edges(_initialized(sc, Scheme.PARALLEL)) == (every, set())
+
+
+@pytest.mark.parametrize("scheme, n_lagged, n_fresh", [(Scheme.SERIAL, 192, 160),
+                                                       (Scheme.PARALLEL, 352, 0)])
+def test_compile_splits_the_large_scale_edges(scheme, n_lagged, n_fresh):
+    lagged, fresh = _split_edges(_initialized(build_large_scale(t_end=0.01), scheme))
+    assert (len(lagged), len(fresh)) == (n_lagged, n_fresh)
 
 
 @pytest.mark.parametrize("build", [build_monolithic, build_small_scale])
@@ -618,10 +683,7 @@ def _poison_supervisor(master):
     (build_small_scale, _poison_supervisor, "frt_wpp", "i_d_ref_limited"),
 ])
 def test_nan_output_fails_the_macro_step_naming_it(scheme, build, poison, cid, output):
-    sc = build(t_end=0.01)
-    master = instantiate(dataclasses.replace(sc, master=dataclasses.replace(sc.master,
-                                                                            scheme=scheme)))
-    master.initialize()
+    master = _initialized(build(t_end=0.01), scheme)
     master.step_macro()
     poison(master)
     with pytest.raises(ComponentStepError, match=f"output '{output}' is not finite") as exc:
