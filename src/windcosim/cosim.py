@@ -19,11 +19,19 @@ step's outputs before any component steps, *fresh* ones are copied right
 before their sink steps.  In the ``serial`` scheme (Gauss-Seidel style) an
 edge from a component registered before its sink is fresh, while a
 back-edge or a self-edge lags one step; in the ``parallel`` scheme (Jacobi
-style) every edge lags.  So ``step_macro`` has one path: copy the lagged
+style) every edge lags.  So a macro step has one path: copy the lagged
 edges, then, in registration order, copy each component's fresh edges,
 step it and check its outputs.  Neither scheme iterates within a step and
 no component is ever asked to roll back, so any topology, cyclic or not,
 completes without deadlock.
+
+``_compile`` writes that path out as straight-line Python, one statement
+per edge, per step call and per output check.  An edge names its source
+by registration position, so the plan's integers alone are its *shape*:
+the code is compiled once per shape and process and bound to each
+master's value lists and components.  Each component's ``.step`` is
+looked up at every call, so a ``step`` patched after ``initialize`` is
+the one called.
 
 Initialization starts from the declared start values, which are every
 component's nominal outputs (each real one is checked finite), and runs
@@ -41,6 +49,7 @@ A disturbance-free run started this way stays at its operating point.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import time as _time
 from dataclasses import dataclass, field
@@ -228,19 +237,44 @@ class RunMetadata:
     init: dict = field(default_factory=dict)
 
 
-def _refresh(values: list, copies: list[tuple]) -> None:
-    """Set each input from its source's current output (without a cast:
-    connected kinds match, and values keep their kind)."""
-    for src, src_vr, vr in copies:
-        values[vr] = src[src_vr]
-
-
-def _check_finite(comp: SimComponent, values: list, outputs: list[int], t: float) -> None:
+def _check_finite(comp: SimComponent, values: list, outputs: tuple[int, ...], t: float) -> None:
     for vr in outputs:
         if not math.isfinite(values[vr]):
             name = comp.variables()[vr].name
             raise err.ComponentStepError(comp.component_id, t,
                                          f"output '{name}' is not finite ({values[vr]!r})")
+
+
+_MACRO_STEP_SHAPES = 16      # compiled plan shapes kept per process
+
+
+@functools.lru_cache(maxsize=_MACRO_STEP_SHAPES)
+def _macro_step(shape: tuple):
+    """``bind(isfinite, fail, V0.., C0..)``, compiled once per plan ``shape``
+    (per component in registration order, its ``(lagged, fresh, outputs)``),
+    returns ``step(t, dt)``: one macro step of the components ``C{i}`` with
+    value lists ``V{i}``.  It copies every lagged edge ``(s, src_vr, vr)`` as
+    ``V{i}[vr] = V{s}[src_vr]``, then per component copies its fresh edges,
+    calls ``C{i}.step(t, dt)`` (looked up at each call, so a patched ``step``
+    is the one called) and, if one of its real outputs is not finite, calls
+    ``fail(i, t + dt)``.  The source holds only the plan's integers."""
+    body = [f"V{i}[{vr:d}] = V{s:d}[{src_vr:d}]"
+            for i, (lagged, _, _) in enumerate(shape) for s, src_vr, vr in lagged]
+    for i, (_, fresh, outputs) in enumerate(shape):
+        body += [f"V{i}[{vr:d}] = V{s:d}[{src_vr:d}]" for s, src_vr, vr in fresh]
+        body.append(f"C{i}.step(t, dt)")
+        if outputs:
+            finite = " and ".join(f"isfinite(V{i}[{vr:d}])" for vr in outputs)
+            body.append(f"if not ({finite}): fail({i}, t + dt)")
+    n = range(len(shape))
+    params = ["isfinite", "fail", *(f"V{i}" for i in n), *(f"C{i}" for i in n)]
+    src = "\n".join([f"def bind({', '.join(params)}):",
+                     "    def step(t, dt):",
+                     *(f"        {line}" for line in body),
+                     "    return step\n"])
+    namespace = {}
+    exec(compile(src, f"<macro step, {len(shape)} components>", "exec"), namespace)
+    return namespace["bind"]
 
 
 class Master:
@@ -252,6 +286,7 @@ class Master:
         self._by_sink: dict[str, list[Connection]] = {}
         self._driven: set[VariableRef] = set()
         self._plan: list[tuple] = []
+        self._step = None               # the compiled macro step, bound by _compile
         self._recorded: list[VariableRef] | None = None
         self._initialized = False
         self.current_step = 0
@@ -309,19 +344,33 @@ class Master:
 
     def _compile(self) -> None:
         """Per component in registration order: (component, values, lagged
-        copies, fresh copies, real outputs), split as the module docstring says."""
+        edges, fresh edges, real outputs), split as the module docstring says,
+        each edge ``(source position, source vr, sink vr)``; then the macro
+        step compiled for the plan's shape and bound to these components."""
         serial = self.config.scheme is Scheme.SERIAL
-        earlier: set[str] = set()          # ids a sink's fresh edges may come from
-        self._plan = []
-        for cid, comp in self._components.items():
+        position = {cid: i for i, cid in enumerate(self._components)}
+        plan = self._plan = []
+        for i, (cid, comp) in enumerate(self._components.items()):
             lagged, fresh = [], []
             for c in self._by_sink.get(cid, ()):
-                src = c.source.component_id
-                (fresh if src in earlier else lagged).append(
-                    (self._components[src]._values, c.source.vr, c.sink.vr))
-            if serial:
-                earlier.add(cid)           # after its own edges: a self-edge lags
-            self._plan.append((comp, comp._values, lagged, fresh, list(comp._real_outputs)))
+                s = position[c.source.component_id]
+                # serial: an edge from an earlier component is fresh; a self-edge lags
+                (fresh if serial and s < i else lagged).append((s, c.source.vr, c.sink.vr))
+            plan.append((comp, comp._values, tuple(lagged), tuple(fresh),
+                         tuple(comp._real_outputs)))
+
+        def fail(i, t):
+            comp, values, _, _, outputs = plan[i]
+            _check_finite(comp, values, outputs, t)
+
+        self._step = _macro_step(tuple(entry[2:] for entry in plan))(
+            math.isfinite, fail, *(entry[1] for entry in plan), *(entry[0] for entry in plan))
+
+    def _refresh(self, values: list, edges: tuple) -> None:
+        """Set each input from its source's current output (without a cast:
+        connected kinds match, and values keep their kind)."""
+        for s, src_vr, vr in edges:
+            values[vr] = self._plan[s][1][src_vr]
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -335,30 +384,18 @@ class Master:
             _check_finite(comp, values, outputs, 0.0)
         for stage in ("equilibrate", "finish_init"):
             for comp, values, lagged, fresh, outputs in self._plan:
-                _refresh(values, lagged + fresh)
+                self._refresh(values, lagged + fresh)
                 getattr(comp, stage)()
                 _check_finite(comp, values, outputs, 0.0)
         for _, values, lagged, fresh, _ in self._plan:
-            _refresh(values, lagged + fresh)
+            self._refresh(values, lagged + fresh)
         self._initialized = True
 
     def step_macro(self) -> None:
         if not self._initialized:
             raise err.InitializationError("step_macro before initialize")
         dt = self.config.macro_step
-        t = self.current_step * dt
-        isfinite = math.isfinite
-        # _refresh and _check_finite inline; the check is called only to name a failure
-        for _, values, lagged, _, _ in self._plan:
-            for src, src_vr, vr in lagged:
-                values[vr] = src[src_vr]
-        for comp, values, _, fresh, outputs in self._plan:
-            for src, src_vr, vr in fresh:
-                values[vr] = src[src_vr]
-            comp.step(t, dt)
-            for vr in outputs:
-                if not isfinite(values[vr]):
-                    _check_finite(comp, values, outputs, t + dt)
+        self._step(self.current_step * dt, dt)
         self.current_step += 1
 
     # -- recording ---------------------------------------------------------

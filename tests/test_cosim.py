@@ -16,6 +16,7 @@ from windcosim.cosim import (
     SimComponent,
     VariableRef,
     VarKind,
+    _check_finite,
 )
 from windcosim.errors import (
     ComponentStepError,
@@ -357,11 +358,13 @@ class Mixer(SimComponent):
         self.set("out", v)
 
 
-def build_random_graph(seed, n_steps=100):
-    """Random cyclic component graph: every input driven, a 2-cycle forced."""
+def build_random_graph(seed, n_steps=100, scheme=None):
+    """Random cyclic component graph: every input driven, a 2-cycle forced;
+    the scheme is drawn from the seed unless given."""
     rng = random.Random(seed)
     n = rng.randint(3, 8)
-    scheme = Scheme.SERIAL if rng.random() < 0.5 else Scheme.PARALLEL
+    drawn = Scheme.SERIAL if rng.random() < 0.5 else Scheme.PARALLEL
+    scheme = scheme or drawn
     names = [f"c{i}" for i in range(n)]
     cfg = MasterConfig(macro_step=1e-3, t_end=n_steps * 1e-3, scheme=scheme,
                        record=[f"{name}.out" for name in names])
@@ -542,7 +545,7 @@ class Receiver(SimComponent):
 @pytest.mark.parametrize("scheme", [Scheme.SERIAL, Scheme.PARALLEL])
 def test_every_edge_is_a_copy(scheme):
     master = Master(MasterConfig(macro_step=1e-3, t_end=3e-3, scheme=scheme))
-    master.register(Emitter("src"))
+    src = master.register(Emitter("src"))
     dst = master.register(Receiver("dst"))
     master.connect("src.x", "dst.x_in")
     master.connect("src.n", "dst.n_in")
@@ -550,7 +553,8 @@ def test_every_edge_is_a_copy(scheme):
     master.initialize()
     (_, _, lagged, fresh, _), = [entry for entry in master._plan if entry[0] is dst]
     copies, none = (fresh, lagged) if scheme is Scheme.SERIAL else (lagged, fresh)
-    assert none == []
+    assert none == ()
+    assert [master._plan[s][0] for s, _, _ in copies] == [src] * 3
     assert [vr for _, _, vr in copies] == [dst.ref(name).vr for name, _ in Receiver.INPUTS]
     for _ in range(3):
         master.step_macro()
@@ -563,26 +567,27 @@ def test_every_edge_is_a_copy(scheme):
         assert type(flag) is bool and flag is flag_src, k
 
 
+def _instantiated(sc, scheme):
+    return instantiate(dataclasses.replace(sc, master=dataclasses.replace(sc.master,
+                                                                          scheme=scheme)))
+
+
 def _initialized(sc, scheme):
-    master = instantiate(dataclasses.replace(sc, master=dataclasses.replace(sc.master,
-                                                                            scheme=scheme)))
+    master = _instantiated(sc, scheme)
     master.initialize()
     return master
 
 
 def _split_edges(master):
     """The compiled plan's (lagged, fresh) edges, each as 'source -> sink' by name."""
-    owner = {id(values): comp for comp, values, *_ in master._plan}
-
-    def name(values, vr):
-        comp = owner[id(values)]
+    def name(comp, vr):
         return f"{comp.component_id}.{comp.variables()[vr].name}"
 
     split = (set(), set())
-    for _, values, *edges, _ in master._plan:
+    for sink, _, *edges, _ in master._plan:
         for named, copies in zip(split, edges):
-            named.update(f"{name(src, src_vr)} -> {name(values, vr)}"
-                         for src, src_vr, vr in copies)
+            named.update(f"{name(master._plan[s][0], src_vr)} -> {name(sink, vr)}"
+                         for s, src_vr, vr in copies)
     return split
 
 
@@ -759,3 +764,152 @@ def test_large_scale_repeats_bit_identically(scheme):
     assert trace_a.names() == trace_b.names()
     for name in trace_a.names():
         assert np.array_equal(trace_a[name], trace_b[name]), name
+
+
+# -- compiled macro step ------------------------------------------------------------
+
+
+def _step_by_loops(master):
+    """Reference macro step: the plan walked by interpreted loops (lagged edges,
+    then per component its fresh edges, its step and its output check)."""
+    dt = master.config.macro_step
+    t = master.current_step * dt
+    isfinite = math.isfinite
+    sources = [values for _, values, *_ in master._plan]
+    for _, values, lagged, _, _ in master._plan:
+        for s, src_vr, vr in lagged:
+            values[vr] = sources[s][src_vr]
+    for comp, values, _, fresh, outputs in master._plan:
+        for s, src_vr, vr in fresh:
+            values[vr] = sources[s][src_vr]
+        comp.step(t, dt)
+        for vr in outputs:
+            if not isfinite(values[vr]):
+                _check_finite(comp, values, outputs, t + dt)
+    master.current_step += 1
+
+
+def _bits(master):
+    """Every component's value list, each value as its type and exact bits."""
+    return [[(type(v).__name__, v.hex() if type(v) is float else v) for v in values]
+            for _, values, *_ in master._plan]
+
+
+class Ticker(SimComponent):
+    """No inputs and no real outputs: counts its steps on an integer output."""
+
+    def __init__(self, cid):
+        super().__init__(cid)
+        self.declare_output("ticks", VarKind.INT, start=0)
+
+    def _do_step(self, t, dt):
+        self.set("ticks", self.get("ticks") + 1)
+
+
+def _typed_graph(scheme):
+    # REAL, INT and BOOL edges into a sink registered before the source (lagged
+    # under both schemes) and one registered after it (fresh under serial)
+    master = Master(MasterConfig(macro_step=1e-3, t_end=3e-3, scheme=scheme))
+    master.register(Receiver("before"))
+    master.register(Ticker("tick"))
+    master.register(Emitter("src"))
+    master.register(Receiver("after"))
+    for sink in ("before", "after"):
+        for name in ("x", "n", "flag"):
+            master.connect(f"src.{name}", f"{sink}.{name}_in")
+    return master
+
+
+def _unconnected(scheme):
+    master = Master(MasterConfig(scheme=scheme))
+    master.register(Mixer("m0", coeff=0.4))
+    master.register(Mixer("m1", coeff=1.3))
+    return master
+
+
+def _large_scale(scheme):
+    return _instantiated(parse_scenario(SCENARIO_DIR / "large_scale.scn"), scheme)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.SERIAL, Scheme.PARALLEL])
+@pytest.mark.parametrize("build, n_steps", [
+    *((lambda scheme, seed=seed: build_random_graph(seed, scheme=scheme), 30)
+      for seed in range(6)),
+    (_typed_graph, 3),
+    (lambda scheme: _counters(scheme, 5), 5),
+    (_unconnected, 5),
+    (_large_scale, 20),
+], ids=[*(f"random{seed}" for seed in range(6)), "typed", "self_edge", "no_edges",
+        "large_scale"])
+def test_compiled_step_matches_the_interpreted_loops_bit_for_bit(build, n_steps, scheme):
+    compiled, looped = build(scheme), build(scheme)
+    for master in (compiled, looped):
+        master.initialize()
+    assert _bits(compiled) == _bits(looped)
+    for k in range(n_steps):
+        compiled.step_macro()
+        _step_by_loops(looped)
+        assert _bits(compiled) == _bits(looped), k
+    assert compiled.current_step == looped.current_step == n_steps
+
+
+def test_compiled_step_is_shared_by_plan_shape():
+    a, b = (_initialized(parse_scenario(SCENARIO_DIR / "large_scale.scn"), Scheme.SERIAL)
+            for _ in range(2))
+    assert a._step is not b._step and a._step.__code__ is b._step.__code__
+    others = [_initialized(parse_scenario(SCENARIO_DIR / "large_scale.scn"), Scheme.PARALLEL),
+              _initialized(parse_scenario(SCENARIO_DIR / "small_scale.scn"), Scheme.SERIAL)]
+    assert len({a._step.__code__, *(m._step.__code__ for m in others)}) == 3
+    # the source holds the plan's integers and nothing else
+    assert {type(c) for c in a._step.__code__.co_consts} <= {int, type(None)}
+
+
+def test_a_component_id_never_reaches_the_compiled_step():
+    def mixer_pair(cid):
+        master = Master(MasterConfig(macro_step=1e-3, t_end=5e-3,
+                                     record=[f"{cid}.out", "m.out"]))
+        master.register(Mixer(cid, coeff=0.7))
+        master.register(Mixer("m", coeff=1.1))
+        master.connect(f"{cid}.out", "m.inp")
+        master.connect("m.out", f"{cid}.inp")
+        return master
+
+    odd = "q'\"\n#x"
+    odd_trace, meta = mixer_pair(odd).run()
+    plain_trace, _ = mixer_pair("plain").run()
+    assert meta.steps == 5 and odd_trace.names() == [f"{odd}.out", "m.out"]
+    assert np.array_equal(odd_trace[f"{odd}.out"], plain_trace["plain.out"])
+    assert np.array_equal(odd_trace["m.out"], plain_trace["m.out"])
+
+
+class Tally(RealRelay):
+    """A relay that counts its steps; its second real output turns NaN at step ``blow_at``."""
+
+    def __init__(self, cid, blow_at=None):
+        super().__init__(cid)
+        self.declare_output("bad", start=0.0)
+        self.blow_at = blow_at
+        self.n = 0
+
+    def _do_step(self, t, dt):
+        super()._do_step(t, dt)
+        self.n += 1
+        if self.n == self.blow_at:
+            self.set("bad", math.nan)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.SERIAL, Scheme.PARALLEL])
+def test_a_poisoned_middle_component_stops_the_macro_step_after_it(scheme):
+    master = Master(MasterConfig(macro_step=1e-3, t_end=10e-3, scheme=scheme))
+    comps = [master.register(Tally(f"r{i}", blow_at=3 if i == 2 else None)) for i in range(5)]
+    for i in range(5):                        # a ring: four forward edges and one back-edge
+        master.connect(f"r{i - 1 if i else 4}.out", f"r{i}.inp")
+    master.initialize()
+    master.step_macro()
+    master.step_macro()
+    with pytest.raises(ComponentStepError, match=r"output 'bad' is not finite \(nan\)") as exc:
+        master.step_macro()
+    assert exc.value.component_id == "r2"
+    assert exc.value.time == 2e-3 + 1e-3      # t + dt of the failing step
+    assert [comp.n for comp in comps] == [3, 3, 3, 2, 2]
+    assert master.current_step == 2
